@@ -30,7 +30,7 @@ from .plfunction import (
     plfunction_to_json,
 )
 from .subdivision import Fan, subdivide_map_moduli, validate_fan
-from .tree import tree_from_json, validate_tree
+from .tree import check_incidence, tree_from_json, validate_tree
 
 EXIT_CODES = {
     "ok": 0,
@@ -69,6 +69,7 @@ def cmd_validate(args) -> dict:
 
 def cmd_extend(args) -> dict:
     t = tree_from_json(_read_json(args.tree))
+    check_incidence(t)
     sigma = _sigma(args.sigma)
     base_value = AffineExpr.parse(args.base_value)
     basepoint = args.basepoint
@@ -94,22 +95,23 @@ def cmd_multidegree(args) -> dict:
 
 
 def cmd_moduli(args) -> dict:
-    if args.sigma is None:
-        cx = build_moduli_complex(args.n)
-    else:
-        cx = build_map_moduli(args.n, _sigma(args.sigma))
-    payload = {"complex": cx.to_json(), "empty": cx.is_empty}
+    # Every cheap check runs before the first build, which is exponential in n.
+    sigma = None if args.sigma is None else _sigma(args.sigma)
+    if sigma is None and args.certify_product is not None:
+        raise errors.ParseError("--certify-product requires --sigma")
+    if sigma is None and args.subdivide is not None:
+        raise errors.ParseError("--subdivide requires --sigma")
+    fan = None if args.subdivide is None else Fan.from_json(_read_json(args.subdivide))
+    report = None
     if args.certify_product is not None:
-        if args.sigma is None:
-            raise errors.ParseError("--certify-product requires --sigma")
-        report = product_decomposition(args.n, _sigma(args.sigma), args.certify_product)
+        # Checks the leg before it builds anything.
+        report = product_decomposition(args.n, sigma, args.certify_product)
+    cx = build_moduli_complex(args.n) if sigma is None else build_map_moduli(args.n, sigma)
+    payload = {"complex": cx.to_json(), "empty": cx.is_empty}
+    if report is not None:
         payload["product_decomposition"] = report.to_json()
-    if args.subdivide is not None:
-        if args.sigma is None:
-            raise errors.ParseError("--subdivide requires --sigma")
-        fan = Fan.from_json(_read_json(args.subdivide))
-        sub = subdivide_map_moduli(args.n, _sigma(args.sigma), fan)
-        payload["subdivision"] = sub.to_json()
+    if fan is not None:
+        payload["subdivision"] = subdivide_map_moduli(args.n, sigma, fan).to_json()
     return payload
 
 
@@ -138,8 +140,6 @@ def cmd_selfmap(args) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="troplog", description=__doc__)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    p.add_argument("--jobs", type=int, default=1, help="worker hint (single process)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("validate", help="validate a tree JSON file")

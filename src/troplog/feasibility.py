@@ -141,9 +141,8 @@ def check_feasible(
 
     for expr, rel in constraints:
         value = expr.evaluate(point)
-        assert value > 0 if rel == "gt" else value >= 0 if rel == "ge" else value == 0, (
-            "witness reconstruction failed"
-        )
+        if not (value > 0 if rel == "gt" else value >= 0 if rel == "ge" else value == 0):
+            raise RuntimeError(f"witness reconstruction failed on {expr} {rel} 0")
     return Feasibility(True, point)
 
 

@@ -27,8 +27,7 @@ from .tree import (
     Leg,
     Tree,
     VertexId,
-    canonicalize,
-    contract_edge,
+    canonicalize,  # noqa: F401  (perfbench/test_perfbench.py traces it through this module)
     enumerate_tree_types,
     validate_tree,
 )
@@ -95,7 +94,8 @@ class ConeComplex:
     types: dict[str, CombinatorialType]
     face_maps: list[FaceMap]
     sigma: ContactOrder | None = None
-    functions: dict[str, PLFunction] = field(default_factory=dict)
+    # One PLFunction per cone, or a tuple of them for a target of dimension > 1.
+    functions: dict[str, PLFunction | tuple[PLFunction, ...]] = field(default_factory=dict)
 
     @property
     def is_empty(self) -> bool:
@@ -116,72 +116,76 @@ class ConeComplex:
         if self.functions:
             from .plfunction import plfunction_to_json
 
-            doc["functions"] = {k: plfunction_to_json(self.functions[k]) for k in sorted(self.functions)}
+            doc["functions"] = {
+                k: [plfunction_to_json(f) for f in fs] if isinstance(fs, tuple) else plfunction_to_json(fs)
+                for k, fs in sorted(self.functions.items())
+            }
         return doc
 
 
-def _face_maps_for(types: dict[str, CombinatorialType]) -> list[FaceMap]:
-    out: dict[tuple, FaceMap] = {}
-    for key, ct in types.items():
-        for i in range(len(ct.tree.edges)):
-            contracted = contract_edge(ct.tree, i)
-            cf = canonicalize(contracted)
-            coord_map = []
-            for j in range(len(ct.tree.edges)):
-                if j == i:
-                    continue
-                j_small = j if j < i else j - 1
-                coord_map.append((f"l_e{cf.edge_map[j_small]}", f"l_e{j}"))
-            fm = FaceMap(cf.key, key, tuple(sorted(coord_map)), (f"l_e{i}",))
-            out.setdefault((fm.face_key, fm.cone_key, fm.coord_map, fm.zeroed), fm)
-    return sorted(out.values(), key=lambda f: (f.cone_key, f.zeroed, f.face_key))
-
-
 def build_moduli_complex(n: int) -> ConeComplex:
-    """Cone complex of stable genus-0 tropical curves with n legs."""
+    """Cone complex of stable genus-0 tropical curves with n legs.
+
+    The face maps come from the facets that type enumeration records.
+    """
     if n < 3:
         raise UnstableRange(f"curve moduli need n >= 3, got {n}")
-    types = {ct.key: ct for ct in enumerate_tree_types(n, stable_only=True)}
-    cones = {
-        key: Cone(key, tuple(Coord(f"l_e{i}", "nonneg") for i in range(len(ct.tree.edges))))
-        for key, ct in types.items()
-    }
-    return ConeComplex(n, cones, types, _face_maps_for(types))
+    types = {ct.key: ct for ct in enumerate_tree_types(n)}
+    cones = {}
+    face_maps = []
+    for key, ct in types.items():
+        edges = range(len(ct.tree.edges))
+        cones[key] = Cone(key, tuple(Coord(f"l_e{i}", "nonneg") for i in edges))
+        for i, (face_key, face_index) in enumerate(ct.facets):
+            others = (j for j in edges if j != i)
+            coord_map = tuple(sorted((f"l_e{k}", f"l_e{j}") for j, k in zip(others, face_index)))
+            face_maps.append(FaceMap(face_key, key, coord_map, (f"l_e{i}",)))
+    face_maps.sort(key=lambda f: (f.cone_key, f.zeroed, f.face_key))
+    return ConeComplex(n, cones, types, face_maps)
 
 
 def _basepoint(t: Tree) -> VertexId:
     return min(t.legs, key=lambda l: l.label).at
 
 
-def _map_cones(n: int, sigmas: list[ContactOrder]) -> ConeComplex:
-    m = len(sigmas)
+def _check_contacts(n: int, sigmas: list[ContactOrder]) -> None:
     for s in sigmas:
         if s.n != n:
             raise LengthMismatch(f"contact order has {s.n} entries for n={n}")
         if not s.is_balanced:
             raise NonZeroSum(f"leg slopes sum to {s.total}, not 0")
+
+
+def _map_cones(n: int, sigmas: list[ContactOrder]) -> ConeComplex:
+    _check_contacts(n, sigmas)
     if n <= 1:
         # No nonconstant balanced functions, and constant maps are unstable.
-        return ConeComplex(n, {}, {}, [], sigma=sigmas[0] if m == 1 else None)
+        return ConeComplex(n, {}, {}, [], sigma=sigmas[0] if len(sigmas) == 1 else None)
     if n == 2:
         raise UnstableRange(
             "n = 2 maps are nonseparated as stable maps; use classify_self_map"
         )
-    base = build_moduli_complex(n)
+    return _map_cones_over(build_moduli_complex(n), sigmas)
+
+
+def _map_cones_over(curve: ConeComplex, sigmas: list[ContactOrder]) -> ConeComplex:
+    """Map cones over an already built curve complex: each cone gains one
+    free translation coordinate and one symbolic function per target
+    coordinate (a single PLFunction for m = 1, else a tuple of m)."""
+    m = len(sigmas)
     c_names = [TRANSLATION_COORD] if m == 1 else [f"c{j+1}" for j in range(m)]
     cones = {}
-    functions: dict[str, PLFunction] = {}
-    for key, ct in base.types.items():
-        coords = tuple(base.cones[key].coords) + tuple(Coord(cn, "free") for cn in c_names)
+    functions: dict[str, PLFunction | tuple[PLFunction, ...]] = {}
+    for key, ct in curve.types.items():
+        coords = curve.cones[key].coords + tuple(Coord(cn, "free") for cn in c_names)
         cones[key] = Cone(key, coords)
-        fs = [
+        fs = tuple(
             extend_from_leg_slopes(ct.tree, s, _basepoint(ct.tree), AffineExpr.symbol(cn))
             for s, cn in zip(sigmas, c_names)
-        ]
-        functions[key] = fs[0] if m == 1 else fs  # type: ignore[assignment]
-    cx = ConeComplex(n, cones, base.types, base.face_maps, sigma=sigmas[0] if m == 1 else None)
-    cx.functions = functions
-    return cx
+        )
+        functions[key] = fs[0] if m == 1 else fs
+    sigma = sigmas[0] if m == 1 else None
+    return ConeComplex(curve.n, cones, curve.types, curve.face_maps, sigma, functions)
 
 
 def build_map_moduli(n: int, sigma: ContactOrder) -> ConeComplex:
@@ -294,10 +298,11 @@ def product_decomposition(n: int, sigma: ContactOrder, leg: int) -> IsomorphismR
     """
     if n < 3:
         raise UnstableRange(f"product decomposition needs n >= 3, got {n}")
-    mapc = build_map_moduli(n, sigma)
-    curve = build_moduli_complex(n)
+    _check_contacts(n, [sigma])
     if leg not in range(1, n + 1):
         raise NoSuchLeg(f"no leg labeled {leg}")
+    curve = build_moduli_complex(n)
+    mapc = _map_cones_over(curve, [sigma])
 
     failures: list[str] = []
     cone_maps: dict[str, str] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .affine import AffineExpr, Rat
 from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError
-from .tree import Tree, VertexId, tree_from_json, tree_to_json
+from .tree import Tree, VertexId, check_incidence, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,7 @@ def plfunction_to_json(f: PLFunction) -> dict:
 
 def plfunction_from_json(doc: dict) -> PLFunction:
     t = tree_from_json(doc)
+    check_incidence(t)
     try:
         base_value = AffineExpr.parse(str(doc["base_value"]))
         slopes_by_pair = {}

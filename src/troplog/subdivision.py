@@ -438,8 +438,8 @@ class SubdividedComplex:
 def cone_functionals(cx: ConeComplex, key: str) -> dict[tuple[VertexId, int], AffineExpr]:
     """Per-vertex value functionals of the symbolic function(s) on one cone."""
     fs = cx.functions[key]
-    if not isinstance(fs, (list, tuple)):
-        fs = [fs]
+    if not isinstance(fs, tuple):
+        fs = (fs,)
     out: dict[tuple[VertexId, int], AffineExpr] = {}
     for j, f in enumerate(fs):
         for v, val in vertex_values(f).items():

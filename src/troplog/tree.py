@@ -8,7 +8,6 @@ of a moduli cone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -171,6 +170,21 @@ def validate_tree(t: Tree) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+def check_incidence(t: Tree) -> None:
+    """Raise ParseError if an edge or a leg names a vertex outside the vertex set.
+
+    ``validate_tree`` reports such a tree; code that walks the tree cannot
+    use it at all.
+    """
+    vs = set(t.vertices)
+    for i, e in enumerate(t.edges):
+        if not set(e.ends) <= vs:
+            raise ParseError(f"edge {i} has an endpoint not in the vertex set")
+    for l in t.legs:
+        if l.at not in vs:
+            raise ParseError(f"leg {l.label} attached to unknown vertex {l.at!r}")
+
+
 # ---------------------------------------------------------------------------
 # Canonical forms
 # ---------------------------------------------------------------------------
@@ -250,15 +264,22 @@ def canonicalize(t: Tree) -> CanonicalForm:
 
 @dataclass(frozen=True)
 class CombinatorialType:
-    """A tree shape (all lengths symbolic) in canonical form."""
+    """A tree shape (all lengths symbolic) in canonical form.
+
+    ``facets[i]`` describes the type reached by contracting edge i of
+    ``tree``: its key, and for each other edge of ``tree`` in index order,
+    that edge's index in the contracted type's canonical tree.
+    """
 
     tree: Tree
     key: str
+    facets: tuple[tuple[str, tuple[int, ...]], ...]
 
     @staticmethod
     def of(t: Tree) -> "CombinatorialType":
         cf = canonicalize(t)
-        return CombinatorialType(cf.tree, cf.key)
+        facets = tuple((c.key, c.edge_map) for c in _contractions(cf.tree))
+        return CombinatorialType(cf.tree, cf.key, facets)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CombinatorialType) and self.key == other.key
@@ -324,74 +345,35 @@ def _state_to_tree(state) -> Tree:
     return Tree.build(list(range(k)), edges, legs)
 
 
-def enumerate_tree_types(
-    n: int,
-    stable_only: bool = True,
-    trivalent_only: bool = False,
-    max_vertices: int | None = None,
-) -> list[CombinatorialType]:
-    """Isomorphism classes of trees with n labeled legs, sorted by key.
+def _contractions(tree: Tree) -> list[CanonicalForm]:
+    """Canonical forms of the trees obtained by contracting each edge."""
+    return [canonicalize(contract_edge(tree, i)) for i in range(len(tree.edges))]
+
+
+def enumerate_tree_types(n: int, trivalent_only: bool = False) -> list[CombinatorialType]:
+    """Isomorphism classes of stable trees with n labeled legs, sorted by key.
 
     Stable means every vertex has valence (edges + legs) >= 3.  Trivalent
-    stable shapes are generated by leg insertion; the remaining stable
-    shapes arise from them by contracting internal edges.  The unstable
-    enumeration requires an explicit vertex-count cap.
+    shapes are generated by leg insertion; the remaining shapes arise from
+    them by contracting internal edges.  Each type's edges are contracted
+    once, which both finds new types and records the type's facets.
     """
-    if stable_only:
-        if n < 3:
-            raise UnstableRange(f"stable trees need n >= 3 legs, got {n}")
-        found: dict[str, CombinatorialType] = {}
-        for state in _trivalent_states(n):
-            ct = CombinatorialType.of(_state_to_tree(state))
-            found[ct.key] = ct
-        if not trivalent_only:
-            frontier = list(found.values())
-            while frontier:
-                nxt = []
-                for ct in frontier:
-                    for i in range(len(ct.tree.edges)):
-                        sub = CombinatorialType.of(contract_edge(ct.tree, i))
-                        if sub.key not in found:
-                            found[sub.key] = sub
-                            nxt.append(sub)
-                frontier = nxt
-        return [found[k] for k in sorted(found)]
-
-    if n < 1:
-        raise UnstableRange(f"need n >= 1 legs, got {n}")
-    if max_vertices is None:
-        raise ValueError("unstable enumeration requires a vertex-count cap")
-    found = {}
-    for nv in range(1, max_vertices + 1):
-        for edges in _labeled_trees(nv):
-            for attach in itertools.product(range(nv), repeat=n):
-                t = Tree.build(list(range(nv)), edges, [(i + 1, a) for i, a in enumerate(attach)])
-                ct = CombinatorialType.of(t)
-                found.setdefault(ct.key, ct)
+    if n < 3:
+        raise UnstableRange(f"stable trees need n >= 3 legs, got {n}")
+    pending: dict[str, Tree] = {}
+    for state in _trivalent_states(n):
+        cf = canonicalize(_state_to_tree(state))
+        pending[cf.key] = cf.tree
+    found: dict[str, CombinatorialType] = {}
+    while pending:
+        key, tree = pending.popitem()
+        facets = []
+        for cf in _contractions(tree):
+            facets.append((cf.key, cf.edge_map))
+            if not trivalent_only and cf.key not in found:
+                pending.setdefault(cf.key, cf.tree)
+        found[key] = CombinatorialType(tree, key, tuple(facets))
     return [found[k] for k in sorted(found)]
-
-
-def _labeled_trees(nv: int):
-    """All labeled trees on nv vertices via Pruefer sequences."""
-    if nv == 1:
-        yield []
-        return
-    if nv == 2:
-        yield [(0, 1)]
-        return
-    for seq in itertools.product(range(nv), repeat=nv - 2):
-        degree = [1] * nv
-        for x in seq:
-            degree[x] += 1
-        edges = []
-        for x in seq:
-            leaf = min(i for i in range(nv) if degree[i] == 1)
-            edges.append((leaf, x))
-            degree[leaf] -= 1
-            degree[x] -= 1
-        a, b = (i for i in range(nv) if degree[i] == 1)
-        edges.append((a, b))
-        yield edges
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +403,9 @@ def tree_from_json(doc: dict) -> Tree:
             for e in doc["edges"]
         )
         legs = tuple(Leg(int(l["label"]), l["at"]) for l in doc["legs"])
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed tree document: missing/bad field {exc}") from exc
+    for v in vertices + tuple(v for e in edges for v in e.ends) + tuple(l.at for l in legs):
+        if isinstance(v, (list, dict)):
+            raise ParseError(f"vertex ids must be strings or numbers, got {v!r}")
     return Tree(vertices, edges, legs)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import troplog.cli
+import troplog.moduli
 from troplog import plfunction_from_json, tree_from_json
 from troplog.cli import main
 
@@ -35,6 +37,27 @@ def p1_fan(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def plane_fan(tmp_path):
+    p = tmp_path / "plane.fan"
+    gens = [[[1, 0], [0, 1]], [[0, 1], [-1, -1]], [[-1, -1], [1, 0]]]
+    p.write_text(json.dumps({"dim": 2, "cones": [{"gens": g} for g in gens]}))
+    return str(p)
+
+
+def _tree_doc(**changes):
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"ends": ["a", "b"], "length": "1"}],
+        "legs": [{"label": 1, "at": "a"}, {"label": 2, "at": "a"}, {"label": 3, "at": "b"}, {"label": 4, "at": "b"}],
+    }
+    doc.update(changes)
+    return doc
+
+
+EDGE_TO_NOWHERE = [{"ends": ["a", "b"], "length": "1"}, {"ends": ["a", "nowhere"], "length": "1"}]
+
+
 class TestValidate:
     def test_valid(self, capture, path_tree):
         code, env = capture(["validate", path_tree])
@@ -45,6 +68,13 @@ class TestValidate:
         p.write_text(json.dumps({"vertices": ["a"], "edges": [], "legs": [{"label": 2, "at": "a"}]}))
         code, env = capture(["validate", str(p)])
         assert code == 0 and not env["payload"]["valid"]
+
+    def test_unknown_endpoint_reported(self, capture, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(_tree_doc(edges=EDGE_TO_NOWHERE)))
+        code, env = capture(["validate", str(p)])
+        assert code == 0 and not env["payload"]["valid"]
+        assert env["payload"]["problems"] == ["edge 1 has an endpoint not in the vertex set"]
 
     def test_parse_error_exit_code(self, capture, tmp_path):
         p = tmp_path / "junk.json"
@@ -100,6 +130,26 @@ class TestModuli:
         rep = env["payload"]["product_decomposition"]
         assert rep["certified"] and rep["cones_checked"] == 26
 
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["--n", "8", "--certify-product", "1"], "ParseError"),
+            (["--n", "8", "--subdivide", "{fan}"], "ParseError"),
+            (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8", "--certify-product", "0"], "NoSuchLeg"),
+            (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-7", "--certify-product", "1"], "NonZeroSum"),
+            (["--n", "9", "--sigma", "1,-1", "--subdivide", "missing.fan"], "ParseError"),
+        ],
+        ids=["certify-without-sigma", "subdivide-without-sigma", "leg-0", "nonzero-sum", "missing-fan"],
+    )
+    def test_cheap_checks_before_build(self, capture, monkeypatch, p1_fan, argv, status):
+        def no_build(n):
+            raise AssertionError("built the moduli before checking the arguments")
+
+        monkeypatch.setattr(troplog.moduli, "build_moduli_complex", no_build)
+        monkeypatch.setattr(troplog.cli, "build_moduli_complex", no_build)
+        code, env = capture(["moduli"] + [a.format(fan=p1_fan) for a in argv])
+        assert env["status"] == status and code == troplog.cli.EXIT_CODES[status]
+
     def test_subdivide_flag(self, capture, p1_fan):
         code, env = capture(["moduli", "--n", "3", "--sigma", "1,1,-2", "--subdivide", p1_fan])
         assert code == 0
@@ -118,9 +168,44 @@ class TestSubdivide:
         code, env = capture(["subdivide", "--n", "3", "--sigma", "1,1,-2", "--fan", str(p)])
         assert code == 5 and env["status"] == "IncompleteFan"
 
+    def test_two_targets(self, capture, plane_fan):
+        code, env = capture(["subdivide", "--n", "3", "--sigma", "1,1,-2;1,-2,1", "--fan", plane_fan])
+        assert code == 0 and env["status"] == "ok"
+        payload = env["payload"]
+        assert payload["statistics"]["total_max_cells"] == len(payload["cells"]["(1,2,3;)"]) > 1
+        functions = payload["complex"]["functions"]["(1,2,3;)"]
+        assert [plfunction_from_json(f).leg_slopes for f in functions] == [(1, 1, -2), (1, -2, 1)]
+
     def test_validate_fan(self, capture, p1_fan):
         code, env = capture(["validate-fan", p1_fan])
         assert code == 0 and env["payload"]["valid"]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("extend", _tree_doc(edges=EDGE_TO_NOWHERE)),
+        (
+            "multidegree",
+            _tree_doc(
+                edges=EDGE_TO_NOWHERE,
+                basepoint="a",
+                base_value="0",
+                edge_slopes=[{"from": "a", "to": "b", "slope": 0}, {"from": "a", "to": "nowhere", "slope": 0}],
+                leg_slopes={"1": 0, "2": 0, "3": 0, "4": 0},
+            ),
+        ),
+        ("validate", _tree_doc(legs=[{"label": "x", "at": "a"}] + _tree_doc()["legs"][1:])),
+        ("validate", _tree_doc(vertices=[["a"], "b"])),
+    ],
+    ids=["extend-unknown-vertex", "multidegree-unknown-vertex", "leg-label-x", "list-vertex-id"],
+)
+def test_malformed_tree_parse_error(capture, tmp_path, command, doc):
+    p = tmp_path / "tree.json"
+    p.write_text(json.dumps(doc))
+    argv = [command, str(p)] + (["--sigma", "0,0,0,0"] if command == "extend" else [])
+    code, env = capture(argv)
+    assert code == 2 and env["status"] == "ParseError"
 
 
 class TestSelfmap:

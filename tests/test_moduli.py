@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,25 @@ from troplog import (
     stabilize,
 )
 from troplog.errors import NonZeroSum, NoSuchLeg, UnstableRange
+from troplog.tree import canonicalize, contract_edge
 
 from oracles import random_stable_tree, random_zero_sum
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count calls to ``fn`` from every troplog module that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "troplog":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 class TestCurveModuli:
@@ -69,6 +87,27 @@ class TestCurveModuli:
             cone_coords = {c.name for c in cx.cones[fm.cone_key].coords}
             assert {a for a, _ in fm.coord_map} == face_coords
             assert {b for _, b in fm.coord_map} | set(fm.zeroed) <= cone_coords
+
+    def test_face_maps_match_contractions(self):
+        # Recompute each face map by contracting the zeroed edge and
+        # canonicalizing the result.
+        cx = build_moduli_complex(5)
+        expected = set()
+        for key, ct in cx.types.items():
+            for i in range(len(ct.tree.edges)):
+                cf = canonicalize(contract_edge(ct.tree, i))
+                others = [j for j in range(len(ct.tree.edges)) if j != i]
+                coord_map = tuple(sorted((f"l_e{cf.edge_map[s]}", f"l_e{j}") for s, j in enumerate(others)))
+                expected.add((cf.key, key, coord_map, (f"l_e{i}",)))
+        got = {(fm.face_key, fm.cone_key, fm.coord_map, fm.zeroed) for fm in cx.face_maps}
+        assert got == expected and len(cx.face_maps) == len(expected)
+
+    def test_canonicalizes_each_contraction_once(self, monkeypatch):
+        # 105 trivalent types plus one contraction per edge of each of the
+        # 236 types (550 in all).
+        calls = count_calls(monkeypatch, canonicalize)
+        cx = build_moduli_complex(6)
+        assert len(cx.cones) == 236 and len(calls) == 655
 
 
 class TestMapModuli:
@@ -175,6 +214,11 @@ class TestProductDecomposition:
     def test_unstable_range(self):
         with pytest.raises(UnstableRange):
             product_decomposition(2, ContactOrder.of([1, -1]), 1)
+
+    def test_builds_curve_moduli_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, build_moduli_complex)
+        rep = product_decomposition(5, ContactOrder.of([1, 1, 1, 1, -4]), 1)
+        assert rep.certified and len(calls) == 1
 
 
 class TestStabilize:

@@ -86,13 +86,6 @@ class TestEnumerate:
             assert ct.tree.leg_labels == (1, 2, 3, 4, 5)
             assert all(ct.tree.valence(v) >= 3 for v in ct.tree.vertices)
 
-    def test_unstable_enumeration_needs_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_tree_types(2, stable_only=False)
-        types = enumerate_tree_types(2, stable_only=False, max_vertices=2)
-        # 1 or 2 vertices, 2 legs: star with both, path split, path together.
-        assert len(types) == 3
-
 
 class TestContract:
     def test_forced_single_vertex(self):
