@@ -17,10 +17,10 @@ import time
 from . import errors
 from .affine import AffineExpr
 from .moduli import (
+    _certified_map_moduli,
     build_map_moduli,
     build_moduli_complex,
     classify_self_map,
-    product_decomposition,
 )
 from .plfunction import (
     ContactOrder,
@@ -105,8 +105,11 @@ def cmd_moduli(args) -> dict:
     report = None
     if args.certify_product is not None:
         # Checks the leg before it builds anything.
-        report = product_decomposition(args.n, sigma, args.certify_product)
-    cx = build_moduli_complex(args.n) if sigma is None else build_map_moduli(args.n, sigma)
+        cx, report = _certified_map_moduli(args.n, sigma, args.certify_product)
+    elif sigma is not None:
+        cx = build_map_moduli(args.n, sigma)
+    else:
+        cx = build_moduli_complex(args.n)
     payload = {"complex": cx.to_json(), "empty": cx.is_empty}
     if report is not None:
         payload["product_decomposition"] = report.to_json()
@@ -138,8 +141,15 @@ def cmd_selfmap(args) -> dict:
     return nf.to_json()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ParseError`` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise errors.ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="troplog", description=__doc__)
+    p = _Parser(prog="troplog", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("validate", help="validate a tree JSON file")
@@ -183,9 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        start = time.monotonic()  # timing_ms covers the command, not the parsing
         payload = args.fn(args)
         status = "ok"
     except errors.TroplogError as exc:

@@ -1,21 +1,31 @@
 """Exact rational linear feasibility by Fourier-Motzkin elimination.
 
 Constraints are pairs (affine expression, relation) with relation one of
-'ge' (>= 0), 'gt' (> 0), or 'eq' (= 0).  Equalities are eliminated by
-substitution first; inequalities by pairwise combination.  When a system
-is feasible a rational witness point is reconstructed by back-substitution.
-No floating point is used anywhere.
+'ge' (>= 0), 'gt' (> 0), or 'eq' (= 0).  The kernel works on integer rows:
+a row is the tuple (const, c_1, ..., c_m) over the variables in sorted name
+order, scaled by a positive rational to coprime integers.  Equalities are
+eliminated by substitution first, on the row's first nonzero variable;
+inequalities by pairwise combination, in the caller's variable order.  Every
+step is an integer combination of two rows followed by division by the gcd,
+so elimination does no rational arithmetic.
+
+When a system is feasible, a rational witness (``fractions.Fraction``) is
+reconstructed by back-substitution, the only step of ``check_feasible`` that
+builds a ``Fraction``.  The witness is checked against the caller's
+constraints, in rational arithmetic, before it is returned.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .affine import AffineExpr
 
 Constraint = tuple[AffineExpr, str]  # relation in {"ge", "gt", "eq"}
+Row = tuple[int, ...]  # (const, c_1, ..., c_m) over a fixed variable order
 
 _RELS = {"ge", "gt", "eq"}
 
@@ -26,19 +36,22 @@ class Feasibility:
     witness: dict[str, Fraction] | None = None
 
 
+def _coprime(expr: AffineExpr) -> list[int]:
+    """Constant then term coefficients, scaled by a positive rational to
+    coprime integers (all zero for the zero expression)."""
+    nums = [expr.const, *(q for _, q in expr.terms)]
+    den = lcm(*[q.denominator for q in nums])
+    ints = [q.numerator * (den // q.denominator) for q in nums]
+    g = gcd(*ints) or 1
+    return [k // g for k in ints]
+
+
 def normalize(c: Constraint) -> Constraint:
     """Scale by a positive rational so coefficients are coprime integers."""
     expr, rel = c
-    nums = [expr.const] + [q for _, q in expr.terms]
-    denom_lcm = 1
-    for q in nums:
-        denom_lcm = denom_lcm * q.denominator // gcd(denom_lcm, q.denominator)
-    ints = [q * denom_lcm for q in nums]
-    g = 0
-    for q in ints:
-        g = gcd(g, int(q))
-    scale = Fraction(denom_lcm, g) if g else Fraction(1)
-    return (expr * scale, rel)
+    const, *coeffs = _coprime(expr)
+    terms = tuple((name, Fraction(k)) for (name, _), k in zip(expr.terms, coeffs))
+    return (AffineExpr(Fraction(const), terms), rel)
 
 
 def _constraint_key(c: Constraint):
@@ -46,79 +59,124 @@ def _constraint_key(c: Constraint):
     return (rel, expr.const, expr.terms)
 
 
+def _reduced(row: Row) -> Row:
+    g = gcd(*row)
+    return row if g <= 1 else tuple(k // g for k in row)
+
+
+def _eliminate(rows: list[tuple[Row, str]], order: list[int]):
+    """Fourier-Motzkin on reduced integer rows, eliminating every column.
+
+    Returns None when the system is infeasible, else the record that
+    back-substitution needs: the substitutions, as (pivot column, equality
+    row), and the stages of phase 2, as (column, lower rows, upper rows)
+    with a strict flag per row.  Phase 2 eliminates the columns in ``order``.
+    """
+    zero = (0,) * len(rows[0][0]) if rows else ()
+    pos, neg = (1, *zero[1:]), (-1, *zero[1:])
+
+    # Phase 1: substitute the equalities away, each on its first nonzero column.
+    substitutions: list[tuple[int, Row]] = []
+    while True:
+        eqs = [row for row, rel in rows if rel == "eq" and row != zero]
+        if not eqs:
+            break
+        if pos in eqs or neg in eqs:
+            return None
+        pivot = eqs[0]
+        rows.remove((pivot, "eq"))
+        p = next(k for k, a in enumerate(pivot) if k and a)
+        m, sign = abs(pivot[p]), (1 if pivot[p] > 0 else -1)
+        substitutions.append((p, pivot))
+        for k, (row, rel) in enumerate(rows):
+            if b := row[p]:
+                rows[k] = (_reduced(tuple(m * x - sign * b * y for x, y in zip(row, pivot))), rel)
+
+    # Phase 2: combine each lower bound with each upper bound.  Reduced
+    # constant rows are zero or (+-1, 0, ..., 0): a violated one makes the
+    # system infeasible at once, a satisfied one (or a zero equality) is
+    # dropped, since it takes part in no later step.
+    def add(table: dict, rel: str, row: Row) -> bool:
+        if row == neg or (row == zero and rel == "gt"):
+            return False
+        if row != pos and row != zero:
+            table.setdefault((rel, row))
+        return True
+
+    ineqs: dict[tuple[str, Row], None] = {}
+    if not all(add(ineqs, rel, row) for row, rel in rows):
+        return None
+    substituted = {p for p, _ in substitutions}
+    stages = []
+    for p in order:
+        if p in substituted:
+            continue
+        lowers = [(row, rel == "gt") for rel, row in ineqs if row[p] > 0]
+        uppers = [(row, rel == "gt") for rel, row in ineqs if row[p] < 0]
+        stages.append((p, lowers, uppers))
+        ineqs = {key: None for key in ineqs if not key[1][p]}
+        for lo, ls in lowers:
+            al = lo[p]
+            for up, us in uppers:
+                au = up[p]
+                row = _reduced(tuple(al * u - au * l for l, u in zip(lo, up)))
+                if not add(ineqs, "gt" if ls or us else "ge", row):
+                    return None
+    return substitutions, stages
+
+
+def _solve_for(row: Row, p: int, vals: list) -> Fraction:
+    """The value of column ``p`` that makes ``row`` zero at ``vals``."""
+    num, den = row[0], 1
+    for j in range(1, len(row)):
+        c = row[j]
+        if c and j != p:
+            v = vals[j]
+            d = v.denominator
+            num = num * d + c * v.numerator * den
+            den *= d
+    return Fraction(-num, den * row[p])
+
+
 def check_feasible(
     constraints: list[Constraint], variables: list[str] | None = None
 ) -> Feasibility:
-    """Decide feasibility over the rationals; return a witness when feasible."""
+    """Decide feasibility over the rationals; return a witness when feasible.
+
+    Phase 2 eliminates ``variables`` in the given order (default: sorted),
+    then any other variable of the constraints in sorted order; the witness
+    assigns every variable of both kinds.
+    """
     for _, rel in constraints:
         if rel not in _RELS:
             raise ValueError(f"unknown relation {rel!r}")
+    names: set[str] = set()
+    for expr, _ in constraints:
+        names.update(expr.variables)
     if variables is None:
-        names = set()
-        for expr, _ in constraints:
-            names.update(expr.variables)
         variables = sorted(names)
+    columns = sorted(names.union(variables))
+    index = {name: k for k, name in enumerate(columns, 1)}
 
-    work = [normalize(c) for c in constraints]
-    substitutions: list[tuple[str, AffineExpr]] = []
-
-    # Phase 1: eliminate equalities by exact substitution.
-    while True:
-        for e, r in work:
-            if r == "eq" and e.is_constant and e.const != 0:
-                return Feasibility(False)
-        work = [(e, r) for e, r in work if not (r == "eq" and e.is_zero)]
-        idx = next((k for k, (e, r) in enumerate(work) if r == "eq"), None)
-        if idx is None:
-            break
-        expr, _rel = work.pop(idx)
-        var, coeff = expr.terms[0]
-        solved = (expr - AffineExpr.symbol(var) * coeff) * Fraction(-1, coeff)
-        substitutions.append((var, solved))
-        work = [normalize((e.substitute({var: solved}), r)) for e, r in work]
-
-    remaining = [v for v in variables if v not in {s for s, _ in substitutions}]
-    stages: list[tuple[str, list[tuple[AffineExpr, bool]], list[tuple[AffineExpr, bool]]]] = []
-    ineqs = [(e, r) for e, r in work if r != "eq"]
-
-    # Phase 2: Fourier-Motzkin on the inequalities.
-    for var in remaining:
-        lowers: list[tuple[AffineExpr, bool]] = []  # var >= bound (strict flag)
-        uppers: list[tuple[AffineExpr, bool]] = []
-        passthrough: list[Constraint] = []
-        for expr, rel in ineqs:
-            a = expr.coeff(var)
-            strict = rel == "gt"
-            if a == 0:
-                passthrough.append((expr, rel))
-                continue
-            bound = (expr - AffineExpr.symbol(var) * a) * Fraction(-1, a)
-            if a > 0:
-                lowers.append((bound, strict))
-            else:
-                uppers.append((bound, strict))
-        stages.append((var, lowers, uppers))
-        combined: dict[tuple, Constraint] = {}
-        for c in passthrough:
-            combined.setdefault(_constraint_key(normalize(c)), c)
-        for lo, ls in lowers:
-            for up, us in uppers:
-                c = normalize((up - lo, "gt" if (ls or us) else "ge"))
-                combined.setdefault(_constraint_key(c), c)
-        ineqs = list(combined.values())
-
-    for expr, rel in ineqs:
-        # Only constants remain.
-        if rel == "ge" and expr.const < 0:
-            return Feasibility(False)
-        if rel == "gt" and expr.const <= 0:
-            return Feasibility(False)
+    rows = []
+    for expr, rel in constraints:
+        row = [0] * (len(columns) + 1)
+        row[0], *coeffs = _coprime(expr)
+        for (name, _), k in zip(expr.terms, coeffs):
+            row[index[name]] = k
+        rows.append((tuple(row), rel))
+    order = [index[v] for v in [*variables, *sorted(names.difference(variables))]]
+    record = _eliminate(rows, order)
+    if record is None:
+        return Feasibility(False)
+    substitutions, stages = record
 
     # Back-substitute a witness, latest-eliminated variable first.
+    vals: list = [None] * (len(columns) + 1)
     point: dict[str, Fraction] = {}
-    for var, lowers, uppers in reversed(stages):
-        lo_vals = [(b.evaluate(point), s) for b, s in lowers]
-        up_vals = [(b.evaluate(point), s) for b, s in uppers]
+    for p, lowers, uppers in reversed(stages):
+        lo_vals = [(_solve_for(r, p, vals), s) for r, s in lowers]
+        up_vals = [(_solve_for(r, p, vals), s) for r, s in uppers]
         lo = max((v for v, _ in lo_vals), default=None)
         up = min((v for v, _ in up_vals), default=None)
         if lo is None and up is None:
@@ -133,11 +191,9 @@ def check_feasible(
             val = (lo + up) / 2
         else:
             val = lo  # lo == up; FM guarantees the bounds are non-strict here
-        point[var] = val
-    for var, solved in reversed(substitutions):
-        point[var] = solved.evaluate(point)
-    for var in variables:
-        point.setdefault(var, Fraction(0))
+        vals[p] = point[columns[p - 1]] = val
+    for p, row in reversed(substitutions):
+        vals[p] = point[columns[p - 1]] = _solve_for(row, p, vals)
 
     for expr, rel in constraints:
         value = expr.evaluate(point)

@@ -247,6 +247,8 @@ def splitting_at_leg(p: TropicalMapPoint, label: int) -> Fraction:
 def splitting_expr(complex_: ConeComplex, key: str, label: int) -> AffineExpr:
     """Symbolic splitting on one cone: the function's value at leg ``label``."""
     f = complex_.functions[key]
+    if isinstance(f, tuple):
+        raise LengthMismatch("splitting_expr requires a 1-dimensional target")
     ct = complex_.types[key]
     if label not in ct.tree.leg_labels:
         raise NoSuchLeg(f"no leg labeled {label}")
@@ -296,6 +298,15 @@ def product_decomposition(n: int, sigma: ContactOrder, leg: int) -> IsomorphismR
     witness point separating the splittings at ``leg`` and every other leg
     is exhibited when one exists (for the single-vertex type none can).
     """
+    return _certified_map_moduli(n, sigma, leg)[1]
+
+
+def _certified_map_moduli(
+    n: int, sigma: ContactOrder, leg: int
+) -> tuple[ConeComplex, IsomorphismReport]:
+    """``build_map_moduli(n, sigma)`` and ``product_decomposition(n, sigma,
+    leg)`` from one build of the curve complex; the arguments are checked
+    before it."""
     if n < 3:
         raise UnstableRange(f"product decomposition needs n >= 3, got {n}")
     _check_contacts(n, [sigma])
@@ -360,7 +371,7 @@ def product_decomposition(n: int, sigma: ContactOrder, leg: int) -> IsomorphismR
         distinct[other] = witness  # None e.g. for n=3: all legs share one vertex
 
     certified = not failures
-    return IsomorphismReport(
+    return mapc, IsomorphismReport(
         certified=certified,
         n=n,
         sigma=sigma,

@@ -307,16 +307,23 @@ def subdivide_cone(
     maximal = fan.maximal_cones()
     coords = [c.name for c in K.coords]
 
-    cells: dict[tuple, SubdividedCell] = {}
-    for choice in itertools.product(range(len(maximal)), repeat=len(vertices)):
-        constraints = list(base)
-        for v, pick in zip(vertices, choice):
-            _, fc = maximal[pick]
+    # The constraints that put vertex v into maximal cone `pick`, built once
+    # per (v, pick) instead of once per assignment.
+    walls: dict[tuple[VertexId, int], list[Constraint]] = {}
+    for v in vertices:
+        for pick, (_, fc) in enumerate(maximal):
+            walls[(v, pick)] = []
             for normal, rel in fc.halfspaces:
                 expr = AffineExpr()
                 for j in range(fan.dim):
                     expr = expr + vertex_functionals[(v, j)] * normal[j]
-                constraints.append((expr, rel))
+                walls[(v, pick)].append((expr, rel))
+
+    cells: dict[tuple, SubdividedCell] = {}
+    for choice in itertools.product(range(len(maximal)), repeat=len(vertices)):
+        constraints = list(base)
+        for v, pick in zip(vertices, choice):
+            constraints += walls[(v, pick)]
         if any(e.is_constant and e.const < 0 for e, _ in constraints):
             continue
         # Interior test: strict versions of the nontrivial constraints;
@@ -381,17 +388,18 @@ def face_census(K: Cone, cells: list[SubdividedCell]) -> dict[int, int]:
     domains = [
         ("0", "+") if key in k_facets else ("-", "0", "+") for key, _ in items
     ]
+    negated = [-expr for _, expr in items]
     for signs in itertools.product(*domains):
         system: list[Constraint] = []
         zero_rows = []
-        for (key, expr), s in zip(items, signs):
+        for (key, expr), neg, s in zip(items, negated, signs):
             if s == "0":
                 system.append((expr, "eq"))
                 zero_rows.append(tuple(expr.coeff(c) for c in coords))
             elif s == "+":
                 system.append((expr, "gt"))
             else:
-                system.append((-expr, "gt"))
+                system.append((neg, "gt"))
         if not check_feasible(system, coords).feasible:
             continue
         d = len(coords) - _rank(zero_rows)

@@ -130,6 +130,20 @@ class TestModuli:
         rep = env["payload"]["product_decomposition"]
         assert rep["certified"] and rep["cones_checked"] == 26
 
+    def test_certify_product_builds_curve_moduli_once(self, capture, monkeypatch):
+        build = troplog.moduli.build_moduli_complex
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return build(n)
+
+        monkeypatch.setattr(troplog.moduli, "build_moduli_complex", counted)
+        monkeypatch.setattr(troplog.cli, "build_moduli_complex", counted)
+        code, env = capture(["moduli", "--n", "5", "--sigma", "1,1,1,1,-4", "--certify-product", "1"])
+        assert code == 0 and env["payload"]["product_decomposition"]["certified"]
+        assert calls == [5]
+
     @pytest.mark.parametrize(
         "argv, status",
         [
@@ -237,3 +251,29 @@ class TestDeterminism:
         assert json.dumps(env["payload"], sort_keys=True)
         t = tree_from_json(env["payload"])
         assert t.n_legs == 3
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["moduli", "--n", "x"], "invalid int value: 'x'"),
+        (["moduli", "--n", "4", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        ([], "required: command"),
+    ],
+    ids=["bad-int", "unknown-flag", "missing-subcommand"],
+)
+def test_argument_errors_give_envelope(capsys, argv, fragment):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert out.count("\n") == 1
+    env = json.loads(out)
+    assert env["status"] == "ParseError" and env["payload"]["error"] == "ParseError"
+    assert fragment in env["payload"]["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["moduli", "--help"])
+    assert exc.value.code == 0
+    assert "--certify-product" in capsys.readouterr().out

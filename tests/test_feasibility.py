@@ -76,3 +76,42 @@ def test_canonical_system_scaling_invariant():
     a = canonical_system([(x * 2 - y, "ge")])
     b = canonical_system([(x - y * Fraction(1, 2), "ge")])
     assert a == b
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+
+
+def test_fraction_oracle_agreement():
+    # The integer kernel must reproduce the former Fraction kernel exactly:
+    # the same verdict and the same witness on every system.
+    from oracles import fraction_check_feasible
+
+    rng = random.Random(2019)
+    pool = ["w", "x", "y", "z", "u", "v"]
+    feasible = 0
+    for _ in range(600):
+        used = rng.sample(pool[:4], rng.randint(1, 4))
+        constraints = []
+        for _ in range(rng.randint(1, 7)):
+            coeffs = {v: _random_rational(rng) for v in used if rng.random() < 0.8}
+            expr = AffineExpr.make(_random_rational(rng), coeffs)
+            constraints.append((expr, rng.choice(["ge", "ge", "gt", "gt", "eq"])))
+        variables = used + rng.sample(pool[4:], rng.randint(0, 2))
+        rng.shuffle(variables)
+        got = check_feasible(constraints, variables)
+        want = fraction_check_feasible(constraints, variables)
+        assert got.feasible == want.feasible, constraints
+        assert got.witness == want.witness, constraints
+        if got.feasible:
+            assert list(got.witness) == list(want.witness)
+            assert all(type(q) is Fraction for q in got.witness.values())
+        feasible += got.feasible
+        default = check_feasible(constraints)
+        assert default == fraction_check_feasible(constraints)
+    assert 100 < feasible < 500  # both verdicts are well represented
+
+
+def test_unlisted_variables_are_eliminated_last():
+    res = check_feasible([(x - y, "ge"), (y - 1, "gt"), (-y + 3, "ge")], ["x"])
+    assert res.feasible and res.witness == {"y": 2, "x": 2}

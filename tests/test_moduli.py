@@ -18,7 +18,8 @@ from troplog import (
     splitting_expr,
     stabilize,
 )
-from troplog.errors import NonZeroSum, NoSuchLeg, UnstableRange
+from troplog.errors import LengthMismatch, NonZeroSum, NoSuchLeg, UnstableRange
+from troplog.moduli import _map_cones
 from troplog.tree import canonicalize, contract_edge
 
 from oracles import random_stable_tree, random_zero_sum
@@ -210,6 +211,13 @@ class TestProductDecomposition:
             s = splitting_expr(cx, key, 3)
             assert s.coeff("c") == 1
             assert all(c.denominator == 1 for _, c in s.terms)
+
+    def test_splitting_expr_two_targets(self):
+        sigmas = [ContactOrder.of([1, 1, 1, -3]), ContactOrder.of([1, -3, 1, 1])]
+        cx = _map_cones(4, sigmas)
+        for key in cx.cones:
+            with pytest.raises(LengthMismatch):
+                splitting_expr(cx, key, 1)
 
     def test_unstable_range(self):
         with pytest.raises(UnstableRange):

@@ -194,3 +194,27 @@ def test_functionals_from_complex():
     funcs = cone_functionals(cx, key)
     values = sorted(str(v) for v in funcs.values())
     assert values == ["c", "c - 2*l_e0"]
+
+
+PLANE = Fan.of([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2)
+
+
+@pytest.mark.parametrize(
+    "fan, sigma",
+    [
+        (P1, ContactOrder.of([2, -1, 1, -2])),
+        (PLANE, [ContactOrder.of([1, 1, 1, -3]), ContactOrder.of([1, -3, 1, 1])]),
+    ],
+    ids=["p1", "plane"],
+)
+def test_subdivision_matches_fraction_kernel(monkeypatch, fan, sigma):
+    # The whole subdivision, f-vectors and witnesses included, is the same
+    # when every feasibility call goes through the former Fraction kernel.
+    import troplog.feasibility
+    import troplog.subdivision
+    from oracles import fraction_check_feasible
+
+    expected_json = subdivide_map_moduli(4, sigma, fan).to_json()
+    monkeypatch.setattr(troplog.feasibility, "check_feasible", fraction_check_feasible)
+    monkeypatch.setattr(troplog.subdivision, "check_feasible", fraction_check_feasible)
+    assert subdivide_map_moduli(4, sigma, fan).to_json() == expected_json
