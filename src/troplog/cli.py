@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -137,7 +138,11 @@ def cmd_selfmap(args) -> dict:
     nf = classify_self_map(args.r, args.a)
     if args.compose:
         r2, a2 = args.compose
-        nf = nf.compose(classify_self_map(int(r2), a2))
+        try:
+            r2 = int(r2)
+        except ValueError as exc:
+            raise errors.ParseError(f"bad --compose degree {r2!r}: {exc}") from exc
+        nf = nf.compose(classify_self_map(r2, a2))
     return nf.to_json()
 
 
@@ -204,9 +209,16 @@ def main(argv=None) -> int:
         status = exc.code
     elapsed = int((time.monotonic() - start) * 1000)
     envelope = {"status": status, "payload": payload, "timing_ms": elapsed}
-    json.dump(envelope, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-    return EXIT_CODES.get(status, 1)
+    code = EXIT_CODES.get(status, 1)
+    try:
+        json.dump(envelope, sys.stdout, sort_keys=True)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  Point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

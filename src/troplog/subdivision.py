@@ -21,7 +21,6 @@ from .feasibility import (
     Constraint,
     canonical_system,
     check_feasible,
-    normalize,
     prune_redundant,
 )
 from .moduli import Cone, ConeComplex, _map_cones
@@ -140,6 +139,26 @@ class Fan:
     def maximal_cones(self) -> list[tuple[int, FanCone]]:
         return [(i, c) for i, c in enumerate(self.cones) if c.dim == self.dim]
 
+    @functools.cached_property
+    def open_faces(self) -> tuple[tuple[tuple[Vector, str], ...], ...]:
+        """The relatively open faces of the fan, each a system of
+        (normal, 'eq' | 'gt'), read from the maximal cones.
+
+        A face of a maximal cone makes each 'ge' halfspace strict or tight;
+        in dimension <= 2 every such choice is a nonempty face.  A face is
+        known by the fan rays on its closure, so a face shared by two cones
+        is listed once.
+        """
+        rays = sorted({r for c in self.cones for r in c.gens})
+        faces = {}
+        for _, cone in self.maximal_cones():
+            choices = [("gt", "eq") if rel == "ge" else (rel,) for _, rel in cone.halfspaces]
+            for rels in itertools.product(*choices):
+                face = tuple((normal, r) for (normal, _), r in zip(cone.halfspaces, rels))
+                on_closure = tuple(r for r in rays if _in_closure(face, r))
+                faces.setdefault(on_closure, face)
+        return tuple(faces[k] for k in sorted(faces))
+
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -158,12 +177,23 @@ class Fan:
 
 
 _XVARS = ("x0", "x1")
+_XSYMS = tuple(AffineExpr.symbol(x) for x in _XVARS)
 
 
-def _cone_system(c: FanCone, ambient: int) -> list[Constraint]:
+def _pullback(
+    system: tuple[tuple[Vector, str], ...], image: tuple[AffineExpr, ...]
+) -> list[Constraint]:
+    """Pull target constraints (normal, rel) back along an image vector.
+
+    ``image[j]`` is the j-th coordinate of the image as an affine expression
+    in the source coordinates; the pulled-back constraint of ``normal`` is
+    ``sum_j normal[j] * image[j]`` with the same relation.
+    """
     out = []
-    for normal, rel in c.halfspaces:
-        expr = AffineExpr.make(0, {_XVARS[k]: normal[k] for k in range(ambient)})
+    for normal, rel in system:
+        expr = AffineExpr()
+        for a, f in zip(normal, image):
+            expr = expr + f * a
         out.append((expr, rel))
     return out
 
@@ -182,12 +212,13 @@ def _contains(outer: list[Constraint], inner: list[Constraint]) -> bool:
     return True
 
 
-def _point_in_cone(c: FanCone, point: Vector, ambient: int) -> bool:
-    for normal, rel in c.halfspaces:
+def _in_closure(system: tuple[tuple[Vector, str], ...], point: Vector) -> bool:
+    """Does ``point`` satisfy ``system`` with each strict relation relaxed?"""
+    for normal, rel in system:
         val = sum(n * p for n, p in zip(normal, point))
         if rel == "eq" and val != 0:
             return False
-        if rel == "ge" and val < 0:
+        if rel != "eq" and val < 0:
             return False
     return True
 
@@ -197,12 +228,10 @@ def validate_fan(fan: Fan) -> ValidationReport:
     problems: list[str] = []
     if fan.dim > 2:
         raise UnsupportedDimension("fan validation supported only for dimension <= 2")
-    systems = [_cone_system(c, fan.dim) for c in fan.cones]
+    systems = [_pullback(c.halfspaces, _XSYMS) for c in fan.cones]
     for i, j in itertools.combinations(range(len(fan.cones)), 2):
+        # The halfspaces are homogeneous, so the intersection holds the origin.
         inter = systems[i] + systems[j]
-        if not check_feasible(inter).feasible:
-            problems.append(f"cones {i} and {j} do not intersect (missing common face 0)")
-            continue
         for k in (i, j):
             # The smallest face of cone k containing the intersection is cut
             # out by the halfspaces tight on it; require equality.
@@ -247,7 +276,7 @@ def _coverage_problems(fan: Fan) -> list[str]:
                 probes.append(mid)
     out = []
     for p in probes:
-        if not any(_point_in_cone(c, p, fan.dim) for c in fan.cones):
+        if not any(_in_closure(c.halfspaces, p) for c in fan.cones):
             out.append(f"claimed complete, but direction {list(p)} is not covered")
     return out
 
@@ -285,6 +314,19 @@ class SubdividedCell:
         }
 
 
+def _images(
+    functionals: dict[tuple[VertexId, int], AffineExpr], dim: int
+) -> dict[VertexId, tuple[AffineExpr, ...]]:
+    """Each vertex's image vector of values, in sorted vertex order."""
+    out = {}
+    for v in sorted({v for v, _ in functionals}, key=str):
+        for j in range(dim):
+            if (v, j) not in functionals:
+                raise LengthMismatch(f"missing functional for vertex {v!r}, coordinate {j}")
+        out[v] = tuple(functionals[(v, j)] for j in range(dim))
+    return out
+
+
 def subdivide_cone(
     K: Cone,
     vertex_functionals: dict[tuple[VertexId, int], AffineExpr],
@@ -298,26 +340,19 @@ def subdivide_cone(
     """
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
-    vertices = sorted({v for v, _ in vertex_functionals}, key=str)
-    for v in vertices:
-        for j in range(fan.dim):
-            if (v, j) not in vertex_functionals:
-                raise LengthMismatch(f"missing functional for vertex {v!r}, coordinate {j}")
+    images = _images(vertex_functionals, fan.dim)
+    vertices = list(images)
     base: list[Constraint] = [(ineq, "ge") for ineq in K.inequalities]
     maximal = fan.maximal_cones()
     coords = [c.name for c in K.coords]
 
     # The constraints that put vertex v into maximal cone `pick`, built once
     # per (v, pick) instead of once per assignment.
-    walls: dict[tuple[VertexId, int], list[Constraint]] = {}
-    for v in vertices:
-        for pick, (_, fc) in enumerate(maximal):
-            walls[(v, pick)] = []
-            for normal, rel in fc.halfspaces:
-                expr = AffineExpr()
-                for j in range(fan.dim):
-                    expr = expr + vertex_functionals[(v, j)] * normal[j]
-                walls[(v, pick)].append((expr, rel))
+    walls = {
+        (v, pick): _pullback(fc.halfspaces, images[v])
+        for v in vertices
+        for pick, (_, fc) in enumerate(maximal)
+    }
 
     cells: dict[tuple, SubdividedCell] = {}
     for choice in itertools.product(range(len(maximal)), repeat=len(vertices)):
@@ -365,45 +400,36 @@ def _rank(rows: list[tuple[Fraction, ...]]) -> int:
     return rank
 
 
-def face_census(K: Cone, cells: list[SubdividedCell]) -> dict[int, int]:
-    """f-vector of the cell complex inside K, by sign-pattern enumeration.
+def face_census(
+    K: Cone, functionals: dict[tuple[VertexId, int], AffineExpr], fan: Fan
+) -> dict[int, int]:
+    """f-vector of the pullback subdivision of K along the fan.
 
-    The distinct normalized wall functionals (cell halfspaces plus the
-    facets of K) cut K into relatively open faces; each feasible sign
-    pattern is one face, of dimension (#coords - rank of its zero set).
+    A relatively open face of the subdivision is a relatively open face of
+    K together with one relatively open face of the fan for each vertex
+    image.  The choices are fixed one slot at a time, depth first, and a
+    prefix the feasibility kernel rejects is dropped: first one slot per
+    nonnegative coordinate of K (zero or positive), then one per distinct
+    image vector.  A face has dimension #coords - rank of its equalities.
     """
     coords = [c.name for c in K.coords]
-    k_facets = {canonical_system([(f, "ge")])[0] for f in K.inequalities}
-    funcs: dict[tuple, AffineExpr] = {}
-    for f in K.inequalities:
-        funcs.setdefault(canonical_system([(f, "ge")])[0], normalize((f, "ge"))[0])
-    for cell in cells:
-        for h in cell.halfspaces:
-            key = canonical_system([(h, "ge")])[0]
-            neg = canonical_system([(-h, "ge")])[0]
-            if neg not in funcs:
-                funcs.setdefault(key, normalize((h, "ge"))[0])
-    items = sorted(funcs.items())
+    slots = [[[(h, "eq")], [(h, "gt")]] for h in K.inequalities]
+    for image in dict.fromkeys(_images(functionals, fan.dim).values()):
+        slots.append([_pullback(face, image) for face in fan.open_faces])
     counts: dict[int, int] = {}
-    domains = [
-        ("0", "+") if key in k_facets else ("-", "0", "+") for key, _ in items
-    ]
-    negated = [-expr for _, expr in items]
-    for signs in itertools.product(*domains):
-        system: list[Constraint] = []
-        zero_rows = []
-        for (key, expr), neg, s in zip(items, negated, signs):
-            if s == "0":
-                system.append((expr, "eq"))
-                zero_rows.append(tuple(expr.coeff(c) for c in coords))
-            elif s == "+":
-                system.append((expr, "gt"))
-            else:
-                system.append((neg, "gt"))
-        if not check_feasible(system, coords).feasible:
-            continue
-        d = len(coords) - _rank(zero_rows)
-        counts[d] = counts.get(d, 0) + 1
+
+    def visit(depth: int, system: list[Constraint]) -> None:
+        if depth == len(slots):
+            zero_rows = [tuple(e.coeff(c) for c in coords) for e, rel in system if rel == "eq"]
+            d = len(coords) - _rank(zero_rows)
+            counts[d] = counts.get(d, 0) + 1
+            return
+        for choice in slots[depth]:
+            extended = system + choice
+            if check_feasible(extended, coords).feasible:
+                visit(depth + 1, extended)
+
+    visit(0, [])
     return dict(sorted(counts.items()))
 
 
@@ -418,7 +444,9 @@ class SubdividedComplex:
             key: {
                 "max_cells": len(cs),
                 "dim": self.complex.cones[key].dim,
-                "f_vector": face_census(self.complex.cones[key], cs),
+                "f_vector": face_census(
+                    self.complex.cones[key], cone_functionals(self.complex, key), self.fan
+                ),
             }
             for key, cs in self.cells.items()
         }

@@ -8,7 +8,7 @@ of a moduli cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import Rat, as_fraction, fraction_str
@@ -194,7 +194,6 @@ def check_incidence(t: Tree) -> None:
 class CanonicalForm:
     key: str
     tree: Tree  # all lengths symbolic, vertices renamed v0, v1, ...
-    vertex_map: dict[VertexId, str] = field(compare=False)
     edge_map: tuple[int, ...] = ()  # original edge index -> canonical index
 
 
@@ -257,7 +256,6 @@ def canonicalize(t: Tree) -> CanonicalForm:
     return CanonicalForm(
         key=key,
         tree=canon_tree,
-        vertex_map=vertex_map,
         edge_map=tuple(edge_map[i] for i in range(len(t.edges))),
     )
 
@@ -350,7 +348,7 @@ def _contractions(tree: Tree) -> list[CanonicalForm]:
     return [canonicalize(contract_edge(tree, i)) for i in range(len(tree.edges))]
 
 
-def enumerate_tree_types(n: int, trivalent_only: bool = False) -> list[CombinatorialType]:
+def enumerate_tree_types(n: int) -> list[CombinatorialType]:
     """Isomorphism classes of stable trees with n labeled legs, sorted by key.
 
     Stable means every vertex has valence (edges + legs) >= 3.  Trivalent
@@ -370,7 +368,7 @@ def enumerate_tree_types(n: int, trivalent_only: bool = False) -> list[Combinato
         facets = []
         for cf in _contractions(tree):
             facets.append((cf.key, cf.edge_map))
-            if not trivalent_only and cf.key not in found:
+            if cf.key not in found:
                 pending.setdefault(cf.key, cf.tree)
         found[key] = CombinatorialType(tree, key, tuple(facets))
     return [found[k] for k in sorted(found)]

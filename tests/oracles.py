@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  ``fraction_check_feasible`` is the exception: it is the
-library's former rational Fourier-Motzkin kernel, kept so that the integer
-kernel can be required to give the same verdicts and the same witnesses.
+grid search.  Two former library functions are the exception, kept so
+that their replacements can be required to give the same results:
+``fraction_check_feasible``, the rational Fourier-Motzkin kernel, and
+``wall_face_census``, the f-vector census over the walls of the cells,
+which is right for a 1-D target fan only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from fractions import Fraction
 from math import gcd
 
 from troplog import AffineExpr, ContactOrder, Tree
-from troplog.feasibility import Constraint, Feasibility
+from troplog.feasibility import (
+    Constraint,
+    Feasibility,
+    canonical_system,
+    check_feasible,
+    normalize,
+)
+from troplog.moduli import Cone
+from troplog.subdivision import SubdividedCell, _rank
 
 
 def solve_balancing_system(t: Tree, sigma: ContactOrder) -> list[Fraction] | None:
@@ -299,3 +309,45 @@ def fraction_check_feasible(
         if not (value > 0 if rel == "gt" else value >= 0 if rel == "ge" else value == 0):
             raise RuntimeError(f"witness reconstruction failed on {expr} {rel} 0")
     return Feasibility(True, point)
+
+
+def wall_face_census(K: Cone, cells: list[SubdividedCell]) -> dict[int, int]:
+    """f-vector of the cell complex inside K, by sign-pattern enumeration.
+
+    The distinct normalized wall functionals (cell halfspaces plus the
+    facets of K) cut K into relatively open faces; each feasible sign
+    pattern is one face, of dimension (#coords - rank of its zero set).
+    """
+    coords = [c.name for c in K.coords]
+    k_facets = {canonical_system([(f, "ge")])[0] for f in K.inequalities}
+    funcs: dict[tuple, AffineExpr] = {}
+    for f in K.inequalities:
+        funcs.setdefault(canonical_system([(f, "ge")])[0], normalize((f, "ge"))[0])
+    for cell in cells:
+        for h in cell.halfspaces:
+            key = canonical_system([(h, "ge")])[0]
+            neg = canonical_system([(-h, "ge")])[0]
+            if neg not in funcs:
+                funcs.setdefault(key, normalize((h, "ge"))[0])
+    items = sorted(funcs.items())
+    counts: dict[int, int] = {}
+    domains = [
+        ("0", "+") if key in k_facets else ("-", "0", "+") for key, _ in items
+    ]
+    negated = [-expr for _, expr in items]
+    for signs in itertools.product(*domains):
+        system: list[Constraint] = []
+        zero_rows = []
+        for (key, expr), neg, s in zip(items, negated, signs):
+            if s == "0":
+                system.append((expr, "eq"))
+                zero_rows.append(tuple(expr.coeff(c) for c in coords))
+            elif s == "+":
+                system.append((expr, "gt"))
+            else:
+                system.append((neg, "gt"))
+        if not check_feasible(system, coords).feasible:
+            continue
+        d = len(coords) - _rank(zero_rows)
+        counts[d] = counts.get(d, 0) + 1
+    return dict(sorted(counts.items()))

@@ -129,7 +129,10 @@ def test_criterion_3_balanced_iff_zero_multidegree():
 
 def test_criterion_4_trivalent_counts():
     expected = {3: 1, 4: 3, 5: 15, 6: 105, 7: 945}
-    counts = {n: len(enumerate_tree_types(n, trivalent_only=True)) for n in range(3, 8)}
+    # A stable tree with n legs is trivalent iff it has n - 3 edges.
+    counts = {
+        n: sum(len(ct.tree.edges) == n - 3 for ct in enumerate_tree_types(n)) for n in range(3, 8)
+    }
     oracle = {n: count_trivalent_by_splits(n) for n in range(3, 8)}
     ok = counts == expected == oracle
     report(4, "trivalent type counts are (2n-5)!!", ok, f"{[counts[n] for n in range(3, 8)]}")

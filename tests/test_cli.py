@@ -1,4 +1,9 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +240,10 @@ class TestSelfmap:
         code, env = capture(["selfmap", "--r", "2", "--a", "1", "--compose", "3", "4"])
         assert env["payload"]["degree"] == 6 and env["payload"]["translation"] == "9"
 
+    def test_compose_bad_degree(self, capture):
+        code, env = capture(["selfmap", "--r", "1", "--compose", "x", "0"])
+        assert code == 2 and env["status"] == "ParseError"
+
 
 class TestDeterminism:
     def test_payload_byte_identical(self, capsys, p1_fan):
@@ -277,3 +286,42 @@ def test_help_still_exits_zero(capsys):
         main(["moduli", "--help"])
     assert exc.value.code == 0
     assert "--certify-product" in capsys.readouterr().out
+
+
+def test_closed_stdout_gives_no_traceback():
+    # The payload of `moduli --n 6` (about 100 kB) is larger than a pipe
+    # buffer, so the CLI is still writing when the reader closes the pipe.
+    src = str(Path(troplog.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "troplog.cli", "moduli", "--n", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head.startswith(b'{"payload": ') and err == b""
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_fixed_cli_payload_digests(capsys, monkeypatch, tmp_path):
+    # The benchmark's fixed-input commands must keep the payload digests it
+    # recorded. perfbench/ is only read: no bytecode is written there.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inputs = importlib.import_module("inputs")
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    ops = inputs.fixed_cli_ops(str(tmp_path), digests)
+    assert sorted(op.name for op in ops) == sorted(digests)
+    for op in ops:
+        code = main(op.argv)
+        env = json.loads(capsys.readouterr().out)
+        assert (code, env["status"]) == (0, "ok"), op.name
+        assert op.expect(env["payload"]) == [], op.name

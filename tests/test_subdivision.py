@@ -177,7 +177,7 @@ class TestSubdivideModuli:
     def test_f_vector_free_line(self):
         sub = subdivide_map_moduli(3, ContactOrder.of([1, 1, -2]), P1)
         key = next(iter(sub.cells))
-        fv = face_census(sub.complex.cones[key], sub.cells[key])
+        fv = face_census(sub.complex.cones[key], cone_functionals(sub.complex, key), P1)
         assert fv == {0: 1, 1: 2}
 
 
@@ -197,6 +197,67 @@ def test_functionals_from_complex():
 
 
 PLANE = Fan.of([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2)
+PLANE_FULL = Fan.of([[(1, 0)], [(0, 1)], [(-1, -1)], *(c.gens for c in PLANE.cones), []], 2)
+
+
+# For each n = 3..5: all legs but one of slope 1, a mixed σ, and a σ with
+# zero slopes.
+CENSUS_SIGMAS = [
+    (1, 1, -2), (2, -1, -1), (1, 0, -1),
+    (1, 1, 1, -3), (2, -1, 1, -2), (1, 0, 0, -1),
+    (1, 1, 1, 1, -4), (2, -1, 1, -3, 1), (0, 1, 0, -1, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [P1, Fan.of([[(1,)], [(-1,)]], 1), Fan.trivial(1)],
+    ids=["p1", "p1-without-origin", "trivial"],
+)
+def test_census_matches_wall_oracle(fan):
+    # On a 1-D fan the walls of the cells are the whole subdivision, so the
+    # former census over their sign patterns is an oracle there.
+    from oracles import wall_face_census
+
+    for sigma in CENSUS_SIGMAS:
+        sub = subdivide_map_moduli(len(sigma), ContactOrder.of(sigma), fan)
+        for key, cells in sub.cells.items():
+            K = sub.complex.cones[key]
+            got = face_census(K, cone_functionals(sub.complex, key), fan)
+            assert got == wall_face_census(K, cells), (sigma, key)
+
+
+def plane_sigmas(n):
+    return [ContactOrder.of((1,) * (n - 1) + (1 - n,)), ContactOrder.of((1, 1 - n) + (1,) * (n - 2))]
+
+
+def plane_stats(n, fan):
+    sub = subdivide_map_moduli(n, plane_sigmas(n), fan)
+    return sub, sub.stats()
+
+
+def test_plane_f_vector_n3():
+    # n = 3: the moduli cone is the plane itself, cut by the fan into three
+    # sectors, three rays and the origin.
+    for fan in (PLANE, PLANE_FULL):
+        _, stats = plane_stats(3, fan)
+        assert list(stats["per_cone"].values()) == [
+            {"max_cells": 3, "dim": 2, "f_vector": {0: 1, 1: 3, 2: 3}}
+        ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_plane_f_vectors_count_cells_and_faces(n):
+    sub, stats = plane_stats(n, PLANE_FULL)
+    assert plane_stats(n, PLANE)[1] == stats
+    for key, entry in stats["per_cone"].items():
+        fv = entry["f_vector"]
+        assert max(fv) == entry["dim"] and fv[entry["dim"]] == entry["max_cells"]
+        # Euler characteristic of a cone subdivided into relatively open
+        # cones: 0 when the cone has a boundary, (-1)^dim for the whole space.
+        pointed = any(c.sign == "nonneg" for c in sub.complex.cones[key].coords)
+        euler = sum((-1) ** d * f for d, f in fv.items())
+        assert euler == (0 if pointed else (-1) ** PLANE.dim), (key, fv)
 
 
 @pytest.mark.parametrize(

@@ -68,7 +68,7 @@ class TestEnumerate:
 
     def test_trivalent_double_factorial(self):
         for n, expected in [(3, 1), (4, 3), (5, 15), (6, 105)]:
-            got = len(enumerate_tree_types(n, trivalent_only=True))
+            got = sum(len(ct.tree.edges) == n - 3 for ct in enumerate_tree_types(n))
             assert got == expected
             assert got == count_trivalent_by_splits(n)
 
