@@ -100,9 +100,6 @@ def cmd_moduli(args) -> dict:
     sigma = None if args.sigma is None else _sigma(args.sigma)
     if sigma is None and args.certify_product is not None:
         raise errors.ParseError("--certify-product requires --sigma")
-    if sigma is None and args.subdivide is not None:
-        raise errors.ParseError("--subdivide requires --sigma")
-    fan = None if args.subdivide is None else Fan.from_json(_read_json(args.subdivide))
     report = None
     if args.certify_product is not None:
         # Checks the leg before it builds anything.
@@ -114,8 +111,6 @@ def cmd_moduli(args) -> dict:
     payload = {"complex": cx.to_json(), "empty": cx.is_empty}
     if report is not None:
         payload["product_decomposition"] = report.to_json()
-    if fan is not None:
-        payload["subdivision"] = subdivide_map_moduli(args.n, sigma, fan).to_json()
     return payload
 
 
@@ -175,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("moduli", help="moduli cone complex (curves, or maps with --sigma)")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--sigma", default=None)
-    q.add_argument("--subdivide", default=None, metavar="FAN_JSON")
     q.add_argument("--certify-product", type=int, default=None, metavar="LEG")
     q.set_defaults(fn=cmd_moduli)
 

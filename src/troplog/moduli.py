@@ -144,10 +144,6 @@ def build_moduli_complex(n: int) -> ConeComplex:
     return ConeComplex(n, cones, types, face_maps)
 
 
-def _basepoint(t: Tree) -> VertexId:
-    return min(t.legs, key=lambda l: l.label).at
-
-
 def _check_contacts(n: int, sigmas: list[ContactOrder]) -> None:
     for s in sigmas:
         if s.n != n:
@@ -180,7 +176,7 @@ def _map_cones_over(curve: ConeComplex, sigmas: list[ContactOrder]) -> ConeCompl
         coords = curve.cones[key].coords + tuple(Coord(cn, "free") for cn in c_names)
         cones[key] = Cone(key, coords)
         fs = tuple(
-            extend_from_leg_slopes(ct.tree, s, _basepoint(ct.tree), AffineExpr.symbol(cn))
+            extend_from_leg_slopes(ct.tree, s, ct.tree.root, AffineExpr.symbol(cn))
             for s, cn in zip(sigmas, c_names)
         )
         functions[key] = fs[0] if m == 1 else fs
@@ -285,7 +281,7 @@ class IsomorphismReport:
 
 def _concrete_point(ct: CombinatorialType, sigma: ContactOrder, lengths=None) -> TropicalMapPoint:
     t = ct.tree.with_lengths(lengths or [1] * len(ct.tree.edges))
-    f = extend_from_leg_slopes(t, sigma, _basepoint(t), 0)
+    f = extend_from_leg_slopes(t, sigma, t.root, 0)
     return TropicalMapPoint.of(t, [f])
 
 
@@ -390,7 +386,7 @@ def _certified_map_moduli(
 
 
 def _rebuild(point: TropicalMapPoint, tree: Tree, values: list[dict[VertexId, AffineExpr]]) -> TropicalMapPoint:
-    bp = _basepoint(tree) if tree.legs else tree.vertices[0]
+    bp = tree.root
     fs = [
         extend_from_leg_slopes(tree, sigma, bp, vals[bp])
         for sigma, vals in zip(point.contacts, values)

@@ -174,7 +174,7 @@ def extend_from_leg_slopes(
     if not sigma.is_balanced:
         raise NonZeroSum(f"leg slopes sum to {sigma.total}, not 0")
     if basepoint is None:
-        basepoint = min(t.legs, key=lambda l: l.label).at if t.legs else t.vertices[0]
+        basepoint = t.root
 
     labels = t.leg_labels
     leg_sum = {v: 0 for v in t.vertices}

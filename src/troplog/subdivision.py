@@ -28,6 +28,19 @@ from .plfunction import ContactOrder, vertex_values
 from .tree import ValidationReport, VertexId
 
 Vector = tuple[int, ...]
+System = tuple[tuple[Vector, str], ...]  # (normal, relation) pairs
+
+
+def _integer(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def _items(xs, what: str) -> list:
+    if not isinstance(xs, (list, tuple)):
+        raise ParseError(f"{what} {xs!r} is not a list")
+    return list(xs)
 
 
 def _primitive(v: Vector) -> Vector:
@@ -46,14 +59,14 @@ class FanCone:
     """
 
     gens: tuple[Vector, ...]
-    halfspaces: tuple[tuple[Vector, str], ...] = field(default=(), compare=False)
+    halfspaces: System = field(default=(), compare=False)
     dim: int = field(default=0, compare=False)
 
     @staticmethod
     def of(gens, ambient: int) -> "FanCone":
         rays = []
-        for g in gens:
-            v = tuple(int(x) for x in g)
+        for g in _items(gens, "generators"):
+            v = tuple(_integer(x, "coordinate") for x in _items(g, "generator"))
             if len(v) != ambient:
                 raise ParseError(f"generator {g} has wrong dimension")
             if any(v):
@@ -140,23 +153,18 @@ class Fan:
         return [(i, c) for i, c in enumerate(self.cones) if c.dim == self.dim]
 
     @functools.cached_property
-    def open_faces(self) -> tuple[tuple[tuple[Vector, str], ...], ...]:
-        """The relatively open faces of the fan, each a system of
-        (normal, 'eq' | 'gt'), read from the maximal cones.
+    def rays(self) -> tuple[Vector, ...]:
+        """The ray generators of all listed cones, sorted."""
+        return tuple(sorted({r for c in self.cones for r in c.gens}))
 
-        A face of a maximal cone makes each 'ge' halfspace strict or tight;
-        in dimension <= 2 every such choice is a nonempty face.  A face is
-        known by the fan rays on its closure, so a face shared by two cones
-        is listed once.
-        """
-        rays = sorted({r for c in self.cones for r in c.gens})
+    @functools.cached_property
+    def open_faces(self) -> tuple[System, ...]:
+        """The relatively open faces of the fan, read from the maximal
+        cones; a face shared by two cones is listed once."""
         faces = {}
         for _, cone in self.maximal_cones():
-            choices = [("gt", "eq") if rel == "ge" else (rel,) for _, rel in cone.halfspaces]
-            for rels in itertools.product(*choices):
-                face = tuple((normal, r) for (normal, _), r in zip(cone.halfspaces, rels))
-                on_closure = tuple(r for r in rays if _in_closure(face, r))
-                faces.setdefault(on_closure, face)
+            for key, face in _open_faces(cone, self.rays).items():
+                faces.setdefault(key, face)
         return tuple(faces[k] for k in sorted(faces))
 
     def to_json(self) -> dict:
@@ -169,7 +177,7 @@ class Fan:
     @staticmethod
     def from_json(doc: dict) -> "Fan":
         try:
-            dim = int(doc["dim"])
+            dim = _integer(doc["dim"], "dim")
             gens_list = [c["gens"] for c in doc["cones"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed fan document: {exc}") from exc
@@ -180,9 +188,7 @@ _XVARS = ("x0", "x1")
 _XSYMS = tuple(AffineExpr.symbol(x) for x in _XVARS)
 
 
-def _pullback(
-    system: tuple[tuple[Vector, str], ...], image: tuple[AffineExpr, ...]
-) -> list[Constraint]:
+def _pullback(system: System, image: tuple[AffineExpr, ...]) -> list[Constraint]:
     """Pull target constraints (normal, rel) back along an image vector.
 
     ``image[j]`` is the j-th coordinate of the image as an affine expression
@@ -198,21 +204,7 @@ def _pullback(
     return out
 
 
-def _contains(outer: list[Constraint], inner: list[Constraint]) -> bool:
-    """Is every point of ``inner`` in ``outer``?"""
-    for expr, rel in outer:
-        if rel in ("ge", "gt"):
-            if check_feasible(inner + [(-expr, "gt")]).feasible:
-                return False
-        else:
-            if check_feasible(inner + [(expr, "gt")]).feasible:
-                return False
-            if check_feasible(inner + [(-expr, "gt")]).feasible:
-                return False
-    return True
-
-
-def _in_closure(system: tuple[tuple[Vector, str], ...], point: Vector) -> bool:
+def _in_closure(system: System, point: Vector) -> bool:
     """Does ``point`` satisfy ``system`` with each strict relation relaxed?"""
     for normal, rel in system:
         val = sum(n * p for n, p in zip(normal, point))
@@ -223,25 +215,41 @@ def _in_closure(system: tuple[tuple[Vector, str], ...], point: Vector) -> bool:
     return True
 
 
+def _open_faces(cone: FanCone, rays: tuple[Vector, ...]) -> dict[tuple[Vector, ...], System]:
+    """The relatively open faces of one cone, each a system of
+    (normal, 'eq' | 'gt') keyed by the ``rays`` on its closure.
+
+    A face makes each 'ge' halfspace strict or tight; in dimension <= 2
+    every such choice is a nonempty face.  A face is the cone spanned by the
+    rays on its closure, so two faces are equal iff their keys are.
+    """
+    choices = [("gt", "eq") if rel == "ge" else (rel,) for _, rel in cone.halfspaces]
+    faces = {}
+    for rels in itertools.product(*choices):
+        face = tuple((normal, r) for (normal, _), r in zip(cone.halfspaces, rels))
+        faces[tuple(r for r in rays if _in_closure(face, r))] = face
+    return faces
+
+
 def validate_fan(fan: Fan) -> ValidationReport:
-    """Check pairwise face intersections, and coverage when completeness is claimed."""
-    problems: list[str] = []
+    """Check that the cones meet in common faces, and coverage when
+    completeness is claimed.
+
+    Two cones meet in a common face iff each open face of one is equal to
+    or disjoint from each open face of the other; so every pair of open
+    faces with different keys must have no common point.
+    """
     if fan.dim > 2:
         raise UnsupportedDimension("fan validation supported only for dimension <= 2")
-    systems = [_pullback(c.halfspaces, _XSYMS) for c in fan.cones]
-    for i, j in itertools.combinations(range(len(fan.cones)), 2):
-        # The halfspaces are homogeneous, so the intersection holds the origin.
-        inter = systems[i] + systems[j]
-        for k in (i, j):
-            # The smallest face of cone k containing the intersection is cut
-            # out by the halfspaces tight on it; require equality.
-            tight: list[Constraint] = []
-            for expr, rel in systems[k]:
-                if rel == "ge" and not check_feasible(inter + [(expr, "gt")]).feasible:
-                    tight.append((expr, "eq"))
-            face = systems[k] + tight
-            if not (_contains(face, inter) and _contains(inter, face)):
-                problems.append(f"intersection of cones {i} and {j} is not a face of cone {k}")
+    faces = [
+        [(key, _pullback(face, _XSYMS)) for key, face in _open_faces(c, fan.rays).items()]
+        for c in fan.cones
+    ]
+    problems = [
+        f"intersection of cones {i} and {j} is not a face of both"
+        for (i, fi), (j, fj) in itertools.combinations(enumerate(faces), 2)
+        if any(a != b and check_feasible(sa + sb).feasible for a, sa in fi for b, sb in fj)
+    ]
     if fan.complete:
         problems.extend(_coverage_problems(fan))
     return ValidationReport(tuple(problems))
@@ -251,9 +259,7 @@ def _coverage_problems(fan: Fan) -> list[str]:
     if fan.dim == 1:
         probes = [(1,), (-1,)]
     else:
-        rays = sorted(
-            {r for c in fan.cones for r in c.gens}, key=functools.cmp_to_key(_angle_cmp)
-        )
+        rays = sorted(fan.rays, key=functools.cmp_to_key(_angle_cmp))
         if not rays:
             probes = [(1, 0), (-1, 0), (0, 1), (0, -1)]
         elif len(rays) == 1:

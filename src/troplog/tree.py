@@ -67,6 +67,12 @@ class Tree:
     def length_symbol(self, edge_index: int) -> str:
         return f"l_e{edge_index}"
 
+    @property
+    def root(self) -> VertexId:
+        """The attachment vertex of the smallest leg label, or else the first
+        vertex: the root of the canonical form and the default basepoint."""
+        return min(self.legs, key=lambda l: l.label).at if self.legs else self.vertices[0]
+
     def leg(self, label: int) -> Leg:
         for l in self.legs:
             if l.label == label:
@@ -208,10 +214,7 @@ def canonicalize(t: Tree) -> CanonicalForm:
     legs_at: dict[VertexId, list[int]] = {v: [] for v in t.vertices}
     for l in t.legs:
         legs_at[l.at].append(l.label)
-    if t.legs:
-        root = min(t.legs, key=lambda l: l.label).at
-    else:
-        root = t.vertices[0]
+    root = t.root
 
     sigs: dict[tuple[VertexId, VertexId | None], str] = {}
 

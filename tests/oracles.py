@@ -3,11 +3,13 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Two former library functions are the exception, kept so
+grid search.  Three former library functions are the exception, kept so
 that their replacements can be required to give the same results:
-``fraction_check_feasible``, the rational Fourier-Motzkin kernel, and
+``fraction_check_feasible``, the rational Fourier-Motzkin kernel,
 ``wall_face_census``, the f-vector census over the walls of the cells,
-which is right for a 1-D target fan only.
+which is right for a 1-D target fan only, and ``pairwise_face_problems``,
+the fan check that compares each pairwise intersection with the smallest
+face of each cone containing it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from troplog.feasibility import (
     normalize,
 )
 from troplog.moduli import Cone
-from troplog.subdivision import SubdividedCell, _rank
+from troplog.subdivision import _XSYMS, Fan, SubdividedCell, _pullback, _rank
 
 
 def solve_balancing_system(t: Tree, sigma: ContactOrder) -> list[Fraction] | None:
@@ -351,3 +353,38 @@ def wall_face_census(K: Cone, cells: list[SubdividedCell]) -> dict[int, int]:
         d = len(coords) - _rank(zero_rows)
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def _contains(outer: list[Constraint], inner: list[Constraint]) -> bool:
+    """Is every point of ``inner`` in ``outer``?"""
+    for expr, rel in outer:
+        if rel in ("ge", "gt"):
+            if check_feasible(inner + [(-expr, "gt")]).feasible:
+                return False
+        else:
+            if check_feasible(inner + [(expr, "gt")]).feasible:
+                return False
+            if check_feasible(inner + [(-expr, "gt")]).feasible:
+                return False
+    return True
+
+
+def pairwise_face_problems(fan: Fan) -> list[str]:
+    """One problem per cone pair and per cone of the pair whose
+    intersection is not a face of that cone."""
+    problems: list[str] = []
+    systems = [_pullback(c.halfspaces, _XSYMS) for c in fan.cones]
+    for i, j in itertools.combinations(range(len(fan.cones)), 2):
+        # The halfspaces are homogeneous, so the intersection holds the origin.
+        inter = systems[i] + systems[j]
+        for k in (i, j):
+            # The smallest face of cone k containing the intersection is cut
+            # out by the halfspaces tight on it; require equality.
+            tight: list[Constraint] = []
+            for expr, rel in systems[k]:
+                if rel == "ge" and not check_feasible(inter + [(expr, "gt")]).feasible:
+                    tight.append((expr, "eq"))
+            face = systems[k] + tight
+            if not (_contains(face, inter) and _contains(inter, face)):
+                problems.append(f"intersection of cones {i} and {j} is not a face of cone {k}")
+    return problems

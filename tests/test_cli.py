@@ -1,11 +1,16 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import troplog.cli
 import troplog.moduli
@@ -153,26 +158,25 @@ class TestModuli:
         "argv, status",
         [
             (["--n", "8", "--certify-product", "1"], "ParseError"),
-            (["--n", "8", "--subdivide", "{fan}"], "ParseError"),
             (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8", "--certify-product", "0"], "NoSuchLeg"),
             (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-7", "--certify-product", "1"], "NonZeroSum"),
-            (["--n", "9", "--sigma", "1,-1", "--subdivide", "missing.fan"], "ParseError"),
         ],
-        ids=["certify-without-sigma", "subdivide-without-sigma", "leg-0", "nonzero-sum", "missing-fan"],
+        ids=["certify-without-sigma", "leg-0", "nonzero-sum"],
     )
-    def test_cheap_checks_before_build(self, capture, monkeypatch, p1_fan, argv, status):
+    def test_cheap_checks_before_build(self, capture, monkeypatch, argv, status):
         def no_build(n):
             raise AssertionError("built the moduli before checking the arguments")
 
         monkeypatch.setattr(troplog.moduli, "build_moduli_complex", no_build)
         monkeypatch.setattr(troplog.cli, "build_moduli_complex", no_build)
-        code, env = capture(["moduli"] + [a.format(fan=p1_fan) for a in argv])
+        code, env = capture(["moduli"] + argv)
         assert env["status"] == status and code == troplog.cli.EXIT_CODES[status]
 
-    def test_subdivide_flag(self, capture, p1_fan):
+    def test_subdivide_flag_is_gone(self, capture, p1_fan):
+        # A subdivision is reached only through `subdivide`, which validates the fan.
         code, env = capture(["moduli", "--n", "3", "--sigma", "1,1,-2", "--subdivide", p1_fan])
-        assert code == 0
-        assert env["payload"]["subdivision"]["statistics"]["total_max_cells"] == 2
+        assert code == 2 and env["status"] == "ParseError"
+        assert "unrecognized arguments: --subdivide" in env["payload"]["message"]
 
 
 class TestSubdivide:
@@ -198,6 +202,23 @@ class TestSubdivide:
     def test_validate_fan(self, capture, p1_fan):
         code, env = capture(["validate-fan", p1_fan])
         assert code == 0 and env["payload"]["valid"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": 1, "cones": [{"gens": [["a"]]}]},
+            {"dim": 1, "cones": [{"gens": [1]}]},
+            {"dim": "x", "cones": [{"gens": [[1]]}]},
+            {"dim": 1, "cones": [{"gens": [[1.5]]}]},
+            {"dim": 1.7, "cones": [{"gens": [[1]]}]},
+        ],
+        ids=["coordinate-a", "generator-not-list", "dim-x", "coordinate-1.5", "dim-1.7"],
+    )
+    def test_malformed_fan_parse_error(self, capture, tmp_path, doc):
+        p = tmp_path / "bad.fan"
+        p.write_text(json.dumps(doc))
+        code, env = capture(["validate-fan", str(p)])
+        assert code == 2 and env["status"] == "ParseError"
 
 
 @pytest.mark.parametrize(
@@ -249,7 +270,7 @@ class TestDeterminism:
     def test_payload_byte_identical(self, capsys, p1_fan):
         outs = []
         for _ in range(2):
-            main(["moduli", "--n", "4", "--sigma", "2,-1,1,-2", "--subdivide", p1_fan])
+            main(["subdivide", "--n", "4", "--sigma", "2,-1,1,-2", "--fan", p1_fan])
             env = json.loads(capsys.readouterr().out)
             outs.append(json.dumps(env["payload"], sort_keys=True))
         assert outs[0] == outs[1]
@@ -325,3 +346,56 @@ def test_fixed_cli_payload_digests(capsys, monkeypatch, tmp_path):
         env = json.loads(capsys.readouterr().out)
         assert (code, env["status"]) == (0, "ok"), op.name
         assert op.expect(env["payload"]) == [], op.name
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Fan documents: half of them well formed (valid, overlapping or incomplete
+# fans in dimension 1 or 2), half with random JSON at every level.
+WELL_FORMED_FANS = st.integers(1, 2).flatmap(
+    lambda d: st.fixed_dictionaries(
+        {
+            "dim": st.just(d),
+            "cones": st.lists(
+                st.fixed_dictionaries(
+                    {"gens": st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=3)}
+                ),
+                max_size=5,
+            ),
+        },
+        optional={"complete": st.booleans()},
+    )
+)
+GENERATORS = JSON_VALUES | st.lists(
+    JSON_VALUES | st.lists(st.integers(-3, 3) | JSON_SCALARS, max_size=3), max_size=4
+)
+CONES = JSON_VALUES | st.lists(JSON_VALUES | st.fixed_dictionaries({"gens": GENERATORS}), max_size=5)
+FAN_DOCS = WELL_FORMED_FANS | st.fixed_dictionaries(
+    {"dim": st.integers(-1, 3) | JSON_VALUES, "cones": CONES},
+    optional={"complete": JSON_VALUES},
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(FAN_DOCS)
+def test_random_fan_documents_give_one_envelope(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fan.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (
+            ["validate-fan", path],
+            ["subdivide", "--n", "3", "--sigma", "1,1,-2", "--fan", path],
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1, (argv, doc)
+            env = json.loads(lines[0])
+            assert env["status"] in troplog.cli.EXIT_CODES, (env, doc)
+            assert code == troplog.cli.EXIT_CODES[env["status"]], (env, doc)

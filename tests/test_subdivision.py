@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,52 @@ class TestFan:
     def test_json_roundtrip(self):
         doc = P1.to_json()
         assert Fan.from_json(doc) == P1
+
+
+def flagged_pairs(problems):
+    return {
+        (int(m.group(1)), int(m.group(2)))
+        for m in (re.match(r"intersection of cones (\d+) and (\d+) ", p) for p in problems)
+        if m
+    }
+
+
+def random_fan(rng, dim):
+    cones = [
+        [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(1, 5))
+    ]
+    return Fan.of(cones, dim, complete=rng.random() < 0.5)
+
+
+QUADRANTS = Fan.of(
+    [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)]]
+    + [[(1, 0)], [(0, 1)], [(-1, 0)], [(0, -1)], []],
+    2,
+)
+
+
+class TestFanOracle:
+    # validate_fan reads the fan's open faces; the former pairwise
+    # containment check must flag the same cone pairs.
+    def check(self, fan):
+        from oracles import pairwise_face_problems
+
+        report = validate_fan(fan)
+        expected = flagged_pairs(pairwise_face_problems(fan))
+        assert flagged_pairs(report.problems) == expected, fan
+        assert len(flagged_pairs(report.problems)) == sum("not a face" in p for p in report.problems)
+        return expected
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_random_fans(self, dim):
+        rng = random.Random(5 + dim)
+        flagged = [bool(self.check(random_fan(rng, dim))) for _ in range(300)]
+        assert 30 < sum(flagged) < 270
+
+    def test_named_fans(self):
+        for fan in (P1, PLANE, PLANE_FULL, QUADRANTS):
+            assert self.check(fan) == set() and validate_fan(fan).ok
 
 
 def free_line(name="K"):
