@@ -33,6 +33,14 @@ def as_fraction(x: Rat) -> Fraction:
     raise ParseError(f"not a rational: {x!r}")
 
 
+def as_integer(x, what: str) -> int:
+    """A JSON integer: an int that is not a bool; anything else, strings
+    and fractional numbers included, is a parse error."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def fraction_str(q: Fraction) -> str:
     """Reduced 'p/q' (or plain integer) string form."""
     return str(q)

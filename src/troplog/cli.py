@@ -4,7 +4,7 @@ Every command prints a result envelope {"status", "payload", "timing_ms"};
 payloads are deterministic (sorted keys, reduced 'p/q' rationals) so
 identical inputs produce byte-identical payloads.  Exit codes: 0 ok,
 2 parse error, 3 nonzero slope sum, 4 unstable range, 5 fan problem,
-6 missing edge/leg or length mismatch.
+6 missing edge/leg or length mismatch, 7 n above the size limit.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from . import errors
 from .affine import AffineExpr
 from .moduli import (
     _certified_map_moduli,
+    _check_contacts,
+    _check_product_args,
     build_map_moduli,
     build_moduli_complex,
     classify_self_map,
@@ -43,17 +45,27 @@ EXIT_CODES = {
     errors.NoSuchEdge.code: 6,
     errors.NoSuchLeg.code: 6,
     errors.LengthMismatch.code: 6,
+    errors.SizeLimit.code: 7,
 }
+
+# The largest n that `moduli` and `subdivide` build: the curve complex has
+# A000311(n - 1) cones, 39 208 at n = 8 and 660 032 at n = 9.
+MAX_N = 8
 
 
 def _read_json(path: str) -> dict:
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise errors.ParseError(f"cannot read JSON from {path!r}: {exc}") from exc
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_N:
+        raise errors.SizeLimit(f"n = {n} is above the limit n <= {MAX_N}")
 
 
 def _sigma(text: str) -> ContactOrder:
@@ -100,9 +112,13 @@ def cmd_moduli(args) -> dict:
     sigma = None if args.sigma is None else _sigma(args.sigma)
     if sigma is None and args.certify_product is not None:
         raise errors.ParseError("--certify-product requires --sigma")
+    if args.certify_product is not None:
+        _check_product_args(args.n, sigma, args.certify_product)
+    elif sigma is not None:
+        _check_contacts(args.n, [sigma])
+    _check_size(args.n)
     report = None
     if args.certify_product is not None:
-        # Checks the leg before it builds anything.
         cx, report = _certified_map_moduli(args.n, sigma, args.certify_product)
     elif sigma is not None:
         cx = build_map_moduli(args.n, sigma)
@@ -120,6 +136,7 @@ def cmd_subdivide(args) -> dict:
     if not report.ok:
         raise errors.IncompleteFan("; ".join(report.problems))
     sigmas = [_sigma(s) for s in args.sigma.split(";")]
+    _check_size(args.n)
     sub = subdivide_map_moduli(args.n, sigmas if len(sigmas) > 1 else sigmas[0], fan)
     return sub.to_json()
 

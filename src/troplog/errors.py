@@ -25,6 +25,12 @@ class UnstableRange(TroplogError):
     code = "UnstableRange"
 
 
+class SizeLimit(TroplogError):
+    """The command would build a moduli complex above the CLI's size limit."""
+
+    code = "SizeLimit"
+
+
 class NoSuchEdge(TroplogError):
     code = "NoSuchEdge"
 

@@ -297,17 +297,21 @@ def product_decomposition(n: int, sigma: ContactOrder, leg: int) -> IsomorphismR
     return _certified_map_moduli(n, sigma, leg)[1]
 
 
+def _check_product_args(n: int, sigma: ContactOrder, leg: int) -> None:
+    if n < 3:
+        raise UnstableRange(f"product decomposition needs n >= 3, got {n}")
+    _check_contacts(n, [sigma])
+    if leg not in range(1, n + 1):
+        raise NoSuchLeg(f"no leg labeled {leg}")
+
+
 def _certified_map_moduli(
     n: int, sigma: ContactOrder, leg: int
 ) -> tuple[ConeComplex, IsomorphismReport]:
     """``build_map_moduli(n, sigma)`` and ``product_decomposition(n, sigma,
     leg)`` from one build of the curve complex; the arguments are checked
     before it."""
-    if n < 3:
-        raise UnstableRange(f"product decomposition needs n >= 3, got {n}")
-    _check_contacts(n, [sigma])
-    if leg not in range(1, n + 1):
-        raise NoSuchLeg(f"no leg labeled {leg}")
+    _check_product_args(n, sigma, leg)
     curve = build_moduli_complex(n)
     mapc = _map_cones_over(curve, [sigma])
 
@@ -329,16 +333,19 @@ def _certified_map_moduli(
             failures.append(f"cone {key}: coordinates do not match curve cone plus free line")
 
     # Face-map compatibility: restricting the splitting to a facet agrees
-    # with the splitting computed on the contracted type.
+    # with the splitting computed on the contracted type.  The restriction
+    # drops the zeroed terms and renames the rest to face coordinates.
     face_checks = 0
     for fm in mapc.face_maps:
         face_checks += 1
         big = splittings[fm.cone_key]
-        restricted = big.substitute({z: 0 for z in fm.zeroed})
-        renamed = restricted.substitute(
-            {cone_coord: AffineExpr.symbol(face_coord) for face_coord, cone_coord in fm.coord_map}
-        )
-        if renamed != splittings[fm.face_key]:
+        rename = {cone_coord: face_coord for face_coord, cone_coord in fm.coord_map}
+        coeffs: dict[str, Fraction] = {}
+        for name, coeff in big.terms:
+            if name not in fm.zeroed:
+                name = rename.get(name, name)
+                coeffs[name] = coeffs.get(name, 0) + coeff
+        if AffineExpr.make(big.const, coeffs) != splittings[fm.face_key]:
             failures.append(
                 f"face map {fm.cone_key} -> {fm.face_key}: splitting not compatible"
             )

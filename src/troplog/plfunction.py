@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import AffineExpr, Rat
+from .affine import AffineExpr, Rat, as_integer
 from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError
 from .tree import Tree, VertexId, check_incidence, tree_from_json, tree_to_json
 
@@ -175,6 +175,8 @@ def extend_from_leg_slopes(
         raise NonZeroSum(f"leg slopes sum to {sigma.total}, not 0")
     if basepoint is None:
         basepoint = t.root
+    elif basepoint not in t.vertices:
+        raise ParseError(f"basepoint {basepoint!r} is not a vertex")
 
     labels = t.leg_labels
     leg_sum = {v: 0 for v in t.vertices}
@@ -233,10 +235,11 @@ def plfunction_from_json(doc: dict) -> PLFunction:
     t = tree_from_json(doc)
     check_incidence(t)
     try:
+        basepoint = doc["basepoint"]
         base_value = AffineExpr.parse(str(doc["base_value"]))
         slopes_by_pair = {}
         for rec in doc["edge_slopes"]:
-            slopes_by_pair[(rec["from"], rec["to"])] = int(rec["slope"])
+            slopes_by_pair[(rec["from"], rec["to"])] = as_integer(rec["slope"], "slope")
         edge_slopes = []
         for e in t.edges:
             a, b = e.ends
@@ -246,7 +249,7 @@ def plfunction_from_json(doc: dict) -> PLFunction:
                 edge_slopes.append(-slopes_by_pair[(b, a)])
             else:
                 raise ParseError(f"missing slope for edge {a!r}-{b!r}")
-        leg_slopes = [int(doc["leg_slopes"][str(lbl)]) for lbl in t.leg_labels]
+        leg_slopes = [as_integer(doc["leg_slopes"][str(lbl)], "slope") for lbl in t.leg_labels]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed PL function document: {exc}") from exc
-    return PLFunction(t, doc["basepoint"], base_value, tuple(edge_slopes), tuple(leg_slopes))
+    return PLFunction(t, basepoint, base_value, tuple(edge_slopes), tuple(leg_slopes))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .affine import AffineExpr, fraction_str
+from .affine import AffineExpr, as_integer, fraction_str
 from .errors import IncompleteFan, LengthMismatch, ParseError, UnsupportedDimension
 from .feasibility import (
     Constraint,
@@ -29,12 +29,6 @@ from .tree import ValidationReport, VertexId
 
 Vector = tuple[int, ...]
 System = tuple[tuple[Vector, str], ...]  # (normal, relation) pairs
-
-
-def _integer(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ParseError(f"{what} {x!r} is not an integer")
-    return x
 
 
 def _items(xs, what: str) -> list:
@@ -66,7 +60,7 @@ class FanCone:
     def of(gens, ambient: int) -> "FanCone":
         rays = []
         for g in _items(gens, "generators"):
-            v = tuple(_integer(x, "coordinate") for x in _items(g, "generator"))
+            v = tuple(as_integer(x, "coordinate") for x in _items(g, "generator"))
             if len(v) != ambient:
                 raise ParseError(f"generator {g} has wrong dimension")
             if any(v):
@@ -177,11 +171,14 @@ class Fan:
     @staticmethod
     def from_json(doc: dict) -> "Fan":
         try:
-            dim = _integer(doc["dim"], "dim")
+            dim = as_integer(doc["dim"], "dim")
             gens_list = [c["gens"] for c in doc["cones"]]
+            complete = doc.get("complete", True)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed fan document: {exc}") from exc
-        return Fan.of(gens_list, dim, bool(doc.get("complete", True)))
+        if not isinstance(complete, bool):
+            raise ParseError(f"complete {complete!r} is not a boolean")
+        return Fan.of(gens_list, dim, complete)
 
 
 _XVARS = ("x0", "x1")

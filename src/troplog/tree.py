@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import Rat, as_fraction, fraction_str
-from .errors import NoSuchEdge, ParseError, UnstableRange
+from .affine import Rat, as_fraction, as_integer, fraction_str
+from .errors import NoSuchEdge, NoSuchLeg, ParseError, UnstableRange
 
 VertexId = str | int
 
@@ -77,7 +77,7 @@ class Tree:
         for l in self.legs:
             if l.label == label:
                 return l
-        _no_leg(label)
+        raise NoSuchLeg(f"no leg labeled {label}")
 
     def legs_at(self, v: VertexId) -> list[Leg]:
         return [l for l in self.legs if l.at == v]
@@ -100,12 +100,6 @@ class Tree:
             raise ParseError("wrong number of edge lengths")
         es = tuple(Edge(e.ends, as_fraction(x)) for e, x in zip(self.edges, lengths))
         return Tree(self.vertices, es, self.legs)
-
-
-def _no_leg(label: int):
-    from .errors import NoSuchLeg
-
-    raise NoSuchLeg(f"no leg labeled {label}")
 
 
 @dataclass(frozen=True)
@@ -276,12 +270,6 @@ class CombinatorialType:
     key: str
     facets: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @staticmethod
-    def of(t: Tree) -> "CombinatorialType":
-        cf = canonicalize(t)
-        facets = tuple((c.key, c.edge_map) for c in _contractions(cf.tree))
-        return CombinatorialType(cf.tree, cf.key, facets)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CombinatorialType) and self.key == other.key
 
@@ -317,64 +305,63 @@ def contract_edge(t: Tree, edge_index: int) -> Tree:
     return Tree(vertices, edges, legs)
 
 
-def _insert_leg(state, label):
-    """All ways to add one labeled leg to a trivalent shape.
+def _split_tree(n: int, splits: tuple[int, ...]) -> Tree:
+    """The stable tree whose bounded edges are the given compatible splits.
 
-    ``state`` is (vertex count, edge list, leg list) over int vertex ids.
-    Each insertion subdivides either a leg or an edge with a fresh vertex.
+    Bit i - 1 of a split stands for leg i; a split holds the legs on the
+    side of its edge away from leg 1, so it never holds leg 1.  ``splits``
+    must be in decreasing order: a split then comes after every split that
+    contains it.  Vertex 0 carries leg 1, vertex j + 1 is the far end of
+    edge j = ``splits[j]``, and everything hangs from the smallest split
+    that contains it.
     """
-    k, edges, legs = state
-    out = []
-    for j, (lbl, at) in enumerate(legs):
-        new_legs = legs[:j] + [(lbl, k)] + legs[j + 1 :] + [(label, k)]
-        out.append((k + 1, edges + [(at, k)], new_legs))
-    for j, (a, b) in enumerate(edges):
-        new_edges = edges[:j] + [(a, k), (k, b)] + edges[j + 1 :]
-        out.append((k + 1, new_edges, legs + [(label, k)]))
-    return out
 
+    def home(mask: int, before: int) -> int:
+        return max((j + 1 for j, s in enumerate(splits[:before]) if s & mask == mask), default=0)
 
-def _trivalent_states(n: int):
-    states = [(1, [], [(1, 0), (2, 0), (3, 0)])]
-    for label in range(4, n + 1):
-        states = [s2 for s in states for s2 in _insert_leg(s, label)]
-    return states
-
-
-def _state_to_tree(state) -> Tree:
-    k, edges, legs = state
-    return Tree.build(list(range(k)), edges, legs)
-
-
-def _contractions(tree: Tree) -> list[CanonicalForm]:
-    """Canonical forms of the trees obtained by contracting each edge."""
-    return [canonicalize(contract_edge(tree, i)) for i in range(len(tree.edges))]
+    return Tree(
+        tuple(range(len(splits) + 1)),
+        tuple(Edge((home(s, j), j + 1)) for j, s in enumerate(splits)),
+        tuple(Leg(i + 1, home(1 << i, len(splits))) for i in range(n)),
+    )
 
 
 def enumerate_tree_types(n: int) -> list[CombinatorialType]:
     """Isomorphism classes of stable trees with n labeled legs, sorted by key.
 
-    Stable means every vertex has valence (edges + legs) >= 3.  Trivalent
-    shapes are generated by leg insertion; the remaining shapes arise from
-    them by contracting internal edges.  Each type's edges are contracted
-    once, which both finds new types and records the type's facets.
+    Stable means every vertex has valence (edges + legs) >= 3.  Such a
+    tree is determined by the splits of its bounded edges, and a set of
+    splits comes from a tree exactly when they are pairwise compatible
+    (Buneman 1971).  Every compatible set is listed depth first and its
+    tree canonicalized once.  Contracting an edge deletes its split, so
+    each facet is the set minus one split, found by lookup.
     """
     if n < 3:
         raise UnstableRange(f"stable trees need n >= 3 legs, got {n}")
-    pending: dict[str, Tree] = {}
-    for state in _trivalent_states(n):
-        cf = canonicalize(_state_to_tree(state))
-        pending[cf.key] = cf.tree
-    found: dict[str, CombinatorialType] = {}
-    while pending:
-        key, tree = pending.popitem()
+    splits = [s for s in range((1 << n) - 2, 0, -2) if 2 <= s.bit_count() <= n - 2]
+    sets: list[tuple[int, ...]] = []
+
+    def grow(chosen: tuple[int, ...], candidates: list[int]) -> None:
+        # Candidates are smaller than every chosen split, so compatible
+        # means disjoint from it or contained in it.
+        sets.append(chosen)
+        for i, s in enumerate(candidates):
+            grow(chosen + (s,), [t for t in candidates[i + 1 :] if s & t in (0, t)])
+
+    grow((), splits)
+    forms = {}
+    for chosen in sets:
+        cf = canonicalize(_split_tree(n, chosen))
+        forms[chosen] = (cf, dict(zip(chosen, cf.edge_map)))
+    types = []
+    for chosen, (cf, index) in forms.items():
+        order = sorted(chosen, key=index.__getitem__)  # the splits in canonical edge order
         facets = []
-        for cf in _contractions(tree):
-            facets.append((cf.key, cf.edge_map))
-            if cf.key not in found:
-                pending.setdefault(cf.key, cf.tree)
-        found[key] = CombinatorialType(tree, key, tuple(facets))
-    return [found[k] for k in sorted(found)]
+        for s in order:
+            face, face_index = forms[tuple(t for t in chosen if t != s)]
+            facets.append((face.key, tuple(face_index[t] for t in order if t != s)))
+        types.append(CombinatorialType(cf.tree, cf.key, tuple(facets)))
+    return sorted(types, key=lambda ct: ct.key)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +390,7 @@ def tree_from_json(doc: dict) -> Tree:
             )
             for e in doc["edges"]
         )
-        legs = tuple(Leg(int(l["label"]), l["at"]) for l in doc["legs"])
+        legs = tuple(Leg(as_integer(l["label"], "leg label"), l["at"]) for l in doc["legs"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed tree document: missing/bad field {exc}") from exc
     for v in vertices + tuple(v for e in edges for v in e.ends) + tuple(l.at for l in legs):

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Three former library functions are the exception, kept so
+grid search.  Four former library functions are the exception, kept so
 that their replacements can be required to give the same results:
-``fraction_check_feasible``, the rational Fourier-Motzkin kernel,
-``wall_face_census``, the f-vector census over the walls of the cells,
-which is right for a 1-D target fan only, and ``pairwise_face_problems``,
+``contraction_tree_types``, the type enumeration by leg insertion and
+edge contraction, ``fraction_check_feasible``, the rational
+Fourier-Motzkin kernel, ``wall_face_census``, the f-vector census over
+the walls of the cells, which is right for a 1-D target fan only, and
+``pairwise_face_problems``,
 the fan check that compares each pairwise intersection with the smallest
 face of each cone containing it.
 """
@@ -19,7 +21,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from troplog import AffineExpr, ContactOrder, Tree
+from troplog import AffineExpr, CombinatorialType, ContactOrder, Tree, canonicalize, contract_edge
 from troplog.feasibility import (
     Constraint,
     Feasibility,
@@ -130,6 +132,47 @@ def count_stable_by_splits(n: int) -> int:
     return count
 
 
+def _insert_leg(state, label):
+    """All ways to add one labeled leg to a trivalent shape.
+
+    ``state`` is (vertex count, edge list, leg list) over int vertex ids.
+    Each insertion subdivides either a leg or an edge with a fresh vertex.
+    """
+    k, edges, legs = state
+    out = []
+    for j, (lbl, at) in enumerate(legs):
+        new_legs = legs[:j] + [(lbl, k)] + legs[j + 1 :] + [(label, k)]
+        out.append((k + 1, edges + [(at, k)], new_legs))
+    for j, (a, b) in enumerate(edges):
+        new_edges = edges[:j] + [(a, k), (k, b)] + edges[j + 1 :]
+        out.append((k + 1, new_edges, legs + [(label, k)]))
+    return out
+
+
+def contraction_tree_types(n: int) -> list[CombinatorialType]:
+    """The former ``enumerate_tree_types``: trivalent shapes by leg
+    insertion, the other shapes by contracting internal edges with a
+    worklist, each type's facets recorded from its contractions."""
+    states = [(1, [], [(1, 0), (2, 0), (3, 0)])]
+    for label in range(4, n + 1):
+        states = [s2 for s in states for s2 in _insert_leg(s, label)]
+    pending: dict[str, Tree] = {}
+    for k, edges, legs in states:
+        cf = canonicalize(Tree.build(list(range(k)), edges, legs))
+        pending[cf.key] = cf.tree
+    found: dict[str, CombinatorialType] = {}
+    while pending:
+        key, tree = pending.popitem()
+        facets = []
+        for i in range(len(tree.edges)):
+            cf = canonicalize(contract_edge(tree, i))
+            facets.append((cf.key, cf.edge_map))
+            if cf.key not in found:
+                pending.setdefault(cf.key, cf.tree)
+        found[key] = CombinatorialType(tree, key, tuple(facets))
+    return [found[k] for k in sorted(found)]
+
+
 def random_tree(rng: random.Random, n: int, max_internal: int = 10, concrete: bool = True) -> Tree:
     """Random connected tree with n labeled legs."""
     nv = rng.randint(1, max(1, min(max_internal + 1, 2 * n)))
@@ -150,8 +193,6 @@ def random_zero_sum(rng: random.Random, n: int, bound: int = 9) -> ContactOrder:
 def random_stable_tree(rng: random.Random, n: int, concrete: bool = True) -> Tree:
     """Random stable tree sampled by random leg insertion, then random
     contraction of some internal edges."""
-    from troplog import contract_edge
-
     state_vertices = [0]
     edges: list[tuple[int, int]] = []
     legs = [(1, 0), (2, 0), (3, 0)]

@@ -92,6 +92,20 @@ class TestValidate:
         code, env = capture(["validate", str(p)])
         assert code == 2 and env["status"] == "ParseError"
 
+    def test_not_utf8_parse_error(self, capture, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(json.dumps(_tree_doc()).encode("utf-16"))  # starts ff fe
+        code, env = capture(["validate", str(p)])
+        assert code == 2 and env["status"] == "ParseError"
+        assert "can't decode byte 0xff" in env["payload"]["message"]
+
+    def test_deep_nesting_parse_error(self, capture, tmp_path):
+        p = tmp_path / "deep.fan"
+        p.write_text("[" * 200_000 + "]" * 200_000)
+        code, env = capture(["validate-fan", str(p)])
+        assert code == 2 and env["status"] == "ParseError"
+        assert "maximum recursion depth" in env["payload"]["message"]
+
 
 class TestExtend:
     def test_path_slopes(self, capture, path_tree):
@@ -103,6 +117,10 @@ class TestExtend:
     def test_nonzero_sum(self, capture, path_tree):
         code, env = capture(["extend", path_tree, "--sigma", "1,0,0"])
         assert code == 3 and env["status"] == "NonZeroSum"
+
+    def test_unknown_basepoint(self, capture, path_tree):
+        code, env = capture(["extend", path_tree, "--sigma", "2,-1,-1", "--basepoint", "zz"])
+        assert code == 2 and env["payload"]["message"] == "basepoint 'zz' is not a vertex"
 
     def test_star_no_edges(self, capture, tmp_path):
         doc = {"vertices": ["v"], "edges": [], "legs": [{"label": 1, "at": "v"}, {"label": 2, "at": "v"}]}
@@ -172,6 +190,26 @@ class TestModuli:
         code, env = capture(["moduli"] + argv)
         assert env["status"] == status and code == troplog.cli.EXIT_CODES[status]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moduli", "--n", "9"],
+            ["moduli", "--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8"],
+            ["moduli", "--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8", "--certify-product", "1"],
+            ["subdivide", "--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8", "--fan", "P1"],
+        ],
+        ids=["curves", "maps", "certify", "subdivide"],
+    )
+    def test_size_limit_before_build(self, capture, monkeypatch, p1_fan, argv):
+        def no_build(n):
+            raise AssertionError("built the moduli above the size limit")
+
+        monkeypatch.setattr(troplog.moduli, "build_moduli_complex", no_build)
+        monkeypatch.setattr(troplog.cli, "build_moduli_complex", no_build)
+        code, env = capture([p1_fan if a == "P1" else a for a in argv])
+        assert code == 7 and env["status"] == "SizeLimit"
+        assert env["payload"]["message"] == f"n = 9 is above the limit n <= {troplog.cli.MAX_N}"
+
     def test_subdivide_flag_is_gone(self, capture, p1_fan):
         # A subdivision is reached only through `subdivide`, which validates the fan.
         code, env = capture(["moduli", "--n", "3", "--sigma", "1,1,-2", "--subdivide", p1_fan])
@@ -211,8 +249,9 @@ class TestSubdivide:
             {"dim": "x", "cones": [{"gens": [[1]]}]},
             {"dim": 1, "cones": [{"gens": [[1.5]]}]},
             {"dim": 1.7, "cones": [{"gens": [[1]]}]},
+            {"dim": 1, "cones": [{"gens": [[1]]}], "complete": "false"},
         ],
-        ids=["coordinate-a", "generator-not-list", "dim-x", "coordinate-1.5", "dim-1.7"],
+        ids=["coordinate-a", "generator-not-list", "dim-x", "coordinate-1.5", "dim-1.7", "complete-string"],
     )
     def test_malformed_fan_parse_error(self, capture, tmp_path, doc):
         p = tmp_path / "bad.fan"
@@ -237,8 +276,37 @@ class TestSubdivide:
         ),
         ("validate", _tree_doc(legs=[{"label": "x", "at": "a"}] + _tree_doc()["legs"][1:])),
         ("validate", _tree_doc(vertices=[["a"], "b"])),
+        ("validate", _tree_doc(legs=[{"label": 1.9, "at": "a"}] + _tree_doc()["legs"][1:])),
+        ("extend", _tree_doc(legs=[{"label": True, "at": "a"}] + _tree_doc()["legs"][1:])),
+        (
+            "multidegree",
+            _tree_doc(
+                basepoint="a",
+                base_value="0",
+                edge_slopes=[{"from": "a", "to": "b", "slope": 2.5}],
+                leg_slopes={"1": 0, "2": 0, "3": 0, "4": 0},
+            ),
+        ),
+        (
+            "multidegree",
+            _tree_doc(
+                basepoint="a",
+                base_value="0",
+                edge_slopes=[{"from": "a", "to": "b", "slope": 0}],
+                leg_slopes={"1": "0", "2": 0, "3": 0, "4": 0},
+            ),
+        ),
     ],
-    ids=["extend-unknown-vertex", "multidegree-unknown-vertex", "leg-label-x", "list-vertex-id"],
+    ids=[
+        "extend-unknown-vertex",
+        "multidegree-unknown-vertex",
+        "leg-label-x",
+        "list-vertex-id",
+        "leg-label-1.9",
+        "leg-label-true",
+        "edge-slope-2.5",
+        "leg-slope-string",
+    ],
 )
 def test_malformed_tree_parse_error(capture, tmp_path, command, doc):
     p = tmp_path / "tree.json"
@@ -390,6 +458,71 @@ def test_random_fan_documents_give_one_envelope(doc):
         for argv in (
             ["validate-fan", path],
             ["subdivide", "--n", "3", "--sigma", "1,1,-2", "--fan", path],
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1, (argv, doc)
+            env = json.loads(lines[0])
+            assert env["status"] in troplog.cli.EXIT_CODES, (env, doc)
+            assert code == troplog.cli.EXIT_CODES[env["status"]], (env, doc)
+
+
+@st.composite
+def well_formed_pl_docs(draw):
+    """A path tree on vertices 0..k-1 with legs 1..n and integer slopes;
+    the slopes need not balance."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return {
+        "vertices": list(range(k)),
+        "edges": [{"ends": [i, i + 1], "length": draw(st.sampled_from([None, "1", "3/2"]))} for i in range(k - 1)],
+        "legs": [{"label": i + 1, "at": draw(st.integers(0, k - 1))} for i in range(n)],
+        "basepoint": 0,
+        "base_value": draw(st.sampled_from(["0", "c", "1/2"])),
+        "edge_slopes": [{"from": i, "to": i + 1, "slope": draw(st.integers(-2, 2))} for i in range(k - 1)],
+        "leg_slopes": {str(i + 1): draw(st.integers(-2, 2)) for i in range(n)},
+    }
+
+
+@st.composite
+def pl_docs(draw):
+    """Half well formed; the other half with one to three fields, list
+    entries or entry fields replaced by random JSON or deleted."""
+    doc = draw(well_formed_pl_docs())
+    if draw(st.booleans()):
+        return doc
+    for _ in range(draw(st.integers(1, 3))):
+        parent = doc
+        while True:
+            keys = list(range(len(parent))) if isinstance(parent, list) else sorted(parent)
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(parent[key], (list, dict)) and parent[key] and draw(st.booleans()):
+                parent = parent[key]
+            elif isinstance(parent, dict) and draw(st.booleans()):
+                del parent[key]
+                break
+            else:
+                parent[key] = draw(JSON_VALUES)
+                break
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pl_docs(), st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+def test_random_tree_and_pl_documents_give_one_envelope(doc, sigma):
+    # A PL function document is a tree document with more fields, so each
+    # document goes to all three commands that read these documents.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (
+            ["validate", path],
+            ["extend", path, "--sigma", ",".join(map(str, sigma))],
+            ["multidegree", path],
         ):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+import troplog.moduli
 from troplog import (
     ContactOrder,
     Tree,
@@ -103,12 +105,12 @@ class TestCurveModuli:
         got = {(fm.face_key, fm.cone_key, fm.coord_map, fm.zeroed) for fm in cx.face_maps}
         assert got == expected and len(cx.face_maps) == len(expected)
 
-    def test_canonicalizes_each_contraction_once(self, monkeypatch):
-        # 105 trivalent types plus one contraction per edge of each of the
-        # 236 types (550 in all).
+    def test_canonicalizes_each_type_once(self, monkeypatch):
+        # Each compatible split set's tree is canonicalized once; the facets
+        # are looked up, not contracted.
         calls = count_calls(monkeypatch, canonicalize)
         cx = build_moduli_complex(6)
-        assert len(cx.cones) == 236 and len(calls) == 655
+        assert len(cx.cones) == 236 and len(calls) == 236
 
 
 class TestMapModuli:
@@ -203,6 +205,27 @@ class TestProductDecomposition:
         rep = product_decomposition(4, ContactOrder.of([1, 1, 1, -3]), 2)
         assert rep.face_checks == 3
         assert not rep.failures
+
+    def test_wrong_coord_map_fails(self, monkeypatch):
+        # Swap the cone coordinates of one face map whose splitting has
+        # different coefficients on them; the face check must catch it.
+        n, sigma, leg = 6, ContactOrder.of([1, 1, 1, 1, 1, -5]), 6
+        curve = build_moduli_complex(n)
+        maps = build_map_moduli(n, sigma)
+
+        def swappable(fm):
+            s = splitting_expr(maps, fm.cone_key, leg)
+            return len(fm.coord_map) == 2 and len({s.coeff(b) for _, b in fm.coord_map}) == 2
+
+        i, fm = next((i, fm) for i, fm in enumerate(curve.face_maps) if swappable(fm))
+        (f0, c0), (f1, c1) = fm.coord_map
+        wrong = dataclasses.replace(fm, coord_map=((f0, c1), (f1, c0)))
+        face_maps = curve.face_maps[:i] + [wrong] + curve.face_maps[i + 1 :]
+        bad = dataclasses.replace(curve, face_maps=face_maps)
+        monkeypatch.setattr(troplog.moduli, "build_moduli_complex", lambda n: bad)
+        rep = product_decomposition(n, sigma, leg)
+        assert not rep.certified
+        assert rep.failures == [f"face map {fm.cone_key} -> {fm.face_key}: splitting not compatible"]
 
     def test_splitting_expr_unimodular(self):
         sigma = ContactOrder.of([1, 2, -3, 0, 0])

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troplog import (
-    CombinatorialType,
     Tree,
     canonicalize,
     contract_edge,
@@ -16,7 +15,12 @@ from troplog import (
 )
 from troplog.errors import NoSuchEdge, UnstableRange
 
-from oracles import count_stable_by_splits, count_trivalent_by_splits, random_tree
+from oracles import (
+    contraction_tree_types,
+    count_stable_by_splits,
+    count_trivalent_by_splits,
+    random_tree,
+)
 
 
 def star(n):
@@ -71,6 +75,18 @@ class TestEnumerate:
             got = sum(len(ct.tree.edges) == n - 3 for ct in enumerate_tree_types(n))
             assert got == expected
             assert got == count_trivalent_by_splits(n)
+
+    def test_matches_contraction_enumeration(self):
+        for n in range(3, 8):
+            got = [(ct.key, ct.tree, ct.facets) for ct in enumerate_tree_types(n)]
+            assert got == [(ct.key, ct.tree, ct.facets) for ct in contraction_tree_types(n)]
+
+    def test_closed_form_counts(self):
+        # Cones: A000311(n - 1).  Rays: the splits, 2^(n-1) - n - 1.
+        for n, cones in [(3, 1), (4, 4), (5, 26), (6, 236), (7, 2752)]:
+            types = enumerate_tree_types(n)
+            assert len(types) == cones
+            assert sum(len(ct.tree.edges) == 1 for ct in types) == 2 ** (n - 1) - n - 1
 
     def test_unstable_range(self):
         with pytest.raises(UnstableRange):
@@ -140,7 +156,7 @@ class TestCanonical:
     def test_distinct_types_distinct_keys(self):
         a = Tree.build([0, 1], [(0, 1)], [(1, 0), (2, 0), (3, 1), (4, 1)])
         b = Tree.build([0, 1], [(0, 1)], [(1, 0), (3, 0), (2, 1), (4, 1)])
-        assert CombinatorialType.of(a) != CombinatorialType.of(b)
+        assert canonicalize(a).key != canonicalize(b).key
 
     def test_edge_map_consistent(self):
         t = Tree.build(
