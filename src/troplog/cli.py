@@ -222,8 +222,9 @@ def main(argv=None) -> int:
     envelope = {"status": status, "payload": payload, "timing_ms": elapsed}
     code = EXIT_CODES.get(status, 1)
     try:
-        json.dump(envelope, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        # One write of json.dumps (the C encoder) gives the bytes that
+        # json.dump would stream through the pure-Python encoder.
+        sys.stdout.write(json.dumps(envelope, sort_keys=True) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (e.g. `| head`).  Point stdout at

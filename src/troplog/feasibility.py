@@ -2,18 +2,30 @@
 
 Constraints are pairs (affine expression, relation) with relation one of
 'ge' (>= 0), 'gt' (> 0), or 'eq' (= 0).  The kernel works on integer rows:
-a row is the tuple (const, c_1, ..., c_m) over the variables in sorted name
-order, scaled by a positive rational to coprime integers.  Equalities are
-eliminated by substitution first, on the row's first nonzero variable;
-inequalities by pairwise combination, in the caller's variable order.  Every
-step is an integer combination of two rows followed by division by the gcd,
-so elimination does no rational arithmetic.
+``encode`` turns each constraint into the tuple (const, c_1, ..., c_m) over
+fixed variable columns, scaled by a positive rational to coprime integers.
+Equalities are eliminated by substitution first, on the row's first nonzero
+column; inequalities by pairwise combination, in the caller's column order.
+Every step is an integer combination of two rows followed by division by the
+gcd, so elimination does no rational arithmetic.  When a system is feasible,
+a rational point (``fractions.Fraction``) is reconstructed by
+back-substitution, the only step that builds a ``Fraction``.
 
-When a system is feasible, a rational witness (``fractions.Fraction``) is
-reconstructed by back-substitution, the only step of ``check_feasible`` that
-builds a ``Fraction``.  The witness is checked against the caller's
-constraints, in rational arithmetic, before it is returned.  No floating
-point is used anywhere.
+There are two entry points, and every feasible verdict of either is
+certified by a point that satisfies the system:
+
+- ``check_feasible(constraints, variables)`` takes ``AffineExpr``
+  constraints and returns the point as a witness, a dict from variable name
+  to value.  The witness is checked against the caller's constraints, in
+  rational arithmetic, before it is returned.
+- ``rows_feasible(rows, order)`` takes rows that the caller encoded once and
+  returns the verdict alone.  The point is checked against the rows, in
+  integer arithmetic over the common denominator of its coordinates.  The
+  f-vector census, ``prune_redundant`` and the fan check use it.
+
+A failed check raises RuntimeError.  An infeasible verdict is the one
+Fourier-Motzkin reaches: a combination of the rows that is a violated
+constant.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .affine import AffineExpr
 
@@ -125,7 +138,7 @@ def _eliminate(rows: list[tuple[Row, str]], order: list[int]):
     return substitutions, stages
 
 
-def _solve_for(row: Row, p: int, vals: list) -> Fraction:
+def _solve_for(row: Row, p: int, vals: dict[int, Fraction]) -> Fraction:
     """The value of column ``p`` that makes ``row`` zero at ``vals``."""
     num, den = row[0], 1
     for j in range(1, len(row)):
@@ -138,42 +151,12 @@ def _solve_for(row: Row, p: int, vals: list) -> Fraction:
     return Fraction(-num, den * row[p])
 
 
-def check_feasible(
-    constraints: list[Constraint], variables: list[str] | None = None
-) -> Feasibility:
-    """Decide feasibility over the rationals; return a witness when feasible.
-
-    Phase 2 eliminates ``variables`` in the given order (default: sorted),
-    then any other variable of the constraints in sorted order; the witness
-    assigns every variable of both kinds.
-    """
-    for _, rel in constraints:
-        if rel not in _RELS:
-            raise ValueError(f"unknown relation {rel!r}")
-    names: set[str] = set()
-    for expr, _ in constraints:
-        names.update(expr.variables)
-    if variables is None:
-        variables = sorted(names)
-    columns = sorted(names.union(variables))
-    index = {name: k for k, name in enumerate(columns, 1)}
-
-    rows = []
-    for expr, rel in constraints:
-        row = [0] * (len(columns) + 1)
-        row[0], *coeffs = _coprime(expr)
-        for (name, _), k in zip(expr.terms, coeffs):
-            row[index[name]] = k
-        rows.append((tuple(row), rel))
-    order = [index[v] for v in [*variables, *sorted(names.difference(variables))]]
-    record = _eliminate(rows, order)
-    if record is None:
-        return Feasibility(False)
+def _back_substitute(record) -> dict[int, Fraction]:
+    """A point of the system that ``_eliminate`` returned ``record`` for,
+    as column -> value in the order assigned: the latest-eliminated column
+    first, the substituted columns last."""
     substitutions, stages = record
-
-    # Back-substitute a witness, latest-eliminated variable first.
-    vals: list = [None] * (len(columns) + 1)
-    point: dict[str, Fraction] = {}
+    vals: dict[int, Fraction] = {}
     for p, lowers, uppers in reversed(stages):
         lo_vals = [(_solve_for(r, p, vals), s) for r, s in lowers]
         up_vals = [(_solve_for(r, p, vals), s) for r, s in uppers]
@@ -191,13 +174,80 @@ def check_feasible(
             val = (lo + up) / 2
         else:
             val = lo  # lo == up; FM guarantees the bounds are non-strict here
-        vals[p] = point[columns[p - 1]] = val
+        vals[p] = val
     for p, row in reversed(substitutions):
-        vals[p] = point[columns[p - 1]] = _solve_for(row, p, vals)
+        vals[p] = _solve_for(row, p, vals)
+    return vals
 
+
+def _holds(value, rel: str) -> bool:
+    return value > 0 if rel == "gt" else value >= 0 if rel == "ge" else value == 0
+
+
+def encode(constraints: list[Constraint], index: dict[str, int]) -> list[tuple[Row, str]]:
+    """The reduced integer rows of ``constraints``; ``index`` maps each
+    variable name to its column (1, 2, ...; column 0 is the constant)."""
+    rows = []
     for expr, rel in constraints:
-        value = expr.evaluate(point)
-        if not (value > 0 if rel == "gt" else value >= 0 if rel == "ge" else value == 0):
+        if rel not in _RELS:
+            raise ValueError(f"unknown relation {rel!r}")
+        row = [0] * (len(index) + 1)
+        row[0], *coeffs = _coprime(expr)
+        for (name, _), k in zip(expr.terms, coeffs):
+            row[index[name]] = k
+        rows.append((tuple(row), rel))
+    return rows
+
+
+def rows_feasible(rows: list[tuple[Row, str]], order: list[int]) -> bool:
+    """Is the system of reduced integer rows feasible over the rationals?
+
+    Phase 2 eliminates the columns in ``order``, which must list every
+    column.  A feasible verdict is certified: the back-substituted point is
+    checked against every row in integer arithmetic, over the common
+    denominator of its coordinates, and a failed check raises RuntimeError.
+    """
+    if not rows:
+        return True
+    record = _eliminate(list(rows), order)
+    if record is None:
+        return False
+    vals = _back_substitute(record)
+    den = lcm(*(q.denominator for q in vals.values()))
+    point = [0] * len(rows[0][0])
+    point[0] = den
+    for p, q in vals.items():
+        point[p] = q.numerator * (den // q.denominator)
+    for row, rel in rows:
+        if not _holds(sum(map(mul, row, point)), rel):
+            raise RuntimeError(f"witness reconstruction failed on row {row} {rel} 0")
+    return True
+
+
+def check_feasible(
+    constraints: list[Constraint], variables: list[str] | None = None
+) -> Feasibility:
+    """Decide feasibility over the rationals; return a witness when feasible.
+
+    Phase 2 eliminates ``variables`` in the given order (default: sorted),
+    then any other variable of the constraints in sorted order; the witness
+    assigns every variable of both kinds.
+    """
+    names: set[str] = set()
+    for expr, _ in constraints:
+        names.update(expr.variables)
+    if variables is None:
+        variables = sorted(names)
+    columns = sorted(names.union(variables))
+    index = {name: k for k, name in enumerate(columns, 1)}
+    rows = encode(constraints, index)
+    order = [index[v] for v in [*variables, *sorted(names.difference(variables))]]
+    record = _eliminate(rows, order)
+    if record is None:
+        return Feasibility(False)
+    point = {columns[p - 1]: q for p, q in _back_substitute(record).items()}
+    for expr, rel in constraints:
+        if not _holds(expr.evaluate(point), rel):
             raise RuntimeError(f"witness reconstruction failed on {expr} {rel} 0")
     return Feasibility(True, point)
 
@@ -208,25 +258,30 @@ def prune_redundant(constraints: list[Constraint]) -> list[Constraint]:
     Intended for non-strict systems describing closed cells; the result is
     the unique irredundant (facet-defining) description of a full-dimensional
     polyhedron, up to positive scaling, which ``canonical_system`` fixes.
+    A constraint is implied iff the rest together with its strict negation
+    is infeasible; the system is encoded as integer rows once.
     """
-    kept = [normalize(c) for c in constraints]
     # Dedupe first so identical copies do not shadow each other.
     seen: dict[tuple, Constraint] = {}
-    for c in kept:
+    for c in map(normalize, constraints):
         seen.setdefault(_constraint_key(c), c)
     kept = list(seen.values())
+    names = sorted({name for expr, _ in kept for name in expr.variables})
+    rows = encode(kept, {name: k for k, name in enumerate(names, 1)})
+    order = list(range(1, len(names) + 1))
     i = 0
     while i < len(kept):
-        expr, rel = kept[i]
-        if rel != "ge" or expr.is_constant:
-            if rel == "ge" and expr.is_constant and expr.const >= 0:
-                kept.pop(i)
-                continue
-            i += 1
-            continue
-        rest = kept[:i] + kept[i + 1 :]
-        if not check_feasible(rest + [(-expr, "gt")]).feasible:
+        (expr, rel), (row, _) = kept[i], rows[i]
+        if rel != "ge":
+            redundant = False
+        elif expr.is_constant:
+            redundant = expr.const >= 0
+        else:
+            negated = (tuple(-k for k in row), "gt")
+            redundant = not rows_feasible(rows[:i] + rows[i + 1 :] + [negated], order)
+        if redundant:
             kept.pop(i)
+            rows.pop(i)
         else:
             i += 1
     return kept

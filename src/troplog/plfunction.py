@@ -167,7 +167,8 @@ def extend_from_leg_slopes(
     given basepoint value.
 
     Exists iff the slopes sum to zero; the slope directed v -> w is the sum
-    of the leg slopes in the component of w after cutting the edge.
+    of the leg slopes in the component of w after cutting the edge.  A
+    graph that is disconnected or has a cycle is a ParseError.
     """
     if sigma.n != t.n_legs:
         raise LengthMismatch(f"{sigma.n} slopes for a tree with {t.n_legs} legs")
@@ -195,6 +196,12 @@ def extend_from_leg_slopes(
             if w not in seen:
                 seen.add(w)
                 stack.append((w, v, i))
+    # The cut rule needs a tree: every vertex reached, one edge fewer than
+    # vertices.
+    if len(seen) < len(t.vertices):
+        raise ParseError("tree is disconnected; the edge slopes are not determined")
+    if len(t.edges) != len(t.vertices) - 1:
+        raise ParseError("graph contains a cycle (genus > 0); the edge slopes are not determined")
     subtree = dict(leg_sum)
     edge_slope = [0] * len(t.edges)
     for v, parent, via in reversed(order):

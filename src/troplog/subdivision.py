@@ -21,7 +21,9 @@ from .feasibility import (
     Constraint,
     canonical_system,
     check_feasible,
+    encode,
     prune_redundant,
+    rows_feasible,
 )
 from .moduli import Cone, ConeComplex, _map_cones
 from .plfunction import ContactOrder, vertex_values
@@ -183,6 +185,7 @@ class Fan:
 
 _XVARS = ("x0", "x1")
 _XSYMS = tuple(AffineExpr.symbol(x) for x in _XVARS)
+_XINDEX = {x: k for k, x in enumerate(_XVARS, 1)}
 
 
 def _pullback(system: System, image: tuple[AffineExpr, ...]) -> list[Constraint]:
@@ -239,13 +242,14 @@ def validate_fan(fan: Fan) -> ValidationReport:
     if fan.dim > 2:
         raise UnsupportedDimension("fan validation supported only for dimension <= 2")
     faces = [
-        [(key, _pullback(face, _XSYMS)) for key, face in _open_faces(c, fan.rays).items()]
+        [(key, encode(_pullback(face, _XSYMS), _XINDEX)) for key, face in _open_faces(c, fan.rays).items()]
         for c in fan.cones
     ]
+    order = list(_XINDEX.values())
     problems = [
         f"intersection of cones {i} and {j} is not a face of both"
         for (i, fi), (j, fj) in itertools.combinations(enumerate(faces), 2)
-        if any(a != b and check_feasible(sa + sb).feasible for a, sa in fi for b, sb in fj)
+        if any(a != b and rows_feasible(sa + sb, order) for a, sa in fi for b, sb in fj)
     ]
     if fan.complete:
         problems.extend(_coverage_problems(fan))
@@ -385,20 +389,16 @@ def subdivide_cone(
     return [cells[k] for k in sorted(cells)]
 
 
-def _rank(rows: list[tuple[Fraction, ...]]) -> int:
-    m = [list(r) for r in rows]
+def _rank(rows: list[tuple[int, ...]]) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    m = [r for r in rows if any(r)]
     rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pr = m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col] / pr[col]
-                m[r] = [a - factor * b for a, b in zip(m[r], pr)]
+    while m:
+        pivot = m.pop()
+        col = next(k for k, a in enumerate(pivot) if a)
+        a = pivot[col]
+        m = [r if not r[col] else [a * x - r[col] * y for x, y in zip(r, pivot)] for r in m]
+        m = [r for r in m if any(r)]
         rank += 1
     return rank
 
@@ -413,23 +413,25 @@ def face_census(
     image.  The choices are fixed one slot at a time, depth first, and a
     prefix the feasibility kernel rejects is dropped: first one slot per
     nonnegative coordinate of K (zero or positive), then one per distinct
-    image vector.  A face has dimension #coords - rank of its equalities.
+    image vector.  Each choice is encoded as integer rows once, over K's
+    coordinates.  A face has dimension #coords - rank of its equalities.
     """
     coords = [c.name for c in K.coords]
-    slots = [[[(h, "eq")], [(h, "gt")]] for h in K.inequalities]
+    index = {name: k for k, name in enumerate(sorted(coords), 1)}
+    order = [index[c] for c in coords]
+    slots = [[encode([(h, rel)], index) for rel in ("eq", "gt")] for h in K.inequalities]
     for image in dict.fromkeys(_images(functionals, fan.dim).values()):
-        slots.append([_pullback(face, image) for face in fan.open_faces])
+        slots.append([encode(_pullback(face, image), index) for face in fan.open_faces])
     counts: dict[int, int] = {}
 
-    def visit(depth: int, system: list[Constraint]) -> None:
+    def visit(depth: int, rows: list) -> None:
         if depth == len(slots):
-            zero_rows = [tuple(e.coeff(c) for c in coords) for e, rel in system if rel == "eq"]
-            d = len(coords) - _rank(zero_rows)
+            d = len(coords) - _rank([row[1:] for row, rel in rows if rel == "eq"])
             counts[d] = counts.get(d, 0) + 1
             return
         for choice in slots[depth]:
-            extended = system + choice
-            if check_feasible(extended, coords).feasible:
+            extended = rows + choice
+            if rows_feasible(extended, order):
                 visit(depth + 1, extended)
 
     visit(0, [])
@@ -441,15 +443,14 @@ class SubdividedComplex:
     complex: ConeComplex
     fan: Fan
     cells: dict[str, list[SubdividedCell]]
+    functionals: dict[str, dict[tuple[VertexId, int], AffineExpr]]  # cone key -> its functionals
 
     def stats(self) -> dict:
         per_cone = {
             key: {
                 "max_cells": len(cs),
                 "dim": self.complex.cones[key].dim,
-                "f_vector": face_census(
-                    self.complex.cones[key], cone_functionals(self.complex, key), self.fan
-                ),
+                "f_vector": face_census(self.complex.cones[key], self.functionals[key], self.fan),
             }
             for key, cs in self.cells.items()
         }
@@ -502,8 +503,6 @@ def subdivide_map_moduli(n: int, sigmas, fan: Fan) -> SubdividedComplex:
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
     cx = _map_cones(n, list(sigmas))
-    cells = {
-        key: subdivide_cone(cx.cones[key], cone_functionals(cx, key), fan)
-        for key in cx.cones
-    }
-    return SubdividedComplex(cx, fan, cells)
+    functionals = {key: cone_functionals(cx, key) for key in cx.cones}
+    cells = {key: subdivide_cone(cx.cones[key], functionals[key], fan) for key in cx.cones}
+    return SubdividedComplex(cx, fan, cells, functionals)

@@ -3,15 +3,18 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Four former library functions are the exception, kept so
+grid search.  Six former library functions are the exception, kept so
 that their replacements can be required to give the same results:
 ``contraction_tree_types``, the type enumeration by leg insertion and
 edge contraction, ``fraction_check_feasible``, the rational
 Fourier-Motzkin kernel, ``wall_face_census``, the f-vector census over
-the walls of the cells, which is right for a 1-D target fan only, and
+the walls of the cells, which is right for a 1-D target fan only,
 ``pairwise_face_problems``,
 the fan check that compares each pairwise intersection with the smallest
-face of each cone containing it.
+face of each cone containing it, and ``witness_face_census`` and
+``witness_prune_redundant``, the census and the pruning that made one
+``check_feasible`` call (a witness, from a fresh encoding of the
+``AffineExpr`` constraints) per test.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from troplog.feasibility import (
     normalize,
 )
 from troplog.moduli import Cone
-from troplog.subdivision import _XSYMS, Fan, SubdividedCell, _pullback, _rank
+from troplog.subdivision import _XSYMS, Fan, SubdividedCell, _images, _pullback
+from troplog.tree import VertexId
 
 
 def solve_balancing_system(t: Tree, sigma: ContactOrder) -> list[Fraction] | None:
@@ -354,6 +358,87 @@ def fraction_check_feasible(
     return Feasibility(True, point)
 
 
+def _fraction_rank(rows: list[tuple[Fraction, ...]]) -> int:
+    m = [list(r) for r in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pr = m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col] / pr[col]
+                m[r] = [a - factor * b for a, b in zip(m[r], pr)]
+        rank += 1
+    return rank
+
+
+def witness_face_census(
+    K: Cone, functionals: dict[tuple[VertexId, int], AffineExpr], fan: Fan
+) -> dict[int, int]:
+    """f-vector of the pullback subdivision of K along the fan.
+
+    A relatively open face of the subdivision is a relatively open face of
+    K together with one relatively open face of the fan for each vertex
+    image.  The choices are fixed one slot at a time, depth first, and a
+    prefix the feasibility kernel rejects is dropped: first one slot per
+    nonnegative coordinate of K (zero or positive), then one per distinct
+    image vector.  A face has dimension #coords - rank of its equalities.
+    """
+    coords = [c.name for c in K.coords]
+    slots = [[[(h, "eq")], [(h, "gt")]] for h in K.inequalities]
+    for image in dict.fromkeys(_images(functionals, fan.dim).values()):
+        slots.append([_pullback(face, image) for face in fan.open_faces])
+    counts: dict[int, int] = {}
+
+    def visit(depth: int, system: list[Constraint]) -> None:
+        if depth == len(slots):
+            zero_rows = [tuple(e.coeff(c) for c in coords) for e, rel in system if rel == "eq"]
+            d = len(coords) - _fraction_rank(zero_rows)
+            counts[d] = counts.get(d, 0) + 1
+            return
+        for choice in slots[depth]:
+            extended = system + choice
+            if check_feasible(extended, coords).feasible:
+                visit(depth + 1, extended)
+
+    visit(0, [])
+    return dict(sorted(counts.items()))
+
+
+def witness_prune_redundant(constraints: list[Constraint]) -> list[Constraint]:
+    """Drop inequality constraints implied by the rest of the system.
+
+    Intended for non-strict systems describing closed cells; the result is
+    the unique irredundant (facet-defining) description of a full-dimensional
+    polyhedron, up to positive scaling, which ``canonical_system`` fixes.
+    """
+    kept = [normalize(c) for c in constraints]
+    # Dedupe first so identical copies do not shadow each other.
+    seen: dict[tuple, Constraint] = {}
+    for c in kept:
+        seen.setdefault(_fraction_key(c), c)
+    kept = list(seen.values())
+    i = 0
+    while i < len(kept):
+        expr, rel = kept[i]
+        if rel != "ge" or expr.is_constant:
+            if rel == "ge" and expr.is_constant and expr.const >= 0:
+                kept.pop(i)
+                continue
+            i += 1
+            continue
+        rest = kept[:i] + kept[i + 1 :]
+        if not check_feasible(rest + [(-expr, "gt")]).feasible:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
 def wall_face_census(K: Cone, cells: list[SubdividedCell]) -> dict[int, int]:
     """f-vector of the cell complex inside K, by sign-pattern enumeration.
 
@@ -391,7 +476,7 @@ def wall_face_census(K: Cone, cells: list[SubdividedCell]) -> dict[int, int]:
                 system.append((neg, "gt"))
         if not check_feasible(system, coords).feasible:
             continue
-        d = len(coords) - _rank(zero_rows)
+        d = len(coords) - _fraction_rank(zero_rows)
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
 

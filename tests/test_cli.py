@@ -122,6 +122,28 @@ class TestExtend:
         code, env = capture(["extend", path_tree, "--sigma", "2,-1,-1", "--basepoint", "zz"])
         assert code == 2 and env["payload"]["message"] == "basepoint 'zz' is not a vertex"
 
+    @pytest.mark.parametrize(
+        "edges, legs, sigma, message",
+        [
+            ([], [(1, "a"), (2, "b")], "1,-1", "tree is disconnected"),
+            ([("a", "b"), ("b", "c"), ("c", "a")], [(1, "a"), (2, "b"), (3, "c")], "1,1,-2", "graph contains a cycle"),
+            ([("a", "b"), ("a", "b")], [(1, "a"), (2, "b")], "1,-1", "graph contains a cycle"),
+            ([("a", "a")], [(1, "a"), (2, "a")], "1,-1", "graph contains a cycle"),
+        ],
+        ids=["disconnected", "triangle", "double-edge", "self-loop"],
+    )
+    def test_not_a_tree(self, capture, tmp_path, edges, legs, sigma, message):
+        doc = {
+            "vertices": sorted({v for e in edges for v in e} | {v for _, v in legs}),
+            "edges": [{"ends": list(e), "length": "1"} for e in edges],
+            "legs": [{"label": label, "at": v} for label, v in legs],
+        }
+        p = tmp_path / "graph.json"
+        p.write_text(json.dumps(doc))
+        code, env = capture(["extend", str(p), "--sigma", sigma])
+        assert code == 2 and env["status"] == "ParseError"
+        assert env["payload"]["message"].startswith(message)
+
     def test_star_no_edges(self, capture, tmp_path):
         doc = {"vertices": ["v"], "edges": [], "legs": [{"label": 1, "at": "v"}, {"label": 2, "at": "v"}]}
         p = tmp_path / "star.json"
@@ -396,6 +418,30 @@ def test_closed_stdout_gives_no_traceback():
     assert head.startswith(b'{"payload": ') and err == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["moduli", "--n", "5", "--sigma", "1,1,1,1,-4"], ["selfmap", "--r", "2", "--a", "1/2"], ["moduli", "--n", "x"]],
+    ids=["moduli", "selfmap", "parse-error"],
+)
+def test_envelope_bytes_equal_json_dump(capsys, monkeypatch, argv):
+    # main writes json.dumps in one piece; the bytes must be those that
+    # json.dump streams for the same envelope.
+    envelopes = []
+    dumps = json.dumps
+
+    def recording(obj, **kwargs):
+        envelopes.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording)
+    main(argv)
+    out = capsys.readouterr().out
+    (envelope,) = envelopes
+    expected = io.StringIO()
+    json.dump(envelope, expected, sort_keys=True)
+    assert out == expected.getvalue() + "\n"
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -532,3 +578,106 @@ def test_random_tree_and_pl_documents_give_one_envelope(doc, sigma):
             env = json.loads(lines[0])
             assert env["status"] in troplog.cli.EXIT_CODES, (env, doc)
             assert code == troplog.cli.EXIT_CODES[env["status"]], (env, doc)
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Documents for the argv fuzz test by kind: trees (a good one, a
+    disconnected one), a PL function, fans, and the bad ones (a file that
+    is not JSON, a path that does not exist)."""
+    d = tmp_path_factory.mktemp("argv")
+    tree = _tree_doc()
+    docs = {
+        "tree": {"tree.json": tree, "disconnected.json": _tree_doc(edges=[])},
+        "plf": {
+            "plf.json": {
+                **tree,
+                "basepoint": "a",
+                "base_value": "c",
+                "edge_slopes": [{"from": "a", "to": "b", "slope": 1}],
+                "leg_slopes": {"1": 1, "2": -2, "3": 2, "4": -1},
+            }
+        },
+        "fan": {
+            "p1.fan": {"dim": 1, "cones": [{"gens": [[1]]}, {"gens": [[-1]]}, {"gens": []}]},
+            "plane.fan": {"dim": 2, "cones": [{"gens": g} for g in [[[1, 0], [0, 1]], [[0, 1], [-1, -1]], [[-1, -1], [1, 0]]]]},
+            "half.fan": {"dim": 1, "cones": [{"gens": [[1]]}]},
+        },
+    }
+    files = {kind: [] for kind in [*docs, "bad"]}
+    for kind, named in docs.items():
+        for name, doc in named.items():
+            (d / name).write_text(json.dumps(doc))
+            files[kind].append(str(d / name))
+    (d / "junk.json").write_text("{not json")
+    files["bad"] += [str(d / "junk.json"), str(d / "missing.json")]
+    return files
+
+
+# No token can reach --help: neither the flags nor the alphabet of the free
+# text hold an "h".  No token is "-", which reads stdin.  Every integer is
+# at most 5, and free text only reaches n >= 9, which the size limit refuses.
+SMALL_INTS = st.integers(-2, 5).map(str)
+ZERO_SUM = st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(lambda xs: [*xs, -sum(xs)])
+SIGMAS = (ZERO_SUM | st.lists(st.integers(-4, 4), min_size=1, max_size=5)).map(lambda xs: ",".join(map(str, xs)))
+FLAGS = ["--n", "--sigma", "--fan", "--basepoint", "--base-value", "--certify-product", "--r", "--a", "--compose"]
+FREE_TEXT = st.text(alphabet="ab019,;/.-x ", max_size=6).filter(lambda t: t != "-")
+
+
+@st.composite
+def argvs(draw, files):
+    """A subcommand and its arguments: half well formed (required arguments
+    present, optional ones drawn, documents mostly of the right kind), half
+    random tokens."""
+    any_path = st.sampled_from([p for kind in files.values() for p in kind])
+
+    def paths(kind):
+        return st.sampled_from(files[kind]) | any_path
+
+    sigmas = SIGMAS | st.tuples(SIGMAS, SIGMAS).map(";".join)
+    values = {
+        "--n": SMALL_INTS,
+        "--sigma": sigmas,
+        "--fan": paths("fan"),
+        "--basepoint": st.sampled_from(["a", "b", "0", "zz"]),
+        "--base-value": st.sampled_from(["0", "3/2", "c", "1/0", "c +", "x"]),
+        "--certify-product": SMALL_INTS,
+        "--r": SMALL_INTS,
+        "--a": st.sampled_from(["0", "1/2", "c", "x", "1/0"]),
+        "--compose": st.tuples(SMALL_INTS | FREE_TEXT, SMALL_INTS | FREE_TEXT),
+    }
+    # (positional argument or None, required flags, optional flags)
+    commands = {
+        "validate": (paths("tree"), [], []),
+        "extend": (paths("tree"), ["--sigma"], ["--basepoint", "--base-value"]),
+        "multidegree": (paths("plf"), [], []),
+        "moduli": (None, ["--n"], ["--sigma", "--certify-product"]),
+        "subdivide": (None, ["--n", "--sigma", "--fan"], []),
+        "validate-fan": (paths("fan"), [], []),
+        "selfmap": (None, ["--r"], ["--a", "--compose"]),
+    }
+    command = draw(st.sampled_from(sorted(commands)))
+    if not draw(st.booleans()):
+        token = st.sampled_from(FLAGS) | SMALL_INTS | sigmas | any_path | FREE_TEXT
+        return [command, *draw(st.lists(token, max_size=6))]
+    positional, required, optional = commands[command]
+    argv = [command] if positional is None else [command, draw(positional)]
+    for flag in required + [f for f in optional if draw(st.booleans())]:
+        value = draw(values[flag])
+        # --flag=value, so that a value such as -1,1 is not read as a flag.
+        argv += [flag, *value] if isinstance(value, tuple) else [f"{flag}={value}"]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_random_argv_gives_one_envelope(argv_files, data):
+    argv = data.draw(argvs(argv_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and err.getvalue() == "", argv
+    env = json.loads(lines[0])
+    assert env["status"] in troplog.cli.EXIT_CODES, (env, argv)
+    assert code == troplog.cli.EXIT_CODES[env["status"]], (env, argv)

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import troplog.feasibility
 from troplog import AffineExpr, check_feasible, prune_redundant
-from troplog.feasibility import canonical_system
+from troplog.feasibility import canonical_system, encode, rows_feasible
 
 x = AffineExpr.symbol("x")
 y = AffineExpr.symbol("y")
@@ -68,14 +71,51 @@ def test_grid_search_agreement():
 
 
 def test_prune_redundant():
+    from oracles import witness_prune_redundant
+
     pruned = prune_redundant([(x, "ge"), (x + 1, "ge"), (x * 2, "ge"), (y, "ge")])
     assert canonical_system(pruned) == canonical_system([(x, "ge"), (y, "ge")])
+    # Copies dedupe, a satisfied constant goes, equalities stay; a violated
+    # constant stays and makes every other inequality redundant.
+    system = [(x, "ge"), (x + 1, "ge"), (AffineExpr.constant(2), "ge"), (x - y, "eq"), (x * 2, "ge")]
+    assert prune_redundant(system) == witness_prune_redundant(system) == [(x, "ge"), (x - y, "eq")]
+    system.append((AffineExpr.constant(-3), "ge"))
+    assert prune_redundant(system) == witness_prune_redundant(system) == [(x - y, "eq"), (AffineExpr.constant(-1), "ge")]
 
 
 def test_canonical_system_scaling_invariant():
     a = canonical_system([(x * 2 - y, "ge")])
     b = canonical_system([(x - y * Fraction(1, 2), "ge")])
     assert a == b
+
+
+def _encoded(constraints, variables):
+    """Integer rows over the sorted names of the system and ``variables``,
+    and the order that eliminates every column."""
+    names = sorted({name for expr, _ in constraints for name in expr.variables}.union(variables))
+    return encode(constraints, {name: k for k, name in enumerate(names, 1)}), list(range(1, len(names) + 1))
+
+
+def test_row_path_verdicts():
+    assert rows_feasible(*_encoded([(x, "ge"), (-x, "ge")], []))
+    assert not rows_feasible(*_encoded([(x - 1, "ge"), (-x, "ge")], []))
+    assert not rows_feasible(*_encoded([(x, "eq"), (x - 1, "eq")], []))
+    assert rows_feasible(*_encoded([(x - y, "gt"), (y, "gt")], ["z"]))
+    assert rows_feasible([], [1, 2])
+
+
+def test_row_path_certifies_its_witness(monkeypatch):
+    # A wrong back-substituted point must raise, never pass as a verdict.
+    rows, order = _encoded([(x, "ge"), (-x + 1, "ge"), (y - x, "gt")], [])
+    assert rows_feasible(rows, order)
+    back = troplog.feasibility._back_substitute
+    monkeypatch.setattr(
+        troplog.feasibility, "_back_substitute", lambda record: {p: q + 5 for p, q in back(record).items()}
+    )
+    with pytest.raises(RuntimeError):
+        rows_feasible(rows, order)
+    with pytest.raises(RuntimeError):
+        check_feasible([(x, "ge"), (-x + 1, "ge"), (y - x, "gt")])
 
 
 def _random_rational(rng: random.Random) -> Fraction:
@@ -102,6 +142,7 @@ def test_fraction_oracle_agreement():
         got = check_feasible(constraints, variables)
         want = fraction_check_feasible(constraints, variables)
         assert got.feasible == want.feasible, constraints
+        assert rows_feasible(*_encoded(constraints, variables)) == want.feasible, constraints
         assert got.witness == want.witness, constraints
         if got.feasible:
             assert list(got.witness) == list(want.witness)

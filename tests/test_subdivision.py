@@ -256,10 +256,11 @@ CENSUS_SIGMAS = [
 ]
 
 
+ONE_DIM_FANS = [(P1, "p1"), (Fan.of([[(1,)], [(-1,)]], 1), "p1-without-origin"), (Fan.trivial(1), "trivial")]
+
+
 @pytest.mark.parametrize(
-    "fan",
-    [P1, Fan.of([[(1,)], [(-1,)]], 1), Fan.trivial(1)],
-    ids=["p1", "p1-without-origin", "trivial"],
+    "fan", [fan for fan, _ in ONE_DIM_FANS], ids=[name for _, name in ONE_DIM_FANS]
 )
 def test_census_matches_wall_oracle(fan):
     # On a 1-D fan the walls of the cells are the whole subdivision, so the
@@ -326,3 +327,49 @@ def test_subdivision_matches_fraction_kernel(monkeypatch, fan, sigma):
     monkeypatch.setattr(troplog.feasibility, "check_feasible", fraction_check_feasible)
     monkeypatch.setattr(troplog.subdivision, "check_feasible", fraction_check_feasible)
     assert subdivide_map_moduli(4, sigma, fan).to_json() == expected_json
+
+
+@pytest.mark.parametrize(
+    "fan, cases",
+    [(fan, [(len(s), ContactOrder.of(s)) for s in CENSUS_SIGMAS]) for fan, _ in ONE_DIM_FANS]
+    + [(fan, [(n, plane_sigmas(n)) for n in (3, 4)]) for fan in (PLANE, QUADRANTS)],
+    ids=[name for _, name in ONE_DIM_FANS] + ["plane", "quadrants"],
+)
+def test_row_path_matches_witness_oracles(monkeypatch, fan, cases):
+    # The census and the pruning on integer rows must give the f-vectors and
+    # the pruned systems of their former check_feasible versions.
+    import troplog.subdivision
+    from oracles import witness_face_census, witness_prune_redundant
+
+    systems = []
+
+    def both(constraints):
+        got = prune_redundant(constraints)
+        assert got == witness_prune_redundant(constraints), constraints
+        systems.append(got)
+        return got
+
+    monkeypatch.setattr(troplog.subdivision, "prune_redundant", both)
+    for n, sigma in cases:
+        sub = subdivide_map_moduli(n, sigma, fan)
+        for key, K in sub.complex.cones.items():
+            got = face_census(K, sub.functionals[key], fan)
+            assert got == witness_face_census(K, sub.functionals[key], fan), (n, sigma, key)
+    assert systems
+
+
+def test_functionals_computed_once(monkeypatch):
+    # stats() reads the functionals that subdivide_map_moduli computed.
+    import troplog.subdivision
+
+    calls = []
+    vertex_values = troplog.subdivision.vertex_values
+
+    def counted(f):
+        calls.append(f)
+        return vertex_values(f)
+
+    monkeypatch.setattr(troplog.subdivision, "vertex_values", counted)
+    sub = subdivide_map_moduli(5, ContactOrder.of([1, 1, 1, 1, -4]), P1)
+    sub.to_json()
+    assert len(calls) == len(sub.complex.cones) == 26
