@@ -18,7 +18,11 @@ Rat = int | str | Fraction
 
 
 def as_fraction(x: Rat) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
+    """Coerce an int, Fraction, or 'p/q' string to an exact rational.
+
+    A string with an exponent ('1e5000') is refused before it is read:
+    ``Fraction`` would compute the power, however large.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -26,6 +30,8 @@ def as_fraction(x: Rat) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ParseError(f"not a rational (exponents are not accepted): {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

@@ -59,7 +59,9 @@ def _read_json(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers malformed JSON, non-UTF-8 bytes and an integer
+    # literal too long to convert.
+    except (OSError, ValueError, RecursionError) as exc:
         raise errors.ParseError(f"cannot read JSON from {path!r}: {exc}") from exc
 
 

@@ -9,6 +9,7 @@ per-cone by an explicit unimodular affine change of coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -123,25 +124,40 @@ class ConeComplex:
         return doc
 
 
-def build_moduli_complex(n: int) -> ConeComplex:
-    """Cone complex of stable genus-0 tropical curves with n legs.
+@functools.lru_cache(maxsize=1)
+def _curve_parts(n: int, enumerate_types) -> tuple[tuple, tuple, tuple]:
+    """The curve complex for n as frozen parts: its ``(key, Cone)`` items,
+    its ``(key, CombinatorialType)`` items and its sorted face maps.
 
-    The face maps come from the facets that type enumeration records.
+    Built once per n and shared.  The key also holds the type enumerator
+    that this module sees at call time, so a wrapped or substituted
+    enumerator gets its own build instead of one made without it.
     """
-    if n < 3:
-        raise UnstableRange(f"curve moduli need n >= 3, got {n}")
-    types = {ct.key: ct for ct in enumerate_tree_types(n)}
-    cones = {}
+    types = enumerate_types(n)
+    cones = []
     face_maps = []
-    for key, ct in types.items():
+    for ct in types:
         edges = range(len(ct.tree.edges))
-        cones[key] = Cone(key, tuple(Coord(f"l_e{i}", "nonneg") for i in edges))
+        cones.append((ct.key, Cone(ct.key, tuple(Coord(f"l_e{i}", "nonneg") for i in edges))))
         for i, (face_key, face_index) in enumerate(ct.facets):
             others = (j for j in edges if j != i)
             coord_map = tuple(sorted((f"l_e{k}", f"l_e{j}") for j, k in zip(others, face_index)))
-            face_maps.append(FaceMap(face_key, key, coord_map, (f"l_e{i}",)))
+            face_maps.append(FaceMap(face_key, ct.key, coord_map, (f"l_e{i}",)))
     face_maps.sort(key=lambda f: (f.cone_key, f.zeroed, f.face_key))
-    return ConeComplex(n, cones, types, face_maps)
+    return tuple(cones), tuple((ct.key, ct) for ct in types), tuple(face_maps)
+
+
+def build_moduli_complex(n: int) -> ConeComplex:
+    """Cone complex of stable genus-0 tropical curves with n legs.
+
+    The face maps come from the facets that type enumeration records.  The
+    complex is built once per n; each call returns its own containers, so
+    changing one complex changes no other.
+    """
+    if n < 3:
+        raise UnstableRange(f"curve moduli need n >= 3, got {n}")
+    cones, types, face_maps = _curve_parts(n, enumerate_tree_types)
+    return ConeComplex(n, dict(cones), dict(types), list(face_maps))
 
 
 def _check_contacts(n: int, sigmas: list[ContactOrder]) -> None:
@@ -279,12 +295,6 @@ class IsomorphismReport:
         }
 
 
-def _concrete_point(ct: CombinatorialType, sigma: ContactOrder, lengths=None) -> TropicalMapPoint:
-    t = ct.tree.with_lengths(lengths or [1] * len(ct.tree.edges))
-    f = extend_from_leg_slopes(t, sigma, t.root, 0)
-    return TropicalMapPoint.of(t, [f])
-
-
 def product_decomposition(n: int, sigma: ContactOrder, leg: int) -> IsomorphismReport:
     """Certify the isomorphism between map moduli and curve moduli x line.
 
@@ -305,22 +315,48 @@ def _check_product_args(n: int, sigma: ContactOrder, leg: int) -> None:
         raise NoSuchLeg(f"no leg labeled {leg}")
 
 
+def _path_coefficients(f: PLFunction) -> dict[VertexId, dict[str, int]]:
+    """Each vertex's value minus the base value, from one walk of ``f``'s
+    symbolic tree: ``{l_e{i}: slope}`` along the path from the basepoint,
+    zero slopes left out."""
+    t = f.tree
+    adj = t.adjacency()
+    paths: dict[VertexId, dict[str, int]] = {f.basepoint: {}}
+    stack = [f.basepoint]
+    while stack:
+        v = stack.pop()
+        for w, i in adj[v]:
+            if w not in paths:
+                slope = f.slope(v, w, i)
+                paths[w] = {**paths[v], t.length_symbol(i): slope} if slope else paths[v]
+                stack.append(w)
+    return paths
+
+
 def _certified_map_moduli(
     n: int, sigma: ContactOrder, leg: int
 ) -> tuple[ConeComplex, IsomorphismReport]:
     """``build_map_moduli(n, sigma)`` and ``product_decomposition(n, sigma,
     leg)`` from one build of the curve complex; the arguments are checked
-    before it."""
+    before it.
+
+    A cone's splitting at a leg is its base value, the translation
+    coordinate of every map cone, plus the integer path coefficients of
+    the leg's vertex.  The face checks and the search for distinct
+    splittings compare these integer maps; one ``AffineExpr`` per cone
+    serves the printed cone map and the unimodularity checks.
+    """
     _check_product_args(n, sigma, leg)
     curve = build_moduli_complex(n)
     mapc = _map_cones_over(curve, [sigma])
 
     failures: list[str] = []
     cone_maps: dict[str, str] = {}
-    splittings: dict[str, AffineExpr] = {}
-    for key in mapc.cones:
-        s = splitting_expr(mapc, key, leg)
-        splittings[key] = s
+    at_leg: dict[str, dict[int, dict[str, int]]] = {}  # cone -> leg -> path coefficients
+    for key, f in mapc.functions.items():
+        paths = _path_coefficients(f)
+        at_leg[key] = {l.label: paths[l.at] for l in f.tree.legs}
+        s = f.base_value + AffineExpr.make(0, at_leg[key][leg])
         cone_maps[key] = str(s)
         if s.coeff(TRANSLATION_COORD) != 1:
             failures.append(f"cone {key}: translation coefficient is not 1")
@@ -338,37 +374,36 @@ def _certified_map_moduli(
     face_checks = 0
     for fm in mapc.face_maps:
         face_checks += 1
-        big = splittings[fm.cone_key]
         rename = {cone_coord: face_coord for face_coord, cone_coord in fm.coord_map}
-        coeffs: dict[str, Fraction] = {}
-        for name, coeff in big.terms:
+        coeffs: dict[str, int] = {}
+        for name, coeff in at_leg[fm.cone_key][leg].items():
             if name not in fm.zeroed:
                 name = rename.get(name, name)
                 coeffs[name] = coeffs.get(name, 0) + coeff
-        if AffineExpr.make(big.const, coeffs) != splittings[fm.face_key]:
+        if {name: coeff for name, coeff in coeffs.items() if coeff} != at_leg[fm.face_key][leg]:
             failures.append(
                 f"face map {fm.cone_key} -> {fm.face_key}: splitting not compatible"
             )
 
+    # A witness sets every length to 1 and the translation to 0, so a
+    # splitting's value there is the sum of its path coefficients.
     distinct: dict[int, dict | None] = {}
     for other in range(1, n + 1):
         if other == leg:
             continue
         witness = None
         for key in sorted(mapc.cones):
-            diff = splittings[key] - splitting_expr(mapc, key, other)
-            if diff.is_zero:
+            mine, theirs = at_leg[key][leg], at_leg[key][other]
+            if mine == theirs:
                 continue
-            point = _concrete_point(mapc.types[key], sigma)
-            vi = splitting_at_leg(point, leg)
-            vj = splitting_at_leg(point, other)
+            vi, vj = sum(mine.values()), sum(theirs.values())
             if vi != vj:
                 witness = {
                     "cone": key,
                     "lengths": {f"l_e{i}": "1" for i in range(len(mapc.types[key].tree.edges))},
                     "c": "0",
-                    f"splitting_{leg}": fraction_str(vi),
-                    f"splitting_{other}": fraction_str(vj),
+                    f"splitting_{leg}": str(vi),
+                    f"splitting_{other}": str(vj),
                 }
                 break
         distinct[other] = witness  # None e.g. for n=3: all legs share one vertex

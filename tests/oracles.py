@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Six former library functions are the exception, kept so
+grid search.  Seven former library functions are the exception, kept so
 that their replacements can be required to give the same results:
 ``contraction_tree_types``, the type enumeration by leg insertion and
 edge contraction, ``fraction_check_feasible``, the rational
@@ -14,7 +14,9 @@ the fan check that compares each pairwise intersection with the smallest
 face of each cone containing it, and ``witness_face_census`` and
 ``witness_prune_redundant``, the census and the pruning that made one
 ``check_feasible`` call (a witness, from a fresh encoding of the
-``AffineExpr`` constraints) per test.
+``AffineExpr`` constraints) per test, and ``affine_product_decomposition``,
+the product certificate that computed every splitting with
+``vertex_values`` and checked the face maps with ``AffineExpr`` arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,21 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from troplog import AffineExpr, CombinatorialType, ContactOrder, Tree, canonicalize, contract_edge
+from troplog import (
+    AffineExpr,
+    CombinatorialType,
+    ContactOrder,
+    IsomorphismReport,
+    Tree,
+    TropicalMapPoint,
+    build_map_moduli,
+    build_moduli_complex,
+    canonicalize,
+    contract_edge,
+    extend_from_leg_slopes,
+    splitting_at_leg,
+    splitting_expr,
+)
 from troplog.feasibility import (
     Constraint,
     Feasibility,
@@ -32,7 +48,7 @@ from troplog.feasibility import (
     check_feasible,
     normalize,
 )
-from troplog.moduli import Cone
+from troplog.moduli import TRANSLATION_COORD, Cone
 from troplog.subdivision import _XSYMS, Fan, SubdividedCell, _images, _pullback
 from troplog.tree import VertexId
 
@@ -514,3 +530,84 @@ def pairwise_face_problems(fan: Fan) -> list[str]:
             if not (_contains(face, inter) and _contains(inter, face)):
                 problems.append(f"intersection of cones {i} and {j} is not a face of cone {k}")
     return problems
+
+
+def _concrete_point(ct: CombinatorialType, sigma: ContactOrder, lengths=None) -> TropicalMapPoint:
+    t = ct.tree.with_lengths(lengths or [1] * len(ct.tree.edges))
+    f = extend_from_leg_slopes(t, sigma, t.root, 0)
+    return TropicalMapPoint.of(t, [f])
+
+
+def affine_product_decomposition(n: int, sigma: ContactOrder, leg: int) -> IsomorphismReport:
+    """The product certificate with every splitting an ``AffineExpr`` from
+    ``vertex_values``, once per leg pair, and the face checks done by
+    ``AffineExpr`` arithmetic; witnesses come from concrete map points."""
+    curve = build_moduli_complex(n)
+    mapc = build_map_moduli(n, sigma)
+
+    failures: list[str] = []
+    cone_maps: dict[str, str] = {}
+    splittings: dict[str, AffineExpr] = {}
+    for key in mapc.cones:
+        s = splitting_expr(mapc, key, leg)
+        splittings[key] = s
+        cone_maps[key] = str(s)
+        if s.coeff(TRANSLATION_COORD) != 1:
+            failures.append(f"cone {key}: translation coefficient is not 1")
+        for name, coeff in s.terms:
+            if name != TRANSLATION_COORD and coeff.denominator != 1:
+                failures.append(f"cone {key}: non-integer coefficient on {name}")
+        curve_coords = {c.name for c in curve.cones[key].coords}
+        map_coords = {c.name for c in mapc.cones[key].coords}
+        if map_coords != curve_coords | {TRANSLATION_COORD}:
+            failures.append(f"cone {key}: coordinates do not match curve cone plus free line")
+
+    face_checks = 0
+    for fm in mapc.face_maps:
+        face_checks += 1
+        big = splittings[fm.cone_key]
+        rename = {cone_coord: face_coord for face_coord, cone_coord in fm.coord_map}
+        coeffs: dict[str, Fraction] = {}
+        for name, coeff in big.terms:
+            if name not in fm.zeroed:
+                name = rename.get(name, name)
+                coeffs[name] = coeffs.get(name, 0) + coeff
+        if AffineExpr.make(big.const, coeffs) != splittings[fm.face_key]:
+            failures.append(
+                f"face map {fm.cone_key} -> {fm.face_key}: splitting not compatible"
+            )
+
+    distinct: dict[int, dict | None] = {}
+    for other in range(1, n + 1):
+        if other == leg:
+            continue
+        witness = None
+        for key in sorted(mapc.cones):
+            diff = splittings[key] - splitting_expr(mapc, key, other)
+            if diff.is_zero:
+                continue
+            point = _concrete_point(mapc.types[key], sigma)
+            vi = splitting_at_leg(point, leg)
+            vj = splitting_at_leg(point, other)
+            if vi != vj:
+                witness = {
+                    "cone": key,
+                    "lengths": {f"l_e{i}": "1" for i in range(len(mapc.types[key].tree.edges))},
+                    "c": "0",
+                    f"splitting_{leg}": str(vi),
+                    f"splitting_{other}": str(vj),
+                }
+                break
+        distinct[other] = witness
+
+    return IsomorphismReport(
+        certified=not failures,
+        n=n,
+        sigma=sigma,
+        leg=leg,
+        cones_checked=len(mapc.cones),
+        cone_maps=cone_maps,
+        face_checks=face_checks,
+        failures=failures,
+        distinct_splittings=distinct,
+    )

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from troplog import AffineExpr
+from troplog import AffineExpr, as_fraction
 from troplog.errors import ParseError
 
 
@@ -39,3 +39,17 @@ def test_parse_rejects_garbage():
         AffineExpr.parse("")
     with pytest.raises(ParseError):
         AffineExpr.parse("1//2")
+
+
+@pytest.mark.parametrize("text", ["1e5000", "2E3", "1e1000000000", "-3/1e2", "1.5e-3"])
+def test_exponents_refused(text):
+    with pytest.raises(ParseError, match="exponents are not accepted"):
+        as_fraction(text)
+    with pytest.raises(ParseError):
+        AffineExpr.parse(text)
+
+
+def test_plain_rationals_still_read():
+    assert as_fraction("-7/21") == Fraction(-1, 3)
+    assert as_fraction(" 12 ") == 12
+    assert AffineExpr.parse("e + 1") == AffineExpr.symbol("e") + 1

@@ -99,6 +99,13 @@ class TestValidate:
         assert code == 2 and env["status"] == "ParseError"
         assert "can't decode byte 0xff" in env["payload"]["message"]
 
+    def test_huge_integer_literal_parse_error(self, capture, tmp_path):
+        p = tmp_path / "big.json"
+        p.write_text('{"vertices": ["a"], "edges": [], "legs": [{"label": ' + "1" * 5000 + ', "at": "a"}]}')
+        code, env = capture(["validate", str(p)])
+        assert code == 2 and env["status"] == "ParseError"
+        assert "Exceeds the limit" in env["payload"]["message"]
+
     def test_deep_nesting_parse_error(self, capture, tmp_path):
         p = tmp_path / "deep.fan"
         p.write_text("[" * 200_000 + "]" * 200_000)
@@ -117,6 +124,10 @@ class TestExtend:
     def test_nonzero_sum(self, capture, path_tree):
         code, env = capture(["extend", path_tree, "--sigma", "1,0,0"])
         assert code == 3 and env["status"] == "NonZeroSum"
+
+    def test_exponent_base_value(self, capture, path_tree):
+        code, env = capture(["extend", path_tree, "--sigma", "2,-1,-1", "--base-value", "1e5000"])
+        assert code == 2 and env["status"] == "ParseError"
 
     def test_unknown_basepoint(self, capture, path_tree):
         code, env = capture(["extend", path_tree, "--sigma", "2,-1,-1", "--basepoint", "zz"])
@@ -318,6 +329,7 @@ class TestSubdivide:
                 leg_slopes={"1": "0", "2": 0, "3": 0, "4": 0},
             ),
         ),
+        ("extend", _tree_doc(edges=[{"ends": ["a", "b"], "length": "1e5000"}])),
     ],
     ids=[
         "extend-unknown-vertex",
@@ -328,6 +340,7 @@ class TestSubdivide:
         "leg-label-true",
         "edge-slope-2.5",
         "leg-slope-string",
+        "edge-length-1e5000",
     ],
 )
 def test_malformed_tree_parse_error(capture, tmp_path, command, doc):
@@ -350,6 +363,18 @@ class TestSelfmap:
     def test_compose(self, capture):
         code, env = capture(["selfmap", "--r", "2", "--a", "1", "--compose", "3", "4"])
         assert env["payload"]["degree"] == 6 and env["payload"]["translation"] == "9"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--a=1e5000"], ["--a", "1E3"], ["--compose", "1", "1e1000000000"]],
+        ids=["a-1e5000", "a-1E3", "compose-1e1000000000"],
+    )
+    def test_exponent_parse_error(self, capsys, argv):
+        code = main(["selfmap", "--r", "1"] + argv)
+        out = capsys.readouterr().out
+        env = json.loads(out)
+        assert code == 2 and out.count("\n") == 1 and env["status"] == "ParseError"
+        assert "exponents are not accepted" in env["payload"]["message"]
 
     def test_compose_bad_degree(self, capture):
         code, env = capture(["selfmap", "--r", "1", "--compose", "x", "0"])

@@ -7,12 +7,15 @@ import pytest
 
 import troplog.moduli
 from troplog import (
+    AffineExpr,
+    ConeComplex,
     ContactOrder,
     Tree,
     TropicalMapPoint,
     build_map_moduli,
     build_moduli_complex,
     classify_self_map,
+    enumerate_tree_types,
     extend_from_leg_slopes,
     is_balanced,
     product_decomposition,
@@ -21,10 +24,10 @@ from troplog import (
     stabilize,
 )
 from troplog.errors import LengthMismatch, NonZeroSum, NoSuchLeg, UnstableRange
-from troplog.moduli import _map_cones
+from troplog.moduli import _curve_parts, _map_cones, _map_cones_over, _path_coefficients
 from troplog.tree import canonicalize, contract_edge
 
-from oracles import random_stable_tree, random_zero_sum
+from oracles import affine_product_decomposition, random_stable_tree, random_zero_sum
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -108,9 +111,57 @@ class TestCurveModuli:
     def test_canonicalizes_each_type_once(self, monkeypatch):
         # Each compatible split set's tree is canonicalized once; the facets
         # are looked up, not contracted.
+        _curve_parts.cache_clear()  # count a build, not a cache hit
         calls = count_calls(monkeypatch, canonicalize)
         cx = build_moduli_complex(6)
         assert len(cx.cones) == 236 and len(calls) == 236
+
+
+def fresh_complex(n: int) -> ConeComplex:
+    """The curve complex from an uncached build."""
+    cones, types, face_maps = _curve_parts.__wrapped__(n, enumerate_tree_types)
+    return ConeComplex(n, dict(cones), dict(types), list(face_maps))
+
+
+def same_complex(cx: ConeComplex, other: ConeComplex) -> bool:
+    # CombinatorialType compares by key alone, so compare its fields too.
+    def types(c):
+        return {k: (ct.key, ct.tree, ct.facets) for k, ct in c.types.items()}
+
+    return cx.to_json() == other.to_json() and types(cx) == types(other)
+
+
+class TestSharedBuild:
+    def test_mutating_a_complex_changes_no_later_result(self, monkeypatch):
+        n, sigma = 5, ContactOrder.of([1, 1, 1, 1, -4])
+        cx = build_moduli_complex(n)
+        key = next(iter(cx.types))
+        cx.cones.pop(key)
+        cx.face_maps.append(cx.face_maps[0])
+        cx.types[key] = dataclasses.replace(cx.types[key], facets=())
+        maps = build_map_moduli(n, sigma)
+        maps.types.clear()
+        maps.face_maps.clear()
+
+        fresh = fresh_complex(n)
+        assert same_complex(build_moduli_complex(n), fresh)
+        assert same_complex(build_map_moduli(n, sigma), _map_cones_over(fresh, [sigma]))
+        got = product_decomposition(n, sigma, 2).to_json()
+        monkeypatch.setattr(troplog.moduli, "build_moduli_complex", fresh_complex)
+        assert got == product_decomposition(n, sigma, 2).to_json()
+
+    def test_alternating_n(self):
+        for n in (5, 6, 5):
+            assert same_complex(build_moduli_complex(n), fresh_complex(n))
+
+    def test_built_once_per_n(self, monkeypatch):
+        _curve_parts.cache_clear()
+        calls = count_calls(monkeypatch, enumerate_tree_types)
+        sigma = ContactOrder.of([1, 1, 1, 1, -4])
+        build_moduli_complex(5)
+        build_map_moduli(5, sigma)
+        product_decomposition(5, sigma, 1)
+        assert calls == [(5,)]
 
 
 class TestMapModuli:
@@ -250,6 +301,35 @@ class TestProductDecomposition:
         calls = count_calls(monkeypatch, build_moduli_complex)
         rep = product_decomposition(5, ContactOrder.of([1, 1, 1, 1, -4]), 1)
         assert rep.certified and len(calls) == 1
+
+
+class TestIntegerCertificate:
+    SIGMAS = {
+        n: [
+            ContactOrder.of([1] * (n - 1) + [-(n - 1)]),
+            ContactOrder.of([0] * n),
+            ContactOrder.of([2, 0, -3] + [0] * (n - 4) + [1] if n > 3 else [2, 0, -2]),
+            random_zero_sum(random.Random(800 + n), n),
+        ]
+        for n in range(3, 7)
+    } | {7: [ContactOrder.of([3, 0, -1, 0, 2, -4, 0])]}
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_matches_affine_oracle(self, n):
+        for sigma in self.SIGMAS[n]:
+            for leg in range(1, n + 1):
+                got = product_decomposition(n, sigma, leg).to_json()
+                assert got == affine_product_decomposition(n, sigma, leg).to_json()
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_path_coefficients_match_splitting_expr(self, n):
+        for sigma in self.SIGMAS[n]:
+            cx = build_map_moduli(n, sigma)
+            for key, f in cx.functions.items():
+                paths = _path_coefficients(f)
+                for l in f.tree.legs:
+                    s = f.base_value + AffineExpr.make(0, paths[l.at])
+                    assert s == splitting_expr(cx, key, l.label)
 
 
 class TestStabilize:
