@@ -4,7 +4,8 @@ Every command prints a result envelope {"status", "payload", "timing_ms"};
 payloads are deterministic (sorted keys, reduced 'p/q' rationals) so
 identical inputs produce byte-identical payloads.  Exit codes: 0 ok,
 2 parse error, 3 nonzero slope sum, 4 unstable range, 5 fan problem,
-6 missing edge/leg or length mismatch, 7 n above the size limit.
+6 missing edge/leg or length mismatch, 7 n above the size limit or a
+result integer too long to print (over 4 300 digits).
 """
 
 from __future__ import annotations
@@ -15,25 +16,7 @@ import os
 import sys
 import time
 
-from . import errors
-from .affine import AffineExpr
-from .moduli import (
-    _certified_map_moduli,
-    _check_contacts,
-    _check_product_args,
-    build_map_moduli,
-    build_moduli_complex,
-    classify_self_map,
-)
-from .plfunction import (
-    ContactOrder,
-    extend_from_leg_slopes,
-    multidegree,
-    plfunction_from_json,
-    plfunction_to_json,
-)
-from .subdivision import Fan, subdivide_map_moduli, validate_fan
-from .tree import check_incidence, tree_from_json, validate_tree
+from . import affine, errors, moduli, plfunction, subdivision, tree
 
 EXIT_CODES = {
     "ok": 0,
@@ -70,23 +53,23 @@ def _check_size(n: int) -> None:
         raise errors.SizeLimit(f"n = {n} is above the limit n <= {MAX_N}")
 
 
-def _sigma(text: str) -> ContactOrder:
+def _sigma(text: str) -> plfunction.ContactOrder:
     try:
-        return ContactOrder.of(int(x) for x in text.split(","))
+        return plfunction.ContactOrder.of(int(x) for x in text.split(","))
     except ValueError as exc:
         raise errors.ParseError(f"bad contact order {text!r}: {exc}") from exc
 
 
 def cmd_validate(args) -> dict:
     doc = _read_json(args.tree)
-    return validate_tree(tree_from_json(doc)).to_json()
+    return tree.validate_tree(tree.tree_from_json(doc)).to_json()
 
 
 def cmd_extend(args) -> dict:
-    t = tree_from_json(_read_json(args.tree))
-    check_incidence(t)
+    t = tree.tree_from_json(_read_json(args.tree))
+    tree.check_incidence(t)
     sigma = _sigma(args.sigma)
-    base_value = AffineExpr.parse(args.base_value)
+    base_value = affine.AffineExpr.parse(args.base_value)
     basepoint = args.basepoint
     if basepoint is not None and basepoint not in t.vertices:
         # JSON vertex ids may be ints; retry the numeric reading.
@@ -95,13 +78,13 @@ def cmd_extend(args) -> dict:
                 basepoint = int(basepoint)
         except ValueError:
             pass
-    f = extend_from_leg_slopes(t, sigma, basepoint, base_value)
-    return plfunction_to_json(f)
+    f = plfunction.extend_from_leg_slopes(t, sigma, basepoint, base_value)
+    return plfunction.plfunction_to_json(f)
 
 
 def cmd_multidegree(args) -> dict:
-    f = plfunction_from_json(_read_json(args.plf))
-    md = multidegree(f)
+    f = plfunction.plfunction_from_json(_read_json(args.plf))
+    md = plfunction.multidegree(f)
     return {
         "degrees": {str(v): d for v, d in md.degrees},
         "total": md.total,
@@ -115,17 +98,17 @@ def cmd_moduli(args) -> dict:
     if sigma is None and args.certify_product is not None:
         raise errors.ParseError("--certify-product requires --sigma")
     if args.certify_product is not None:
-        _check_product_args(args.n, sigma, args.certify_product)
+        moduli._check_product_args(args.n, sigma, args.certify_product)
     elif sigma is not None:
-        _check_contacts(args.n, [sigma])
+        moduli._check_contacts(args.n, [sigma])
     _check_size(args.n)
     report = None
     if args.certify_product is not None:
-        cx, report = _certified_map_moduli(args.n, sigma, args.certify_product)
+        cx, report = moduli._certified_map_moduli(args.n, sigma, args.certify_product)
     elif sigma is not None:
-        cx = build_map_moduli(args.n, sigma)
+        cx = moduli.build_map_moduli(args.n, sigma)
     else:
-        cx = build_moduli_complex(args.n)
+        cx = moduli.build_moduli_complex(args.n)
     payload = {"complex": cx.to_json(), "empty": cx.is_empty}
     if report is not None:
         payload["product_decomposition"] = report.to_json()
@@ -133,30 +116,30 @@ def cmd_moduli(args) -> dict:
 
 
 def cmd_subdivide(args) -> dict:
-    fan = Fan.from_json(_read_json(args.fan))
-    report = validate_fan(fan)
+    fan = subdivision.Fan.from_json(_read_json(args.fan))
+    report = subdivision.validate_fan(fan)
     if not report.ok:
         raise errors.IncompleteFan("; ".join(report.problems))
     sigmas = [_sigma(s) for s in args.sigma.split(";")]
     _check_size(args.n)
-    sub = subdivide_map_moduli(args.n, sigmas if len(sigmas) > 1 else sigmas[0], fan)
+    sub = subdivision.subdivide_map_moduli(args.n, sigmas if len(sigmas) > 1 else sigmas[0], fan)
     return sub.to_json()
 
 
 def cmd_validate_fan(args) -> dict:
-    fan = Fan.from_json(_read_json(args.fan))
-    return validate_fan(fan).to_json()
+    fan = subdivision.Fan.from_json(_read_json(args.fan))
+    return subdivision.validate_fan(fan).to_json()
 
 
 def cmd_selfmap(args) -> dict:
-    nf = classify_self_map(args.r, args.a)
+    nf = moduli.classify_self_map(args.r, args.a)
     if args.compose:
         r2, a2 = args.compose
         try:
             r2 = int(r2)
         except ValueError as exc:
             raise errors.ParseError(f"bad --compose degree {r2!r}: {exc}") from exc
-        nf = nf.compose(classify_self_map(r2, a2))
+        nf = nf.compose(moduli.classify_self_map(r2, a2))
     return nf.to_json()
 
 
@@ -210,23 +193,52 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error(exc: errors.TroplogError) -> tuple[str, dict]:
+    return exc.code, {"error": exc.code, "message": str(exc)}
+
+
+def _output_limit(exc: ValueError) -> errors.SizeLimit:
+    """The ``SizeLimit`` for a result integer too long to print; any other
+    ``ValueError`` is raised again.
+
+    Python writes an int of at most ``sys.get_int_max_str_digits()`` digits
+    (4 300 by default) in decimal. Inputs that long are parse errors, so a
+    longer integer here is a result, e.g. a product of two input integers.
+    """
+    if "integer string conversion" not in str(exc):
+        raise exc
+    limit = sys.get_int_max_str_digits()
+    return errors.SizeLimit(f"a result integer has more than {limit} digits, above the output limit")
+
+
+def _envelope_line(status: str, payload: dict, elapsed: int) -> str:
+    envelope = {"status": status, "payload": payload, "timing_ms": elapsed}
+    # One json.dumps (the C encoder) gives the bytes that json.dump would
+    # stream through the pure-Python encoder.
+    return json.dumps(envelope, sort_keys=True) + "\n"
+
+
 def main(argv=None) -> int:
     start = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
         start = time.monotonic()  # timing_ms covers the command, not the parsing
-        payload = args.fn(args)
+        try:
+            payload = args.fn(args)
+        except ValueError as exc:
+            raise _output_limit(exc) from exc
         status = "ok"
     except errors.TroplogError as exc:
-        payload = {"error": exc.code, "message": str(exc)}
-        status = exc.code
+        status, payload = _error(exc)
     elapsed = int((time.monotonic() - start) * 1000)
-    envelope = {"status": status, "payload": payload, "timing_ms": elapsed}
+    try:
+        line = _envelope_line(status, payload, elapsed)
+    except ValueError as exc:
+        status, payload = _error(_output_limit(exc))
+        line = _envelope_line(status, payload, elapsed)
     code = EXIT_CODES.get(status, 1)
     try:
-        # One write of json.dumps (the C encoder) gives the bytes that
-        # json.dump would stream through the pure-Python encoder.
-        sys.stdout.write(json.dumps(envelope, sort_keys=True) + "\n")
+        sys.stdout.write(line)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (e.g. `| head`).  Point stdout at

@@ -26,7 +26,8 @@ class UnstableRange(TroplogError):
 
 
 class SizeLimit(TroplogError):
-    """The command would build a moduli complex above the CLI's size limit."""
+    """A CLI command above its size limit: a moduli complex too large to build,
+    or a result integer too long to print."""
 
     code = "SizeLimit"
 

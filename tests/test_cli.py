@@ -200,7 +200,6 @@ class TestModuli:
             return build(n)
 
         monkeypatch.setattr(troplog.moduli, "build_moduli_complex", counted)
-        monkeypatch.setattr(troplog.cli, "build_moduli_complex", counted)
         code, env = capture(["moduli", "--n", "5", "--sigma", "1,1,1,1,-4", "--certify-product", "1"])
         assert code == 0 and env["payload"]["product_decomposition"]["certified"]
         assert calls == [5]
@@ -219,7 +218,6 @@ class TestModuli:
             raise AssertionError("built the moduli before checking the arguments")
 
         monkeypatch.setattr(troplog.moduli, "build_moduli_complex", no_build)
-        monkeypatch.setattr(troplog.cli, "build_moduli_complex", no_build)
         code, env = capture(["moduli"] + argv)
         assert env["status"] == status and code == troplog.cli.EXIT_CODES[status]
 
@@ -238,7 +236,6 @@ class TestModuli:
             raise AssertionError("built the moduli above the size limit")
 
         monkeypatch.setattr(troplog.moduli, "build_moduli_complex", no_build)
-        monkeypatch.setattr(troplog.cli, "build_moduli_complex", no_build)
         code, env = capture([p1_fan if a == "P1" else a for a in argv])
         assert code == 7 and env["status"] == "SizeLimit"
         assert env["payload"]["message"] == f"n = 9 is above the limit n <= {troplog.cli.MAX_N}"
@@ -379,6 +376,49 @@ class TestSelfmap:
     def test_compose_bad_degree(self, capture):
         code, env = capture(["selfmap", "--r", "1", "--compose", "x", "0"])
         assert code == 2 and env["status"] == "ParseError"
+
+
+def _assert_output_limit(capsys, code):
+    out, err = capsys.readouterr()
+    env = json.loads(out)
+    assert code == 7 and out.count("\n") == 1 and err == ""
+    assert env["status"] == "SizeLimit" and env["payload"]["error"] == "SizeLimit"
+    assert f"more than {sys.get_int_max_str_digits()} digits" in env["payload"]["message"]
+
+
+def test_selfmap_result_over_digit_limit(capsys):
+    # Each input has 4 000 digits; the translation r * a2 has 8 000.
+    big = "9" * 4000
+    _assert_output_limit(capsys, main(["selfmap", "--r", big, "--a", "0", "--compose", "1", big]))
+
+
+def test_multidegree_result_over_digit_limit(capsys, tmp_path):
+    # Two slopes of 4 300 digits each are valid JSON integers; their sum,
+    # the degree of the only vertex, has 4 301.
+    big = int("9" * 4300)
+    doc = {
+        "vertices": ["a"],
+        "edges": [],
+        "legs": [{"label": 1, "at": "a"}, {"label": 2, "at": "a"}, {"label": 3, "at": "a"}],
+        "basepoint": "a",
+        "base_value": "0",
+        "edge_slopes": [],
+        "leg_slopes": {"1": big, "2": big, "3": 0},
+    }
+    p = tmp_path / "plf.json"
+    p.write_text(json.dumps(doc))
+    _assert_output_limit(capsys, main(["multidegree", str(p)]))
+
+
+def test_other_value_errors_are_not_size_limits(monkeypatch):
+    # Only Python's integer-to-text limit becomes SizeLimit; a ValueError of
+    # any other origin is a bug and must not be hidden behind an envelope.
+    def broken(args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(troplog.cli, "cmd_selfmap", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["selfmap", "--r", "1"])
 
 
 class TestDeterminism:
