@@ -180,6 +180,9 @@ class AffineExpr:
         s = text.strip()
         if not s:
             raise ParseError("empty affine expression")
+        # Spaces may surround operators, never join two numbers or names.
+        if re.search(r"[\w.]\s+[\w.]", s):
+            raise ParseError(f"missing operator in {text!r}")
         # Normalize so every term carries an explicit sign, then split.
         s = s.replace("- ", "-").replace("+ ", "+")
         chunks = re.split(r"(?=[+-])", s.replace(" ", ""))

@@ -3,27 +3,23 @@
 Constraints are pairs (affine expression, relation) with relation one of
 'ge' (>= 0), 'gt' (> 0), or 'eq' (= 0).  The kernel works on integer rows:
 ``encode`` turns each constraint into the tuple (const, c_1, ..., c_m) over
-fixed variable columns, scaled by a positive rational to coprime integers.
-Equalities are eliminated by substitution first, on the row's first nonzero
-column; inequalities by pairwise combination, in the caller's column order.
-Every step is an integer combination of two rows followed by division by the
-gcd, so elimination does no rational arithmetic.  When a system is feasible,
-a rational point (``fractions.Fraction``) is reconstructed by
+fixed variable columns, scaled by a positive rational to coprime integers,
+and ``decode`` turns a row back into a constraint.  Equalities are
+eliminated by substitution first, on the row's first nonzero column;
+inequalities by pairwise combination, in the caller's column order.  Every
+step is an integer combination of two rows followed by division by the gcd,
+so elimination does no rational arithmetic.  When a system is feasible, a
+rational point (``fractions.Fraction``) is reconstructed by
 back-substitution, the only step that builds a ``Fraction``.
 
-There are two entry points, and every feasible verdict of either is
-certified by a point that satisfies the system:
-
-- ``check_feasible(constraints, variables)`` takes ``AffineExpr``
-  constraints and returns the point as a witness, a dict from variable name
-  to value.  The witness is checked against the caller's constraints, in
-  rational arithmetic, before it is returned.
-- ``rows_feasible(rows, order)`` takes rows that the caller encoded once and
-  returns the verdict alone.  The point is checked against the rows, in
-  integer arithmetic over the common denominator of its coordinates.  The
-  f-vector census, ``prune_redundant`` and the fan check use it.
-
-A failed check raises RuntimeError.  An infeasible verdict is the one
+``rows_point(rows, order)`` is the one entry point of the kernel: it
+returns a point of a system of rows, or None.  Every point is certified:
+it is checked against every row in integer arithmetic, over the common
+denominator of its coordinates, and a failed check raises RuntimeError.
+``prune_rows`` drops implied inequalities with one ``rows_point`` call
+each.  ``check_feasible`` and ``prune_redundant`` wrap them for
+``AffineExpr`` constraints; the witness of ``check_feasible`` is checked
+against the caller's constraints too.  An infeasible verdict is the one
 Fourier-Motzkin reaches: a combination of the rows that is a violated
 constant.  No floating point is used anywhere.
 """
@@ -65,11 +61,6 @@ def normalize(c: Constraint) -> Constraint:
     const, *coeffs = _coprime(expr)
     terms = tuple((name, Fraction(k)) for (name, _), k in zip(expr.terms, coeffs))
     return (AffineExpr(Fraction(const), terms), rel)
-
-
-def _constraint_key(c: Constraint):
-    expr, rel = c
-    return (rel, expr.const, expr.terms)
 
 
 def _reduced(row: Row) -> Row:
@@ -199,29 +190,58 @@ def encode(constraints: list[Constraint], index: dict[str, int]) -> list[tuple[R
     return rows
 
 
-def rows_feasible(rows: list[tuple[Row, str]], order: list[int]) -> bool:
-    """Is the system of reduced integer rows feasible over the rationals?
+def decode(row: Row, names: list[str], rel: str) -> Constraint:
+    """The constraint of ``row``; column k is the variable ``names[k - 1]``."""
+    terms = tuple((name, Fraction(k)) for name, k in zip(names, row[1:]) if k)
+    return (AffineExpr(Fraction(row[0]), terms), rel)
+
+
+def rows_point(rows: list[tuple[Row, str]], order: list[int]) -> dict[int, Fraction] | None:
+    """A point of the system of reduced integer rows, or None if it has none.
 
     Phase 2 eliminates the columns in ``order``, which must list every
-    column.  A feasible verdict is certified: the back-substituted point is
-    checked against every row in integer arithmetic, over the common
-    denominator of its coordinates, and a failed check raises RuntimeError.
+    column; the point maps each column to its value, in the order
+    back-substitution assigns them.  It is certified: it is checked against
+    every row in integer arithmetic, over the common denominator of its
+    coordinates, and a failed check raises RuntimeError.
     """
-    if not rows:
-        return True
     record = _eliminate(list(rows), order)
     if record is None:
-        return False
+        return None
     vals = _back_substitute(record)
     den = lcm(*(q.denominator for q in vals.values()))
-    point = [0] * len(rows[0][0])
-    point[0] = den
+    point = [den] + [0] * len(order)
     for p, q in vals.items():
         point[p] = q.numerator * (den // q.denominator)
     for row, rel in rows:
         if not _holds(sum(map(mul, row, point)), rel):
             raise RuntimeError(f"witness reconstruction failed on row {row} {rel} 0")
-    return True
+    return vals
+
+
+def prune_rows(rows: list[tuple[Row, str]], order: list[int]) -> list[tuple[Row, str]]:
+    """Drop the copies of a row and the 'ge' rows implied by the rest.
+
+    A non-constant 'ge' row is implied iff the rest together with its strict
+    negation is infeasible; a constant one iff it holds.  Rows of other
+    relations are kept.
+    """
+    kept = list(dict.fromkeys(rows))
+    i = 0
+    while i < len(kept):
+        row, rel = kept[i]
+        if rel != "ge":
+            redundant = False
+        elif not any(row[1:]):
+            redundant = row[0] >= 0
+        else:
+            negated = (tuple(-k for k in row), "gt")
+            redundant = rows_point(kept[:i] + kept[i + 1 :] + [negated], order) is None
+        if redundant:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
 
 
 def check_feasible(
@@ -240,12 +260,11 @@ def check_feasible(
         variables = sorted(names)
     columns = sorted(names.union(variables))
     index = {name: k for k, name in enumerate(columns, 1)}
-    rows = encode(constraints, index)
     order = [index[v] for v in [*variables, *sorted(names.difference(variables))]]
-    record = _eliminate(rows, order)
-    if record is None:
+    vals = rows_point(encode(constraints, index), order)
+    if vals is None:
         return Feasibility(False)
-    point = {columns[p - 1]: q for p, q in _back_substitute(record).items()}
+    point = {columns[p - 1]: q for p, q in vals.items()}
     for expr, rel in constraints:
         if not _holds(expr.evaluate(point), rel):
             raise RuntimeError(f"witness reconstruction failed on {expr} {rel} 0")
@@ -258,35 +277,14 @@ def prune_redundant(constraints: list[Constraint]) -> list[Constraint]:
     Intended for non-strict systems describing closed cells; the result is
     the unique irredundant (facet-defining) description of a full-dimensional
     polyhedron, up to positive scaling, which ``canonical_system`` fixes.
-    A constraint is implied iff the rest together with its strict negation
-    is infeasible; the system is encoded as integer rows once.
+    The system is encoded as integer rows once and pruned by ``prune_rows``;
+    the constraints come back normalized, in their first order.
     """
-    # Dedupe first so identical copies do not shadow each other.
-    seen: dict[tuple, Constraint] = {}
-    for c in map(normalize, constraints):
-        seen.setdefault(_constraint_key(c), c)
-    kept = list(seen.values())
-    names = sorted({name for expr, _ in kept for name in expr.variables})
-    rows = encode(kept, {name: k for k, name in enumerate(names, 1)})
-    order = list(range(1, len(names) + 1))
-    i = 0
-    while i < len(kept):
-        (expr, rel), (row, _) = kept[i], rows[i]
-        if rel != "ge":
-            redundant = False
-        elif expr.is_constant:
-            redundant = expr.const >= 0
-        else:
-            negated = (tuple(-k for k in row), "gt")
-            redundant = not rows_feasible(rows[:i] + rows[i + 1 :] + [negated], order)
-        if redundant:
-            kept.pop(i)
-            rows.pop(i)
-        else:
-            i += 1
-    return kept
+    names = sorted({name for expr, _ in constraints for name in expr.variables})
+    rows = encode(constraints, {name: k for k, name in enumerate(names, 1)})
+    return [decode(row, names, rel) for row, rel in prune_rows(rows, list(range(1, len(names) + 1)))]
 
 
 def canonical_system(constraints: list[Constraint]) -> tuple[tuple, ...]:
     """Deterministic hashable key for a pruned constraint system."""
-    return tuple(sorted(_constraint_key(normalize(c)) for c in constraints))
+    return tuple(sorted((rel, expr.const, expr.terms) for expr, rel in map(normalize, constraints)))

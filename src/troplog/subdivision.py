@@ -17,14 +17,7 @@ from math import gcd
 
 from .affine import AffineExpr, as_integer, fraction_str
 from .errors import IncompleteFan, LengthMismatch, ParseError, UnsupportedDimension
-from .feasibility import (
-    Constraint,
-    canonical_system,
-    check_feasible,
-    encode,
-    prune_redundant,
-    rows_feasible,
-)
+from .feasibility import Constraint, canonical_system, decode, encode, prune_rows, rows_point
 from .moduli import Cone, ConeComplex, _map_cones
 from .plfunction import ContactOrder, vertex_values
 from .tree import ValidationReport, VertexId
@@ -37,6 +30,11 @@ def _items(xs, what: str) -> list:
     if not isinstance(xs, (list, tuple)):
         raise ParseError(f"{what} {xs!r} is not a list")
     return list(xs)
+
+
+def _check_dim(dim: int) -> None:
+    if dim not in (1, 2):
+        raise UnsupportedDimension(f"fans are supported in dimension 1 or 2 only, got {dim}")
 
 
 def _primitive(v: Vector) -> Vector:
@@ -60,6 +58,7 @@ class FanCone:
 
     @staticmethod
     def of(gens, ambient: int) -> "FanCone":
+        _check_dim(ambient)
         rays = []
         for g in _items(gens, "generators"):
             v = tuple(as_integer(x, "coordinate") for x in _items(g, "generator"))
@@ -87,6 +86,7 @@ def _angle_cmp(a: Vector, b: Vector) -> int:
 
 
 def _derive_halfspaces(rays: tuple[Vector, ...], ambient: int):
+    """Halfspaces and dimension of the cone of ``rays`` (ambient 1 or 2)."""
     if ambient == 1:
         signs = {1 if r[0] > 0 else -1 for r in rays}
         if not signs:
@@ -96,29 +96,27 @@ def _derive_halfspaces(rays: tuple[Vector, ...], ambient: int):
         if signs == {-1}:
             return (((-1,), "ge"),), 1
         return (), 1
-    if ambient == 2:
-        if not rays:
-            return (((1, 0), "eq"), ((0, 1), "eq")), 0
-        if len(rays) == 1:
-            (gx, gy) = rays[0]
-            return (((-gy, gx), "eq"), ((gx, gy), "ge")), 1
-        # Candidate facet normals: rotations of the rays that see every ray
-        # on their nonnegative side.
-        candidates = []
-        for gx, gy in rays:
-            for n in ((-gy, gx), (gy, -gx)):
-                if all(n[0] * rx + n[1] * ry >= 0 for rx, ry in rays):
-                    if n not in candidates:
-                        candidates.append(_primitive(n))
-        pos = [n for n in candidates if tuple(-x for x in n) not in candidates]
-        eqs = sorted({max(n, tuple(-x for x in n)) for n in candidates if tuple(-x for x in n) in candidates})
-        if eqs:
-            # All rays on one line.
-            return tuple((n, "eq") for n in eqs), 1
-        if not pos:
-            return (), 2  # positively spanning: the whole plane
-        return tuple((n, "ge") for n in sorted(pos)), 2
-    raise UnsupportedDimension(f"fans only supported in dimension <= 2, got {ambient}")
+    if not rays:
+        return (((1, 0), "eq"), ((0, 1), "eq")), 0
+    if len(rays) == 1:
+        (gx, gy) = rays[0]
+        return (((-gy, gx), "eq"), ((gx, gy), "ge")), 1
+    # Candidate facet normals: rotations of the rays that see every ray
+    # on their nonnegative side.
+    candidates = []
+    for gx, gy in rays:
+        for n in ((-gy, gx), (gy, -gx)):
+            if all(n[0] * rx + n[1] * ry >= 0 for rx, ry in rays):
+                if n not in candidates:
+                    candidates.append(_primitive(n))
+    pos = [n for n in candidates if tuple(-x for x in n) not in candidates]
+    eqs = sorted({max(n, tuple(-x for x in n)) for n in candidates if tuple(-x for x in n) in candidates})
+    if eqs:
+        # All rays on one line.
+        return tuple((n, "eq") for n in eqs), 1
+    if not pos:
+        return (), 2  # positively spanning: the whole plane
+    return tuple((n, "ge") for n in sorted(pos)), 2
 
 
 @dataclass(frozen=True)
@@ -129,6 +127,7 @@ class Fan:
 
     @staticmethod
     def of(gens_list, dim: int, complete: bool = True) -> "Fan":
+        _check_dim(dim)
         return Fan(dim, tuple(FanCone.of(g, dim) for g in gens_list), complete)
 
     @staticmethod
@@ -141,9 +140,8 @@ class Fan:
         """Single non-strictly convex cone equal to the whole space."""
         if dim == 1:
             return Fan.of([[(1,), (-1,)]], 1)
-        if dim == 2:
-            return Fan.of([[(1, 0), (-1, 0), (0, 1), (0, -1)]], 2)
-        raise UnsupportedDimension(f"dimension {dim} not supported")
+        _check_dim(dim)
+        return Fan.of([[(1, 0), (-1, 0), (0, 1), (0, -1)]], 2)
 
     def maximal_cones(self) -> list[tuple[int, FanCone]]:
         return [(i, c) for i, c in enumerate(self.cones) if c.dim == self.dim]
@@ -239,8 +237,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
     or disjoint from each open face of the other; so every pair of open
     faces with different keys must have no common point.
     """
-    if fan.dim > 2:
-        raise UnsupportedDimension("fan validation supported only for dimension <= 2")
+    _check_dim(fan.dim)
     faces = [
         [(key, encode(_pullback(face, _XSYMS), _XINDEX)) for key, face in _open_faces(c, fan.rays).items()]
         for c in fan.cones
@@ -249,7 +246,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
     problems = [
         f"intersection of cones {i} and {j} is not a face of both"
         for (i, fi), (j, fj) in itertools.combinations(enumerate(faces), 2)
-        if any(a != b and rows_feasible(sa + sb, order) for a, sa in fi for b, sb in fj)
+        if any(a != b and rows_point(sa + sb, order) is not None for a, sa in fi for b, sb in fj)
     ]
     if fan.complete:
         problems.extend(_coverage_problems(fan))
@@ -334,6 +331,40 @@ def _images(
     return out
 
 
+def _search(slots: list[list], order: list[int]):
+    """Yield (option indices, rows, certified point) for each feasible choice
+    of one option (a list of rows, or None) per slot, depth first, dropping
+    every prefix the kernel rejects."""
+
+    def visit(depth: int, picks: tuple[int, ...], rows: list, point):
+        if depth == len(slots):
+            yield picks, rows, point
+            return
+        for i, option in enumerate(slots[depth]):
+            if option is None:
+                continue
+            extended = rows + option
+            child = rows_point(extended, order)
+            if child is not None:
+                yield from visit(depth + 1, (*picks, i), extended, child)
+
+    return visit(0, (), [], rows_point([], order))
+
+
+def _coordinates(K: Cone) -> tuple[list[str], dict[str, int], list[int]]:
+    """K's coordinates, their columns (sorted) and the elimination order."""
+    coords = [c.name for c in K.coords]
+    index = {name: k for k, name in enumerate(sorted(coords), 1)}
+    return coords, index, [index[c] for c in coords]
+
+
+def _strict_walls(rows: list) -> list | None:
+    """The non-constant rows made strict; None if a constant row fails."""
+    if any(not any(row[1:]) and row[0] < 0 for row, _ in rows):
+        return None
+    return [(row, "gt") for row, _ in rows if any(row[1:])]
+
+
 def subdivide_cone(
     K: Cone,
     vertex_functionals: dict[tuple[VertexId, int], AffineExpr],
@@ -343,46 +374,30 @@ def subdivide_cone(
 
     Each cell fixes, for every vertex, the fan cone containing its image
     vector of values; a cell survives iff it meets the interior of K, and
-    identical cells arising from different assignments are merged.
+    identical cells arising from different assignments are merged.  The
+    search has one strict slot per nonnegative coordinate of K, then one
+    slot per distinct image, with one option per maximal fan cone.
     """
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
     images = _images(vertex_functionals, fan.dim)
-    vertices = list(images)
-    base: list[Constraint] = [(ineq, "ge") for ineq in K.inequalities]
+    distinct = list(dict.fromkeys(images.values()))
     maximal = fan.maximal_cones()
-    coords = [c.name for c in K.coords]
-
-    # The constraints that put vertex v into maximal cone `pick`, built once
-    # per (v, pick) instead of once per assignment.
-    walls = {
-        (v, pick): _pullback(fc.halfspaces, images[v])
-        for v in vertices
-        for pick, (_, fc) in enumerate(maximal)
-    }
+    coords, index, order = _coordinates(K)
+    names = sorted(coords)
+    slots = [[encode([(h, "gt")], index)] for h in K.inequalities]
+    for image in distinct:
+        slots.append([_strict_walls(encode(_pullback(fc.halfspaces, image), index)) for _, fc in maximal])
 
     cells: dict[tuple, SubdividedCell] = {}
-    for choice in itertools.product(range(len(maximal)), repeat=len(vertices)):
-        constraints = list(base)
-        for v, pick in zip(vertices, choice):
-            constraints += walls[(v, pick)]
-        if any(e.is_constant and e.const < 0 for e, _ in constraints):
-            continue
-        # Interior test: strict versions of the nontrivial constraints;
-        # identically-satisfied walls (e.g. a functional that is 0 on all
-        # of K) impose nothing.
-        interior = check_feasible(
-            [(e, "gt") for e, _ in constraints if not e.is_constant], coords
-        )
-        if not interior.feasible:
-            continue
-        pruned = prune_redundant([(e, "ge") for e, _ in constraints if not e.is_constant])
-        halfspaces = tuple(sorted((e for e, _ in pruned), key=str))
+    for picks, rows, point in _search(slots, order):
+        cone_of = dict(zip(distinct, picks[len(K.inequalities) :]))
+        facets = prune_rows([(row, "ge") for row, _ in rows], order)
         cell = SubdividedCell(
             parent=K.name,
-            assignment=tuple((str(v), maximal[pick][0]) for v, pick in zip(vertices, choice)),
-            halfspaces=halfspaces,
-            witness=tuple(sorted((k, interior.witness[k]) for k in coords)),
+            assignment=tuple((str(v), maximal[cone_of[image]][0]) for v, image in images.items()),
+            halfspaces=tuple(sorted((decode(row, names, rel)[0] for row, rel in facets), key=str)),
+            witness=tuple(sorted((c, point[index[c]]) for c in coords)),
             dim=K.dim,
         )
         cells.setdefault(cell.key, cell)
@@ -410,31 +425,19 @@ def face_census(
 
     A relatively open face of the subdivision is a relatively open face of
     K together with one relatively open face of the fan for each vertex
-    image.  The choices are fixed one slot at a time, depth first, and a
-    prefix the feasibility kernel rejects is dropped: first one slot per
+    image.  The faces are the leaves of the search over one slot per
     nonnegative coordinate of K (zero or positive), then one per distinct
-    image vector.  Each choice is encoded as integer rows once, over K's
+    image vector, each choice encoded as integer rows once, over K's
     coordinates.  A face has dimension #coords - rank of its equalities.
     """
-    coords = [c.name for c in K.coords]
-    index = {name: k for k, name in enumerate(sorted(coords), 1)}
-    order = [index[c] for c in coords]
+    coords, index, order = _coordinates(K)
     slots = [[encode([(h, rel)], index) for rel in ("eq", "gt")] for h in K.inequalities]
     for image in dict.fromkeys(_images(functionals, fan.dim).values()):
         slots.append([encode(_pullback(face, image), index) for face in fan.open_faces])
     counts: dict[int, int] = {}
-
-    def visit(depth: int, rows: list) -> None:
-        if depth == len(slots):
-            d = len(coords) - _rank([row[1:] for row, rel in rows if rel == "eq"])
-            counts[d] = counts.get(d, 0) + 1
-            return
-        for choice in slots[depth]:
-            extended = rows + choice
-            if rows_feasible(extended, order):
-                visit(depth + 1, extended)
-
-    visit(0, [])
+    for _, rows, _ in _search(slots, order):
+        d = len(coords) - _rank([row[1:] for row, rel in rows if rel == "eq"])
+        counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
 
 

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Seven former library functions are the exception, kept so
+grid search.  Eight former library functions are the exception, kept so
 that their replacements can be required to give the same results:
 ``contraction_tree_types``, the type enumeration by leg insertion and
 edge contraction, ``fraction_check_feasible``, the rational
@@ -16,7 +16,9 @@ face of each cone containing it, and ``witness_face_census`` and
 ``check_feasible`` call (a witness, from a fresh encoding of the
 ``AffineExpr`` constraints) per test, and ``affine_product_decomposition``,
 the product certificate that computed every splitting with
-``vertex_values`` and checked the face maps with ``AffineExpr`` arithmetic.
+``vertex_values`` and checked the face maps with ``AffineExpr`` arithmetic,
+and ``assignment_subdivide_cone``, the cell search over all
+|maximal cones|^|V| assignments of vertices to fan cones.
 """
 
 from __future__ import annotations
@@ -41,12 +43,14 @@ from troplog import (
     splitting_at_leg,
     splitting_expr,
 )
+from troplog.errors import IncompleteFan
 from troplog.feasibility import (
     Constraint,
     Feasibility,
     canonical_system,
     check_feasible,
     normalize,
+    prune_redundant,
 )
 from troplog.moduli import TRANSLATION_COORD, Cone
 from troplog.subdivision import _XSYMS, Fan, SubdividedCell, _images, _pullback
@@ -453,6 +457,62 @@ def witness_prune_redundant(constraints: list[Constraint]) -> list[Constraint]:
         else:
             i += 1
     return kept
+
+
+def assignment_subdivide_cone(
+    K: Cone,
+    vertex_functionals: dict[tuple[VertexId, int], AffineExpr],
+    fan: Fan,
+) -> list[SubdividedCell]:
+    """Maximal cells of the pullback subdivision of K along the fan, by
+    brute force over all |maximal cones|^|V| assignments.
+
+    Each cell fixes, for every vertex, the fan cone containing its image
+    vector of values; a cell survives iff it meets the interior of K, and
+    identical cells arising from different assignments are merged.
+    """
+    if not fan.complete:
+        raise IncompleteFan("subdivision requires a complete target fan")
+    images = _images(vertex_functionals, fan.dim)
+    vertices = list(images)
+    base: list[Constraint] = [(ineq, "ge") for ineq in K.inequalities]
+    maximal = fan.maximal_cones()
+    coords = [c.name for c in K.coords]
+
+    # The constraints that put vertex v into maximal cone `pick`, built once
+    # per (v, pick) instead of once per assignment.
+    walls = {
+        (v, pick): _pullback(fc.halfspaces, images[v])
+        for v in vertices
+        for pick, (_, fc) in enumerate(maximal)
+    }
+
+    cells: dict[tuple, SubdividedCell] = {}
+    for choice in itertools.product(range(len(maximal)), repeat=len(vertices)):
+        constraints = list(base)
+        for v, pick in zip(vertices, choice):
+            constraints += walls[(v, pick)]
+        if any(e.is_constant and e.const < 0 for e, _ in constraints):
+            continue
+        # Interior test: strict versions of the nontrivial constraints;
+        # identically-satisfied walls (e.g. a functional that is 0 on all
+        # of K) impose nothing.
+        interior = check_feasible(
+            [(e, "gt") for e, _ in constraints if not e.is_constant], coords
+        )
+        if not interior.feasible:
+            continue
+        pruned = prune_redundant([(e, "ge") for e, _ in constraints if not e.is_constant])
+        halfspaces = tuple(sorted((e for e, _ in pruned), key=str))
+        cell = SubdividedCell(
+            parent=K.name,
+            assignment=tuple((str(v), maximal[pick][0]) for v, pick in zip(vertices, choice)),
+            halfspaces=halfspaces,
+            witness=tuple(sorted((k, interior.witness[k]) for k in coords)),
+            dim=K.dim,
+        )
+        cells.setdefault(cell.key, cell)
+    return [cells[k] for k in sorted(cells)]
 
 
 def wall_face_census(K: Cone, cells: list[SubdividedCell]) -> dict[int, int]:

@@ -53,3 +53,15 @@ def test_plain_rationals_still_read():
     assert as_fraction("-7/21") == Fraction(-1, 3)
     assert as_fraction(" 12 ") == 12
     assert AffineExpr.parse("e + 1") == AffineExpr.symbol("e") + 1
+
+
+@pytest.mark.parametrize("text", ["1 2", "c d", "2 c", "c 2", "1/2 x", "c + d e", "1. 5"])
+def test_parse_rejects_tokens_joined_by_spaces(text):
+    with pytest.raises(ParseError, match="missing operator"):
+        AffineExpr.parse(text)
+
+
+def test_spaces_around_operators_still_read():
+    assert AffineExpr.parse(" c  +  2 * l_e0 -  1 / 2 ") == AffineExpr.parse("c + 2*l_e0 - 1/2")
+    e = AffineExpr.symbol("c") - AffineExpr.symbol("d") * Fraction(3, 2) + 4
+    assert AffineExpr.parse(str(e)) == e

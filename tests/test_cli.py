@@ -129,6 +129,19 @@ class TestExtend:
         code, env = capture(["extend", path_tree, "--sigma", "2,-1,-1", "--base-value", "1e5000"])
         assert code == 2 and env["status"] == "ParseError"
 
+    def test_spaced_tokens_parse_error(self, capture, path_tree, tmp_path):
+        # "1 2" is not the number 12, nor "c d" the symbol cd: both in
+        # --base-value and in the base_value of a PL document.
+        for value in ("1 2", "c d"):
+            code, env = capture(["extend", path_tree, "--sigma", "2,-1,-1", "--base-value", value])
+            assert (code, env["status"]) == (2, "ParseError"), value
+            _, env = capture(["extend", path_tree, "--sigma", "2,-1,-1"])
+            plf = tmp_path / "f.json"
+            plf.write_text(json.dumps({**env["payload"], "base_value": value}))
+            code, env = capture(["multidegree", str(plf)])
+            assert (code, env["status"]) == (2, "ParseError"), value
+            assert "missing operator" in env["payload"]["message"]
+
     def test_unknown_basepoint(self, capture, path_tree):
         code, env = capture(["extend", path_tree, "--sigma", "2,-1,-1", "--basepoint", "zz"])
         assert code == 2 and env["payload"]["message"] == "basepoint 'zz' is not a vertex"
@@ -578,6 +591,27 @@ def test_random_fan_documents_give_one_envelope(doc):
             env = json.loads(lines[0])
             assert env["status"] in troplog.cli.EXIT_CODES, (env, doc)
             assert code == troplog.cli.EXIT_CODES[env["status"]], (env, doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 0, "cones": []},
+        {"dim": -1, "cones": []},
+        {"dim": 0, "cones": [{"gens": []}]},
+        {"dim": -1, "cones": [{"gens": [[]]}]},
+        {"dim": 3, "cones": []},
+    ],
+)
+def test_fan_dimension_outside_one_and_two(capture, tmp_path, doc):
+    # A fan of dimension <= 0 got a report of 2-D probes (or, with a cone,
+    # another message); every dimension but 1 and 2 gets one refusal.
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate-fan", str(path)], ["subdivide", "--n", "3", "--sigma", "1,1,-2", "--fan", str(path)]):
+        code, env = capture(argv)
+        assert (code, env["status"]) == (5, "UnsupportedDimension"), argv
+        assert env["payload"]["message"] == f"fans are supported in dimension 1 or 2 only, got {doc['dim']}"
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 
 import troplog.feasibility
 from troplog import AffineExpr, check_feasible, prune_redundant
-from troplog.feasibility import canonical_system, encode, rows_feasible
+from troplog.feasibility import canonical_system, encode, rows_point
 
 x = AffineExpr.symbol("x")
 y = AffineExpr.symbol("y")
@@ -97,23 +97,35 @@ def _encoded(constraints, variables):
 
 
 def test_row_path_verdicts():
-    assert rows_feasible(*_encoded([(x, "ge"), (-x, "ge")], []))
-    assert not rows_feasible(*_encoded([(x - 1, "ge"), (-x, "ge")], []))
-    assert not rows_feasible(*_encoded([(x, "eq"), (x - 1, "eq")], []))
-    assert rows_feasible(*_encoded([(x - y, "gt"), (y, "gt")], ["z"]))
-    assert rows_feasible([], [1, 2])
+    assert rows_point(*_encoded([(x, "ge"), (-x, "ge")], [])) is not None
+    assert rows_point(*_encoded([(x - 1, "ge"), (-x, "ge")], [])) is None
+    assert rows_point(*_encoded([(x, "eq"), (x - 1, "eq")], [])) is None
+    assert rows_point(*_encoded([(x - y, "gt"), (y, "gt")], ["z"])) is not None
+    assert rows_point([], [1, 2]) is not None
+
+
+def test_rows_point_values():
+    # The empty system gets zeros over the order; otherwise the point is
+    # the one check_feasible reports, by column.
+    assert rows_point([], [2, 1]) == {1: 0, 2: 0}
+    assert rows_point(*_encoded([(x - 1, "ge"), (-x + 3, "ge"), (y - x, "eq")], [])) == {1: 2, 2: 2}
+    constraints = [(x * 2 - 1, "gt"), (-x + y, "ge"), (-y + 4, "gt")]
+    point = rows_point(*_encoded(constraints, []))
+    assert point == {2: Fraction(9, 4), 1: Fraction(11, 8)} and list(point) == [2, 1]
+    assert {"xy"[p - 1]: q for p, q in point.items()} == check_feasible(constraints).witness
+    assert all(type(q) is Fraction for q in point.values())
 
 
 def test_row_path_certifies_its_witness(monkeypatch):
     # A wrong back-substituted point must raise, never pass as a verdict.
     rows, order = _encoded([(x, "ge"), (-x + 1, "ge"), (y - x, "gt")], [])
-    assert rows_feasible(rows, order)
+    assert rows_point(rows, order) is not None
     back = troplog.feasibility._back_substitute
     monkeypatch.setattr(
         troplog.feasibility, "_back_substitute", lambda record: {p: q + 5 for p, q in back(record).items()}
     )
     with pytest.raises(RuntimeError):
-        rows_feasible(rows, order)
+        rows_point(rows, order)
     with pytest.raises(RuntimeError):
         check_feasible([(x, "ge"), (-x + 1, "ge"), (y - x, "gt")])
 
@@ -142,7 +154,7 @@ def test_fraction_oracle_agreement():
         got = check_feasible(constraints, variables)
         want = fraction_check_feasible(constraints, variables)
         assert got.feasible == want.feasible, constraints
-        assert rows_feasible(*_encoded(constraints, variables)) == want.feasible, constraints
+        assert (rows_point(*_encoded(constraints, variables)) is not None) == want.feasible, constraints
         assert got.witness == want.witness, constraints
         if got.feasible:
             assert list(got.witness) == list(want.witness)

@@ -318,14 +318,17 @@ def test_plane_f_vectors_count_cells_and_faces(n):
 )
 def test_subdivision_matches_fraction_kernel(monkeypatch, fan, sigma):
     # The whole subdivision, f-vectors and witnesses included, is the same
-    # when every feasibility call goes through the former Fraction kernel.
-    import troplog.feasibility
+    # when the cells come from the assignment oracle, the f-vectors from the
+    # witness census, and every feasibility call of both goes through the
+    # former Fraction kernel.
+    import oracles
     import troplog.subdivision
-    from oracles import fraction_check_feasible
 
     expected_json = subdivide_map_moduli(4, sigma, fan).to_json()
-    monkeypatch.setattr(troplog.feasibility, "check_feasible", fraction_check_feasible)
-    monkeypatch.setattr(troplog.subdivision, "check_feasible", fraction_check_feasible)
+    monkeypatch.setattr(oracles, "check_feasible", oracles.fraction_check_feasible)
+    monkeypatch.setattr(oracles, "prune_redundant", oracles.witness_prune_redundant)
+    monkeypatch.setattr(troplog.subdivision, "subdivide_cone", oracles.assignment_subdivide_cone)
+    monkeypatch.setattr(troplog.subdivision, "face_census", oracles.witness_face_census)
     assert subdivide_map_moduli(4, sigma, fan).to_json() == expected_json
 
 
@@ -336,10 +339,11 @@ def test_subdivision_matches_fraction_kernel(monkeypatch, fan, sigma):
     ids=[name for _, name in ONE_DIM_FANS] + ["plane", "quadrants"],
 )
 def test_row_path_matches_witness_oracles(monkeypatch, fan, cases):
-    # The census and the pruning on integer rows must give the f-vectors and
-    # the pruned systems of their former check_feasible versions.
-    import troplog.subdivision
-    from oracles import witness_face_census, witness_prune_redundant
+    # The cells and the census on integer rows must give the cells, the
+    # pruned systems and the f-vectors of their former check_feasible
+    # versions.
+    import oracles
+    from oracles import assignment_subdivide_cone, witness_face_census, witness_prune_redundant
 
     systems = []
 
@@ -349,13 +353,57 @@ def test_row_path_matches_witness_oracles(monkeypatch, fan, cases):
         systems.append(got)
         return got
 
-    monkeypatch.setattr(troplog.subdivision, "prune_redundant", both)
+    monkeypatch.setattr(oracles, "prune_redundant", both)
     for n, sigma in cases:
         sub = subdivide_map_moduli(n, sigma, fan)
         for key, K in sub.complex.cones.items():
+            assert sub.cells[key] == assignment_subdivide_cone(K, sub.functionals[key], fan), (n, sigma, key)
             got = face_census(K, sub.functionals[key], fan)
             assert got == witness_face_census(K, sub.functionals[key], fan), (n, sigma, key)
     assert systems
+
+
+HALF_PLANES = Fan.of([[(1, 0), (-1, 0), (0, 1)], [(1, 0), (-1, 0), (0, -1)], [(1, 0), (-1, 0)]], 2)
+ORACLE_FANS = ONE_DIM_FANS + [
+    (Fan.trivial(2), "trivial-2d"),
+    (PLANE, "plane"),
+    (PLANE_FULL, "plane-full"),
+    (QUADRANTS, "quadrants"),
+    (HALF_PLANES, "half-planes"),
+]
+
+
+def oracle_cases(fan, name):
+    """At n = 3, 4, and at n = 5 for P1 and the plane: slopes of one sign
+    but one, mixed slopes, and zero slopes, which give vertices of equal
+    image; in the plane also a zero second function and equal images."""
+    ns = (3, 4, 5) if name in ("p1", "plane") else (3, 4)
+    if fan.dim == 1:
+        return [(len(s), ContactOrder.of(s)) for s in CENSUS_SIGMAS if len(s) in ns]
+    cases = []
+    for n in ns:
+        zero_slopes = (1,) + (0,) * (n - 2) + (-1,)
+        cases += [
+            (n, plane_sigmas(n)),
+            (n, [plane_sigmas(n)[0], ContactOrder.of((0,) * n)]),
+            (n, [ContactOrder.of(zero_slopes), ContactOrder.of(tuple(2 * a for a in zero_slopes))]),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("fan, name", ORACLE_FANS, ids=[name for _, name in ORACLE_FANS])
+def test_cells_match_assignment_oracle(monkeypatch, fan, name):
+    # The depth-first cell search must reproduce the former brute force over
+    # all |maximal cones|^|V| assignments, byte for byte.
+    import troplog.subdivision
+    from oracles import assignment_subdivide_cone
+
+    assert validate_fan(fan).ok
+    for n, sigma in oracle_cases(fan, name):
+        got = subdivide_map_moduli(n, sigma, fan).to_json()
+        with monkeypatch.context() as m:
+            m.setattr(troplog.subdivision, "subdivide_cone", assignment_subdivide_cone)
+            assert got == subdivide_map_moduli(n, sigma, fan).to_json(), (n, sigma)
 
 
 def test_functionals_computed_once(monkeypatch):
