@@ -29,11 +29,9 @@ _PUBLIC = {
         "ConeComplex",
         "FaceMap",
         "IsomorphismReport",
-        "SelfMapNormalForm",
         "TropicalMapPoint",
         "build_map_moduli",
         "build_moduli_complex",
-        "classify_self_map",
         "product_decomposition",
         "splitting_at_leg",
         "splitting_expr",
@@ -51,6 +49,7 @@ _PUBLIC = {
         "vertex_values",
     ),
     "feasibility": ("check_feasible", "prune_redundant"),
+    "selfmap": ("SelfMapNormalForm", "classify_self_map"),
     "subdivision": (
         "Fan",
         "FanCone",

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from . import affine, errors, moduli, plfunction, subdivision, tree
+from . import affine, errors, moduli, plfunction, selfmap, subdivision, tree
 
 EXIT_CODES = {
     "ok": 0,
@@ -132,14 +132,14 @@ def cmd_validate_fan(args) -> dict:
 
 
 def cmd_selfmap(args) -> dict:
-    nf = moduli.classify_self_map(args.r, args.a)
+    nf = selfmap.classify_self_map(args.r, args.a)
     if args.compose:
         r2, a2 = args.compose
         try:
             r2 = int(r2)
         except ValueError as exc:
             raise errors.ParseError(f"bad --compose degree {r2!r}: {exc}") from exc
-        nf = nf.compose(moduli.classify_self_map(r2, a2))
+        nf = nf.compose(selfmap.classify_self_map(r2, a2))
     return nf.to_json()
 
 

@@ -12,10 +12,12 @@ so elimination does no rational arithmetic.  When a system is feasible, a
 rational point (``fractions.Fraction``) is reconstructed by
 back-substitution, the only step that builds a ``Fraction``.
 
-``rows_point(rows, order)`` is the one entry point of the kernel: it
-returns a point of a system of rows, or None.  Every point is certified:
-it is checked against every row in integer arithmetic, over the common
-denominator of its coordinates, and a failed check raises RuntimeError.
+``rows_point(rows, order)`` is the entry point of the kernel: it returns
+a point of a system of rows, or None; ``rows_scaled_point`` returns the
+same point as integers over the common denominator of its coordinates.
+Every point is certified: it is checked against every row in integer
+arithmetic, over that denominator, and a failed check raises RuntimeError.
+``holds_at`` makes the same check of a scaled point against other rows.
 ``prune_rows`` drops implied inequalities with one ``rows_point`` call
 each.  ``check_feasible`` and ``prune_redundant`` wrap them for
 ``AffineExpr`` constraints; the witness of ``check_feasible`` is checked
@@ -196,15 +198,8 @@ def decode(row: Row, names: list[str], rel: str) -> Constraint:
     return (AffineExpr(Fraction(row[0]), terms), rel)
 
 
-def rows_point(rows: list[tuple[Row, str]], order: list[int]) -> dict[int, Fraction] | None:
-    """A point of the system of reduced integer rows, or None if it has none.
-
-    Phase 2 eliminates the columns in ``order``, which must list every
-    column; the point maps each column to its value, in the order
-    back-substitution assigns them.  It is certified: it is checked against
-    every row in integer arithmetic, over the common denominator of its
-    coordinates, and a failed check raises RuntimeError.
-    """
+def _certified_point(rows: list[tuple[Row, str]], order: list[int]):
+    """``rows_point`` together with the same point scaled to integers, or None."""
     record = _eliminate(list(rows), order)
     if record is None:
         return None
@@ -216,7 +211,32 @@ def rows_point(rows: list[tuple[Row, str]], order: list[int]) -> dict[int, Fract
     for row, rel in rows:
         if not _holds(sum(map(mul, row, point)), rel):
             raise RuntimeError(f"witness reconstruction failed on row {row} {rel} 0")
-    return vals
+    return vals, point
+
+
+def rows_point(rows: list[tuple[Row, str]], order: list[int]) -> dict[int, Fraction] | None:
+    """A point of the system of reduced integer rows, or None if it has none.
+
+    Phase 2 eliminates the columns in ``order``, which must list every
+    column; the point maps each column to its value, in the order
+    back-substitution assigns them.  It is certified: it is checked against
+    every row in integer arithmetic, over the common denominator of its
+    coordinates, and a failed check raises RuntimeError.
+    """
+    found = _certified_point(rows, order)
+    return None if found is None else found[0]
+
+
+def rows_scaled_point(rows: list[tuple[Row, str]], order: list[int]) -> list[int] | None:
+    """The point of ``rows_point`` as integers over the common denominator
+    of its coordinates, (den, den * x_1, ..., den * x_m), or None."""
+    found = _certified_point(rows, order)
+    return None if found is None else found[1]
+
+
+def holds_at(rows: list[tuple[Row, str]], point: list[int]) -> bool:
+    """Does the scaled point (see ``rows_scaled_point``) satisfy every row?"""
+    return all(_holds(sum(map(mul, row, point)), rel) for row, rel in rows)
 
 
 def prune_rows(rows: list[tuple[Row, str]], order: list[int]) -> list[tuple[Row, str]]:

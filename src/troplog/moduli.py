@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .affine import AffineExpr, Rat, as_fraction, fraction_str
+from .affine import AffineExpr
 from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, UnstableRange
 from .plfunction import (
     ContactOrder,
@@ -34,6 +34,16 @@ from .tree import (
 )
 
 TRANSLATION_COORD = "c"
+
+
+def __getattr__(name: str):
+    # The self-map names live in ``selfmap``; they stay importable from
+    # here, and reading one is what loads that module.
+    if name in ("SelfMapNormalForm", "classify_self_map"):
+        from . import selfmap
+
+        return getattr(selfmap, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -488,38 +498,3 @@ def stabilize(p: TropicalMapPoint) -> TropicalMapPoint:
             legs = tuple(Leg(l.label, w if l.at == v else l.at) for l in t.legs)
             new_tree = Tree(vertices, edges, legs)
         current = _rebuild(current, new_tree, values)
-
-
-# ---------------------------------------------------------------------------
-# Self-maps of the log torus
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SelfMapNormalForm:
-    """Normal form t -> degree * t + translation; kernel has |degree| elements."""
-
-    degree: int
-    translation: Fraction
-
-    @property
-    def kernel_order(self) -> int:
-        return abs(self.degree)
-
-    def compose(self, other: "SelfMapNormalForm") -> "SelfMapNormalForm":
-        """self after other: substitute other's map into self's."""
-        return SelfMapNormalForm(
-            self.degree * other.degree, self.translation + self.degree * other.translation
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "translation": fraction_str(self.translation),
-            "kernel_order": self.kernel_order,
-        }
-
-
-def classify_self_map(r: int, a: Rat) -> SelfMapNormalForm:
-    """Discrete classification data of a self-map of the log torus."""
-    return SelfMapNormalForm(int(r), as_fraction(a))

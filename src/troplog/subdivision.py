@@ -17,7 +17,16 @@ from math import gcd
 
 from .affine import AffineExpr, as_integer, fraction_str
 from .errors import IncompleteFan, LengthMismatch, ParseError, UnsupportedDimension
-from .feasibility import Constraint, canonical_system, decode, encode, prune_rows, rows_point
+from .feasibility import (
+    Constraint,
+    canonical_system,
+    decode,
+    encode,
+    holds_at,
+    prune_rows,
+    rows_point,
+    rows_scaled_point,
+)
 from .moduli import Cone, ConeComplex, _map_cones
 from .plfunction import ContactOrder, vertex_values
 from .tree import ValidationReport, VertexId
@@ -331,10 +340,18 @@ def _images(
     return out
 
 
-def _search(slots: list[list], order: list[int]):
+def _search(slots: list[list], order: list[int], carry: bool = False):
     """Yield (option indices, rows, certified point) for each feasible choice
     of one option (a list of rows, or None) per slot, depth first, dropping
-    every prefix the kernel rejects."""
+    every prefix the kernel rejects.
+
+    With ``carry`` only the verdicts are read, and each point is scaled to
+    integers (see ``rows_scaled_point``): a child keeps its parent's point
+    when that point satisfies the child's new rows, and the kernel runs
+    only when it does not.  The root, which has no rows, starts from the
+    point with every coordinate 1.
+    """
+    kernel = rows_scaled_point if carry else rows_point
 
     def visit(depth: int, picks: tuple[int, ...], rows: list, point):
         if depth == len(slots):
@@ -344,11 +361,11 @@ def _search(slots: list[list], order: list[int]):
             if option is None:
                 continue
             extended = rows + option
-            child = rows_point(extended, order)
+            child = point if carry and holds_at(option, point) else kernel(extended, order)
             if child is not None:
                 yield from visit(depth + 1, (*picks, i), extended, child)
 
-    return visit(0, (), [], rows_point([], order))
+    return visit(0, (), [], [1] * (len(order) + 1) if carry else rows_point([], order))
 
 
 def _coordinates(K: Cone) -> tuple[list[str], dict[str, int], list[int]]:
@@ -418,6 +435,34 @@ def _rank(rows: list[tuple[int, ...]]) -> int:
     return rank
 
 
+def _census(
+    K: Cone,
+    functionals: dict[tuple[VertexId, int], AffineExpr],
+    fan: Fan,
+    rels: tuple[str, ...],
+    carry: bool,
+) -> dict[int, int]:
+    """Faces of the pullback subdivision of K along the fan, by dimension,
+    inside the faces of K on which each nonnegative coordinate has one of
+    the relations ``rels`` to zero.
+
+    The faces are the leaves of the search over one slot per nonnegative
+    coordinate of K (an option per relation), then one per distinct image
+    vector (an option per relatively open fan face), each choice encoded as
+    integer rows once, over K's coordinates.  A face has dimension
+    #coords - rank of its equalities.
+    """
+    coords, index, order = _coordinates(K)
+    slots = [[encode([(h, rel)], index) for rel in rels] for h in K.inequalities]
+    for image in dict.fromkeys(_images(functionals, fan.dim).values()):
+        slots.append([encode(_pullback(face, image), index) for face in fan.open_faces])
+    counts: dict[int, int] = {}
+    for _, rows, _ in _search(slots, order, carry):
+        d = len(coords) - _rank([row[1:] for row, rel in rows if rel == "eq"])
+        counts[d] = counts.get(d, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def face_census(
     K: Cone, functionals: dict[tuple[VertexId, int], AffineExpr], fan: Fan
 ) -> dict[int, int]:
@@ -425,20 +470,19 @@ def face_census(
 
     A relatively open face of the subdivision is a relatively open face of
     K together with one relatively open face of the fan for each vertex
-    image.  The faces are the leaves of the search over one slot per
-    nonnegative coordinate of K (zero or positive), then one per distinct
-    image vector, each choice encoded as integer rows once, over K's
-    coordinates.  A face has dimension #coords - rank of its equalities.
+    image: the census runs over every face of K, each nonnegative
+    coordinate zero or positive.
     """
-    coords, index, order = _coordinates(K)
-    slots = [[encode([(h, rel)], index) for rel in ("eq", "gt")] for h in K.inequalities]
-    for image in dict.fromkeys(_images(functionals, fan.dim).values()):
-        slots.append([encode(_pullback(face, image), index) for face in fan.open_faces])
-    counts: dict[int, int] = {}
-    for _, rows, _ in _search(slots, order):
-        d = len(coords) - _rank([row[1:] for row, rel in rows if rel == "eq"])
-        counts[d] = counts.get(d, 0) + 1
-    return dict(sorted(counts.items()))
+    return _census(K, functionals, fan, ("eq", "gt"), carry=False)
+
+
+def _interior_census(
+    K: Cone, functionals: dict[tuple[VertexId, int], AffineExpr], fan: Fan
+) -> dict[int, int]:
+    """The faces of the pullback subdivision of K along the fan that lie in
+    the relative interior of K, by dimension: every nonnegative coordinate
+    positive.  Only verdicts are read, so the search carries points."""
+    return _census(K, functionals, fan, ("gt",), carry=True)
 
 
 @dataclass
@@ -449,12 +493,32 @@ class SubdividedComplex:
     functionals: dict[str, dict[tuple[VertexId, int], AffineExpr]]  # cone key -> its functionals
 
     def stats(self) -> dict:
+        """Cell counts and the f-vector of each cone's subdivision.
+
+        Every face of a map cone is the map cone of the contracted type, and
+        the subdivision restricts to it as that cone's own subdivision.  So
+        the f-vector of K is the sum of ``_interior_census`` over K and the
+        cones reached from it through ``CombinatorialType.facets``, each
+        searched once; distinct contracted split sets are distinct keys.
+        """
+
+        @functools.cache
+        def census(key: str) -> dict[int, int]:
+            return _interior_census(self.complex.cones[key], self.functionals[key], self.fan)
+
+        @functools.cache
+        def closure(key: str) -> frozenset[str]:
+            return frozenset({key}).union(*(closure(face) for face, _ in self.complex.types[key].facets))
+
+        def f_vector(key: str) -> dict[int, int]:
+            counts: dict[int, int] = {}
+            for face in closure(key):
+                for d, c in census(face).items():
+                    counts[d] = counts.get(d, 0) + c
+            return dict(sorted(counts.items()))
+
         per_cone = {
-            key: {
-                "max_cells": len(cs),
-                "dim": self.complex.cones[key].dim,
-                "f_vector": face_census(self.complex.cones[key], self.functionals[key], self.fan),
-            }
+            key: {"max_cells": len(cs), "dim": self.complex.cones[key].dim, "f_vector": f_vector(key)}
             for key, cs in self.cells.items()
         }
         return {

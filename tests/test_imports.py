@@ -9,10 +9,11 @@ import pytest
 import troplog
 
 SRC = str(Path(troplog.__file__).resolve().parents[1])
-SUBMODULES = ["affine", "errors", "feasibility", "moduli", "plfunction", "subdivision", "tree"]
+SUBMODULES = ["affine", "errors", "feasibility", "moduli", "plfunction", "selfmap", "subdivision", "tree"]
 
 # The names that `from troplog import *` binds, and the public names of
-# dir(troplog), as they were when __init__ imported every submodule.
+# dir(troplog), as they were when __init__ imported every submodule, and
+# the `selfmap` submodule.
 PUBLIC = [
     "AffineExpr", "CombinatorialType", "Cone", "ConeComplex", "ContactOrder", "Edge",
     "FaceMap", "Fan", "FanCone", "IncompleteFan", "IsomorphismReport", "Leg",
@@ -23,9 +24,9 @@ PUBLIC = [
     "canonicalize", "check_feasible", "classify_self_map", "contract_edge",
     "enumerate_tree_types", "errors", "extend_from_leg_slopes", "face_census", "feasibility",
     "is_balanced", "moduli", "multidegree", "plfunction", "plfunction_from_json",
-    "plfunction_to_json", "product_decomposition", "prune_redundant", "splitting_at_leg",
-    "splitting_expr", "stabilize", "subdivide_cone", "subdivide_map_moduli", "subdivision",
-    "tree", "tree_from_json", "tree_to_json", "validate_fan", "validate_tree", "vertex_values",
+    "plfunction_to_json", "product_decomposition", "prune_redundant", "selfmap",
+    "splitting_at_leg", "splitting_expr", "stabilize", "subdivide_cone", "subdivide_map_moduli",
+    "subdivision", "tree", "tree_from_json", "tree_to_json", "validate_fan", "validate_tree", "vertex_values",
 ]
 
 # Runs its argv through `python -m troplog.cli` and writes to stderr, as a
@@ -81,7 +82,7 @@ BASE = ["__init__", "affine", "cli", "errors", "tree"]
         (["validate", "tree.json"], BASE),
         (["extend", "tree.json", "--sigma", "1,1,-2"], BASE + ["plfunction"]),
         (["multidegree", "plf.json"], BASE + ["plfunction"]),
-        (["selfmap", "--r", "2", "--a", "1", "--compose", "3", "4"], BASE + ["moduli", "plfunction"]),
+        (["selfmap", "--r", "2", "--a", "1", "--compose", "3", "4"], ["__init__", "affine", "cli", "errors", "selfmap"]),
         (["moduli", "--n", "4"], BASE + ["moduli", "plfunction"]),
         (["validate-fan", "p1.fan"], BASE + ["feasibility", "moduli", "plfunction", "subdivision"]),
     ],
@@ -131,6 +132,16 @@ print(json.dumps([sorted(k for k in namespace if k != "__builtins__"), dir(tropl
     assert star == PUBLIC
     assert [n for n in names if not n.startswith("_")] == PUBLIC
     assert "__version__" in names
+
+
+def test_self_map_names_stay_in_moduli():
+    # perfbench/spans.py reads troplog.moduli.SelfMapNormalForm.
+    from troplog.moduli import SelfMapNormalForm, classify_self_map
+
+    assert SelfMapNormalForm is sys.modules["troplog.selfmap"].SelfMapNormalForm
+    assert classify_self_map is troplog.classify_self_map
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        sys.modules["troplog.moduli"].frobnicate
 
 
 def test_unknown_attribute():

@@ -317,19 +317,104 @@ def test_plane_f_vectors_count_cells_and_faces(n):
     ids=["p1", "plane"],
 )
 def test_subdivision_matches_fraction_kernel(monkeypatch, fan, sigma):
-    # The whole subdivision, f-vectors and witnesses included, is the same
-    # when the cells come from the assignment oracle, the f-vectors from the
-    # witness census, and every feasibility call of both goes through the
-    # former Fraction kernel.
+    # Each f-vector of stats() is the witness census of its cone, and the
+    # whole subdivision, witnesses included, is the same when the cells come
+    # from the assignment oracle; every feasibility call of both oracles
+    # goes through the former Fraction kernel.
     import oracles
     import troplog.subdivision
 
-    expected_json = subdivide_map_moduli(4, sigma, fan).to_json()
+    sub = subdivide_map_moduli(4, sigma, fan)
+    expected_json = sub.to_json()
     monkeypatch.setattr(oracles, "check_feasible", oracles.fraction_check_feasible)
     monkeypatch.setattr(oracles, "prune_redundant", oracles.witness_prune_redundant)
+    for key, entry in sub.stats()["per_cone"].items():
+        census = oracles.witness_face_census(sub.complex.cones[key], sub.functionals[key], fan)
+        assert entry["f_vector"] == census, key
     monkeypatch.setattr(troplog.subdivision, "subdivide_cone", oracles.assignment_subdivide_cone)
-    monkeypatch.setattr(troplog.subdivision, "face_census", oracles.witness_face_census)
     assert subdivide_map_moduli(4, sigma, fan).to_json() == expected_json
+
+
+P1_WITHOUT_ORIGIN = Fan.of([[(1,)], [(-1,)]], 1)
+P1_STATS_SIGMAS = [
+    (1, 1, -2), (1, 0, -1),
+    (1, 1, 1, -3), (2, -1, 1, -2), (1, 0, 0, -1),
+    (1, 1, 1, 1, -4), (2, -1, 1, -3, 1), (0, 1, 0, -1, 0),
+    (1, 1, 1, 1, 1, -5), (2, 0, -1, 1, -2, 0),
+]
+STATS_CASES = (
+    [pytest.param(P1, len(s), ContactOrder.of(s), id="p1-" + ",".join(map(str, s))) for s in P1_STATS_SIGMAS]
+    + [
+        pytest.param(P1_WITHOUT_ORIGIN, 5, ContactOrder.of(s), id="p1-without-origin-" + ",".join(map(str, s)))
+        for s in [(1, 1, 1, 1, -4), (2, -1, 1, -3, 1)]
+    ]
+    + [
+        pytest.param(fan, n, plane_sigmas(n), id=f"{name}-n{n}")
+        for fan, name in [(PLANE, "plane"), (QUADRANTS, "quadrants")]
+        for n in (3, 4)
+    ]
+)
+
+
+@pytest.mark.parametrize("fan, n, sigma", STATS_CASES)
+def test_stats_sum_interior_censuses_to_face_census(fan, n, sigma):
+    # stats() sums one interior census per face of a cone; the census over
+    # every face of the cone itself is the definition of its f-vector.
+    sub = subdivide_map_moduli(n, sigma, fan)
+    per_cone = sub.stats()["per_cone"]
+    assert sorted(per_cone) == sorted(sub.complex.cones)
+    for key, entry in per_cone.items():
+        assert entry["f_vector"] == face_census(sub.complex.cones[key], sub.functionals[key], fan), key
+
+
+def _holds(row, rel, point):
+    value = sum(Fraction(a * k, point[0]) for a, k in zip(row, point))
+    return value > 0 if rel == "gt" else value >= 0 if rel == "ge" else value == 0
+
+
+@pytest.mark.parametrize(
+    "fan, n, sigma",
+    [(P1, 5, ContactOrder.of([2, -1, 1, -3, 1])), (P1, 5, ContactOrder.of([0, 1, 0, -1, 0])), (PLANE, 4, plane_sigmas(4))],
+    ids=["p1", "p1-zero-slopes", "plane"],
+)
+def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
+    # The interior census carries a parent's point to a child whose new
+    # rows it satisfies.  At every depth, each node's point must satisfy
+    # all rows of the node, and the nodes must be those of the search that
+    # runs the kernel at every node, which runs it more often.
+    import troplog.subdivision as sd
+
+    search = sd._search
+    kernel_calls = {"carry": 0, "plain": 0}
+
+    def counted(name, kernel):
+        def call(rows, order):
+            kernel_calls[name] += 1
+            return kernel(rows, order)
+
+        return call
+
+    nodes = 0
+
+    def checked(slots, order, carry=False):
+        nonlocal nodes
+        assert carry
+        for depth in range(len(slots) + 1):
+            got = list(search(slots[:depth], order, carry=True))
+            plain = list(search(slots[:depth], order))
+            assert [(p, r) for p, r, _ in got] == [(p, r) for p, r, _ in plain]
+            for _, rows, point in got:
+                assert all(_holds(row, rel, point) for row, rel in rows), (rows, point)
+            nodes += len(got)
+        return iter(got)
+
+    sub = subdivide_map_moduli(n, sigma, fan)
+    monkeypatch.setattr(sd, "_search", checked)
+    monkeypatch.setattr(sd, "rows_scaled_point", counted("carry", sd.rows_scaled_point))
+    monkeypatch.setattr(sd, "rows_point", counted("plain", sd.rows_point))
+    sub.stats()
+    assert nodes > len(sub.complex.cones)
+    assert 0 < kernel_calls["carry"] < kernel_calls["plain"]
 
 
 @pytest.mark.parametrize(
