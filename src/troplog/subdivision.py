@@ -13,12 +13,14 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .affine import AffineExpr, as_integer, fraction_str
 from .errors import IncompleteFan, LengthMismatch, ParseError, UnsupportedDimension
 from .feasibility import (
-    Constraint,
+    Row,
+    _reduced,
     canonical_system,
     decode,
     encode,
@@ -190,27 +192,6 @@ class Fan:
         return Fan.of(gens_list, dim, complete)
 
 
-_XVARS = ("x0", "x1")
-_XSYMS = tuple(AffineExpr.symbol(x) for x in _XVARS)
-_XINDEX = {x: k for k, x in enumerate(_XVARS, 1)}
-
-
-def _pullback(system: System, image: tuple[AffineExpr, ...]) -> list[Constraint]:
-    """Pull target constraints (normal, rel) back along an image vector.
-
-    ``image[j]`` is the j-th coordinate of the image as an affine expression
-    in the source coordinates; the pulled-back constraint of ``normal`` is
-    ``sum_j normal[j] * image[j]`` with the same relation.
-    """
-    out = []
-    for normal, rel in system:
-        expr = AffineExpr()
-        for a, f in zip(normal, image):
-            expr = expr + f * a
-        out.append((expr, rel))
-    return out
-
-
 def _in_closure(system: System, point: Vector) -> bool:
     """Does ``point`` satisfy ``system`` with each strict relation relaxed?"""
     for normal, rel in system:
@@ -248,10 +229,10 @@ def validate_fan(fan: Fan) -> ValidationReport:
     """
     _check_dim(fan.dim)
     faces = [
-        [(key, encode(_pullback(face, _XSYMS), _XINDEX)) for key, face in _open_faces(c, fan.rays).items()]
+        [(key, [((0, *normal), rel) for normal, rel in face]) for key, face in _open_faces(c, fan.rays).items()]
         for c in fan.cones
     ]
-    order = list(_XINDEX.values())
+    order = list(range(1, fan.dim + 1))
     problems = [
         f"intersection of cones {i} and {j} is not a face of both"
         for (i, fi), (j, fj) in itertools.combinations(enumerate(faces), 2)
@@ -331,6 +312,9 @@ def _images(
     functionals: dict[tuple[VertexId, int], AffineExpr], dim: int
 ) -> dict[VertexId, tuple[AffineExpr, ...]]:
     """Each vertex's image vector of values, in sorted vertex order."""
+    for v, j in functionals:
+        if j not in range(dim):
+            raise LengthMismatch(f"functional for vertex {v!r}, coordinate {j}, in a fan of dimension {dim}")
     out = {}
     for v in sorted({v for v, _ in functionals}, key=str):
         for j in range(dim):
@@ -340,20 +324,39 @@ def _images(
     return out
 
 
-def _search(slots: list[list], order: list[int], carry: bool = False):
-    """Yield (option indices, rows, certified point) for each feasible choice
-    of one option (a list of rows, or None) per slot, depth first, dropping
-    every prefix the kernel rejects.
+def _pullbacks(
+    image: tuple[AffineExpr, ...], systems: tuple[System, ...], index: dict[str, int]
+) -> list[list[tuple[Row, str]]]:
+    """Each target system of (normal, rel) pulled back along an image, as
+    integer rows over the columns of ``index``: the image's coordinates are
+    encoded once, scaled by the one positive integer that clears all their
+    denominators (scaled one by one, they would tilt a 2-D pullback), and
+    the row of ``normal`` is sum_j normal[j] * image_row[j], reduced."""
+    den = lcm(*(q.denominator for f in image for q in (f.const, *(c for _, c in f.terms))))
+    image_rows = [[0] * (len(index) + 1) for _ in image]
+    for row, f in zip(image_rows, image):
+        for k, q in [(0, f.const), *((index[name], q) for name, q in f.terms)]:
+            row[k] = q.numerator * (den // q.denominator)
+    columns = list(zip(*image_rows))
+    return [
+        [(_reduced(tuple(sum(map(mul, normal, col)) for col in columns)), rel) for normal, rel in system]
+        for system in systems
+    ]
 
-    With ``carry`` only the verdicts are read, and each point is scaled to
-    integers (see ``rows_scaled_point``): a child keeps its parent's point
-    when that point satisfies the child's new rows, and the kernel runs
-    only when it does not.  The root, which has no rows, starts from the
-    point with every coordinate 1.
+
+def _search(slots: list[list], order: list[int]):
+    """Yield (option indices, rows, point) for each feasible choice of one
+    option (a list of rows, or None) per slot, depth first, dropping every
+    prefix the kernel rejects.
+
+    Each point is certified and scaled to integers (see
+    ``rows_scaled_point``): a child keeps its parent's point when that point
+    satisfies the child's new rows, and the kernel runs only when it does
+    not.  The root, which has no rows, starts from the point with every
+    coordinate 1.
     """
-    kernel = rows_scaled_point if carry else rows_point
 
-    def visit(depth: int, picks: tuple[int, ...], rows: list, point):
+    def visit(depth: int, picks: tuple[int, ...], rows: list, point: list[int]):
         if depth == len(slots):
             yield picks, rows, point
             return
@@ -361,11 +364,11 @@ def _search(slots: list[list], order: list[int], carry: bool = False):
             if option is None:
                 continue
             extended = rows + option
-            child = point if carry and holds_at(option, point) else kernel(extended, order)
+            child = point if holds_at(option, point) else rows_scaled_point(extended, order)
             if child is not None:
                 yield from visit(depth + 1, (*picks, i), extended, child)
 
-    return visit(0, (), [], [1] * (len(order) + 1) if carry else rows_point([], order))
+    return visit(0, (), [], [1] * (len(order) + 1))
 
 
 def _coordinates(K: Cone) -> tuple[list[str], dict[str, int], list[int]]:
@@ -393,7 +396,8 @@ def subdivide_cone(
     vector of values; a cell survives iff it meets the interior of K, and
     identical cells arising from different assignments are merged.  The
     search has one strict slot per nonnegative coordinate of K, then one
-    slot per distinct image, with one option per maximal fan cone.
+    slot per distinct image, with one option per maximal fan cone.  A
+    cell's witness is the kernel's point of its rows.
     """
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
@@ -402,19 +406,21 @@ def subdivide_cone(
     maximal = fan.maximal_cones()
     coords, index, order = _coordinates(K)
     names = sorted(coords)
+    walls = tuple(fc.halfspaces for _, fc in maximal)
     slots = [[encode([(h, "gt")], index)] for h in K.inequalities]
     for image in distinct:
-        slots.append([_strict_walls(encode(_pullback(fc.halfspaces, image), index)) for _, fc in maximal])
+        slots.append([_strict_walls(rows) for rows in _pullbacks(image, walls, index)])
 
     cells: dict[tuple, SubdividedCell] = {}
-    for picks, rows, point in _search(slots, order):
+    for picks, rows, _ in _search(slots, order):
         cone_of = dict(zip(distinct, picks[len(K.inequalities) :]))
         facets = prune_rows([(row, "ge") for row, _ in rows], order)
+        witness = rows_point(rows, order)
         cell = SubdividedCell(
             parent=K.name,
             assignment=tuple((str(v), maximal[cone_of[image]][0]) for v, image in images.items()),
             halfspaces=tuple(sorted((decode(row, names, rel)[0] for row, rel in facets), key=str)),
-            witness=tuple(sorted((c, point[index[c]]) for c in coords)),
+            witness=tuple(sorted((c, witness[index[c]]) for c in coords)),
             dim=K.dim,
         )
         cells.setdefault(cell.key, cell)
@@ -440,7 +446,6 @@ def _census(
     functionals: dict[tuple[VertexId, int], AffineExpr],
     fan: Fan,
     rels: tuple[str, ...],
-    carry: bool,
 ) -> dict[int, int]:
     """Faces of the pullback subdivision of K along the fan, by dimension,
     inside the faces of K on which each nonnegative coordinate has one of
@@ -455,9 +460,9 @@ def _census(
     coords, index, order = _coordinates(K)
     slots = [[encode([(h, rel)], index) for rel in rels] for h in K.inequalities]
     for image in dict.fromkeys(_images(functionals, fan.dim).values()):
-        slots.append([encode(_pullback(face, image), index) for face in fan.open_faces])
+        slots.append(_pullbacks(image, fan.open_faces, index))
     counts: dict[int, int] = {}
-    for _, rows, _ in _search(slots, order, carry):
+    for _, rows, _ in _search(slots, order):
         d = len(coords) - _rank([row[1:] for row, rel in rows if rel == "eq"])
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
@@ -473,16 +478,7 @@ def face_census(
     image: the census runs over every face of K, each nonnegative
     coordinate zero or positive.
     """
-    return _census(K, functionals, fan, ("eq", "gt"), carry=False)
-
-
-def _interior_census(
-    K: Cone, functionals: dict[tuple[VertexId, int], AffineExpr], fan: Fan
-) -> dict[int, int]:
-    """The faces of the pullback subdivision of K along the fan that lie in
-    the relative interior of K, by dimension: every nonnegative coordinate
-    positive.  Only verdicts are read, so the search carries points."""
-    return _census(K, functionals, fan, ("gt",), carry=True)
+    return _census(K, functionals, fan, ("eq", "gt"))
 
 
 @dataclass
@@ -497,14 +493,15 @@ class SubdividedComplex:
 
         Every face of a map cone is the map cone of the contracted type, and
         the subdivision restricts to it as that cone's own subdivision.  So
-        the f-vector of K is the sum of ``_interior_census`` over K and the
-        cones reached from it through ``CombinatorialType.facets``, each
-        searched once; distinct contracted split sets are distinct keys.
+        the f-vector of K is the sum, over K and the cones reached from it
+        through ``CombinatorialType.facets``, of the census of the faces in
+        the cone's relative interior (every nonnegative coordinate positive),
+        each searched once; distinct contracted split sets are distinct keys.
         """
 
         @functools.cache
         def census(key: str) -> dict[int, int]:
-            return _interior_census(self.complex.cones[key], self.functionals[key], self.fan)
+            return _census(self.complex.cones[key], self.functionals[key], self.fan, ("gt",))
 
         @functools.cache
         def closure(key: str) -> frozenset[str]:

@@ -18,7 +18,10 @@ face of each cone containing it, and ``witness_face_census`` and
 the product certificate that computed every splitting with
 ``vertex_values`` and checked the face maps with ``AffineExpr`` arithmetic,
 and ``assignment_subdivide_cone``, the cell search over all
-|maximal cones|^|V| assignments of vertices to fan cones.
+|maximal cones|^|V| assignments of vertices to fan cones, and
+``plain_search``, the pullback search that runs the kernel at every node
+instead of carrying points.  The oracles pull fans back through their own
+``AffineExpr`` arithmetic, not the library's integer rows.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from troplog import (
     splitting_at_leg,
     splitting_expr,
 )
-from troplog.errors import IncompleteFan
+from troplog.errors import IncompleteFan, LengthMismatch
 from troplog.feasibility import (
     Constraint,
     Feasibility,
@@ -51,10 +54,38 @@ from troplog.feasibility import (
     check_feasible,
     normalize,
     prune_redundant,
+    rows_point,
 )
 from troplog.moduli import TRANSLATION_COORD, Cone
-from troplog.subdivision import _XSYMS, Fan, SubdividedCell, _images, _pullback
+from troplog.subdivision import Fan, SubdividedCell, System
 from troplog.tree import VertexId
+
+_XSYMS = (AffineExpr.symbol("x0"), AffineExpr.symbol("x1"))
+
+
+def _images(
+    functionals: dict[tuple[VertexId, int], AffineExpr], dim: int
+) -> dict[VertexId, tuple[AffineExpr, ...]]:
+    """Each vertex's image vector of values, in sorted vertex order."""
+    if any(j not in range(dim) for _, j in functionals):
+        raise LengthMismatch(f"a functional has a coordinate outside the fan dimension {dim}")
+    vertices = sorted({v for v, _ in functionals}, key=str)
+    if any((v, j) not in functionals for v in vertices for j in range(dim)):
+        raise LengthMismatch("a vertex is missing a functional")
+    return {v: tuple(functionals[(v, j)] for j in range(dim)) for v in vertices}
+
+
+def _pullback(system: System, image: tuple[AffineExpr, ...]) -> list[Constraint]:
+    """Pull target constraints (normal, rel) back along an image vector of
+    affine expressions: the constraint of ``normal`` is
+    ``sum_j normal[j] * image[j]`` with the same relation."""
+    out = []
+    for normal, rel in system:
+        expr = AffineExpr()
+        for a, f in zip(normal, image):
+            expr = expr + f * a
+        out.append((expr, rel))
+    return out
 
 
 def solve_balancing_system(t: Tree, sigma: ContactOrder) -> list[Fraction] | None:
@@ -427,6 +458,22 @@ def witness_face_census(
 
     visit(0, [])
     return dict(sorted(counts.items()))
+
+
+def plain_search(slots: list[list], order: list[int]):
+    """Yield (option indices, rows) for each feasible choice of one option
+    (a list of integer rows, or None) per slot, depth first, dropping every
+    prefix that ``rows_point`` rejects; the kernel runs at every node."""
+
+    def visit(depth: int, picks: tuple[int, ...], rows: list):
+        if depth == len(slots):
+            yield picks, rows
+            return
+        for i, option in enumerate(slots[depth]):
+            if option is not None and rows_point(rows + option, order) is not None:
+                yield from visit(depth + 1, (*picks, i), rows + option)
+
+    return visit(0, (), [])
 
 
 def witness_prune_redundant(constraints: list[Constraint]) -> list[Constraint]:

@@ -15,3 +15,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found
+
+
+def test_oracles_import_no_private_names():
+    # An oracle that borrows the library's private helpers checks the
+    # library against itself.
+    path = Path(__file__).with_name("oracles.py")
+    found = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "troplog"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found

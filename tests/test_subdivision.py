@@ -378,10 +378,12 @@ def _holds(row, rel, point):
     ids=["p1", "p1-zero-slopes", "plane"],
 )
 def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
-    # The interior census carries a parent's point to a child whose new
-    # rows it satisfies.  At every depth, each node's point must satisfy
-    # all rows of the node, and the nodes must be those of the search that
-    # runs the kernel at every node, which runs it more often.
+    # The search carries a parent's point to a child whose new rows it
+    # satisfies.  For the cells and the interior census alike, at every
+    # depth the search must reach the nodes of the reference search that
+    # runs the kernel at every node, each node's point must satisfy all of
+    # its rows, and the reference must run the kernel more often.
+    import oracles
     import troplog.subdivision as sd
 
     search = sd._search
@@ -396,24 +398,22 @@ def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
 
     nodes = 0
 
-    def checked(slots, order, carry=False):
+    def checked(slots, order):
         nonlocal nodes
-        assert carry
         for depth in range(len(slots) + 1):
-            got = list(search(slots[:depth], order, carry=True))
-            plain = list(search(slots[:depth], order))
-            assert [(p, r) for p, r, _ in got] == [(p, r) for p, r, _ in plain]
+            got = list(search(slots[:depth], order))
+            assert [(p, r) for p, r, _ in got] == list(oracles.plain_search(slots[:depth], order))
             for _, rows, point in got:
                 assert all(_holds(row, rel, point) for row, rel in rows), (rows, point)
             nodes += len(got)
         return iter(got)
 
-    sub = subdivide_map_moduli(n, sigma, fan)
     monkeypatch.setattr(sd, "_search", checked)
     monkeypatch.setattr(sd, "rows_scaled_point", counted("carry", sd.rows_scaled_point))
-    monkeypatch.setattr(sd, "rows_point", counted("plain", sd.rows_point))
+    monkeypatch.setattr(oracles, "rows_point", counted("plain", oracles.rows_point))
+    sub = subdivide_map_moduli(n, sigma, fan)
     sub.stats()
-    assert nodes > len(sub.complex.cones)
+    assert nodes > 2 * len(sub.complex.cones)
     assert 0 < kernel_calls["carry"] < kernel_calls["plain"]
 
 
@@ -506,3 +506,44 @@ def test_functionals_computed_once(monkeypatch):
     sub = subdivide_map_moduli(5, ContactOrder.of([1, 1, 1, 1, -4]), P1)
     sub.to_json()
     assert len(calls) == len(sub.complex.cones) == 26
+
+
+def test_functional_beyond_fan_dimension_rejected():
+    # The functionals of a two-target cone have a coordinate 1, which a
+    # 1-D fan has no room for.
+    sigma = [ContactOrder.of([1, 1, 1, -3]), ContactOrder.of([1, -3, 1, 1])]
+    sub = subdivide_map_moduli(4, sigma, PLANE)
+    for key, K in sub.complex.cones.items():
+        with pytest.raises(LengthMismatch, match="coordinate 1, in a fan of dimension 1"):
+            subdivide_cone(K, sub.functionals[key], P1)
+        with pytest.raises(LengthMismatch, match="coordinate 1, in a fan of dimension 1"):
+            face_census(K, sub.functionals[key], P1)
+    with pytest.raises(LengthMismatch, match="missing functional"):
+        subdivide_cone(free_line(), {("v", 1): AffineExpr.symbol("c")}, PLANE)
+
+
+HAND_BUILT = Cone("K", (Coord("l_e0", "nonneg"), Coord("c1", "free"), Coord("c2", "free")))
+HAND_BUILT_IMAGES = [
+    # The two coordinates have the common factors 2 and 1/3.
+    ("2*l_e0 + 2*c1", "1/3*c2"),
+    ("1/2*c1 - 3/4*l_e0", "5/6*l_e0 + 3/2*c2 - 1/4*c1"),
+    ("2*l_e0 + 2*c1", "1/3*c2"),
+    ("7/3 - 1/5*c1", "2/7*c2 - c1 + 1/2"),
+]
+
+
+@pytest.mark.parametrize("fan", [P1, PLANE, QUADRANTS], ids=["p1", "plane", "quadrants"])
+def test_integer_pullback_of_fractional_images(fan):
+    # The integer rows of an image share one scale, so a 2-D wall such as
+    # -x + y pulls back to -(2*l_e0 + 2*c1) + 1/3*c2, not -(l_e0 + c1) + c2.
+    from oracles import assignment_subdivide_cone, witness_face_census
+
+    functionals = {
+        (f"v{i}", j): AffineExpr.parse(text)
+        for i, image in enumerate(HAND_BUILT_IMAGES)
+        for j, text in enumerate(image[: fan.dim])
+    }
+    cells = subdivide_cone(HAND_BUILT, functionals, fan)
+    assert len(cells) > 2
+    assert cells == assignment_subdivide_cone(HAND_BUILT, functionals, fan)
+    assert face_census(HAND_BUILT, functionals, fan) == witness_face_census(HAND_BUILT, functionals, fan)
