@@ -330,16 +330,10 @@ def _path_coefficients(f: PLFunction) -> dict[VertexId, dict[str, int]]:
     symbolic tree: ``{l_e{i}: slope}`` along the path from the basepoint,
     zero slopes left out."""
     t = f.tree
-    adj = t.adjacency()
     paths: dict[VertexId, dict[str, int]] = {f.basepoint: {}}
-    stack = [f.basepoint]
-    while stack:
-        v = stack.pop()
-        for w, i in adj[v]:
-            if w not in paths:
-                slope = f.slope(v, w, i)
-                paths[w] = {**paths[v], t.length_symbol(i): slope} if slope else paths[v]
-                stack.append(w)
+    for v, w, i in t.walk(f.basepoint):
+        slope = f.slope(v, w, i)
+        paths[w] = {**paths[v], t.length_symbol(i): slope} if slope else paths[v]
     return paths
 
 

@@ -3,8 +3,8 @@
 The core construction is ``extend_from_leg_slopes``: given outgoing slopes
 on the legs summing to zero, there is a unique balanced function with a
 prescribed value at a basepoint.  The slope on an internal edge is the sum
-of the leg slopes on the far side of the edge (the cut rule), computed in
-one depth-first pass.
+of the leg slopes on the far side of the edge (the cut rule), summed over
+one depth-first walk of the tree.
 """
 
 from __future__ import annotations
@@ -118,22 +118,15 @@ class PLFunction:
 def vertex_values(f: PLFunction) -> dict[VertexId, AffineExpr]:
     """Propagate the basepoint value along the tree: value(w) = value(v) + slope * length."""
     t = f.tree
-    adj = t.adjacency()
     values: dict[VertexId, AffineExpr] = {f.basepoint: f.base_value}
-    stack = [f.basepoint]
-    while stack:
-        v = stack.pop()
-        for w, i in adj[v]:
-            if w in values:
-                continue
-            length = t.edges[i].length
-            step = (
-                AffineExpr.symbol(t.length_symbol(i))
-                if length is None
-                else AffineExpr.constant(length)
-            )
-            values[w] = values[v] + step * f.slope(v, w, i)
-            stack.append(w)
+    for v, w, i in t.walk(f.basepoint):
+        length = t.edges[i].length
+        step = (
+            AffineExpr.symbol(t.length_symbol(i))
+            if length is None
+            else AffineExpr.constant(length)
+        )
+        values[w] = values[v] + step * f.slope(v, w, i)
     if len(values) != len(t.vertices):
         raise ParseError("tree is disconnected; vertex values undefined")
     return values
@@ -180,36 +173,22 @@ def extend_from_leg_slopes(
         raise ParseError(f"basepoint {basepoint!r} is not a vertex")
 
     labels = t.leg_labels
-    leg_sum = {v: 0 for v in t.vertices}
+    subtree = {v: 0 for v in t.vertices}  # leg slopes at v, then in v's subtree
     for l in t.legs:
-        leg_sum[l.at] += sigma.slopes[labels.index(l.label)]
+        subtree[l.at] += sigma.slopes[labels.index(l.label)]
 
-    adj = t.adjacency()
-    # Iterative post-order from the basepoint accumulating subtree leg sums.
-    order: list[tuple[VertexId, VertexId | None, int | None]] = []
-    stack: list[tuple[VertexId, VertexId | None, int | None]] = [(basepoint, None, None)]
-    seen = {basepoint}
-    while stack:
-        v, parent, via = stack.pop()
-        order.append((v, parent, via))
-        for w, i in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, v, i))
+    walk = t.walk(basepoint)
     # The cut rule needs a tree: every vertex reached, one edge fewer than
     # vertices.
-    if len(seen) < len(t.vertices):
+    if len(walk) + 1 < len(t.vertices):
         raise ParseError("tree is disconnected; the edge slopes are not determined")
     if len(t.edges) != len(t.vertices) - 1:
         raise ParseError("graph contains a cycle (genus > 0); the edge slopes are not determined")
-    subtree = dict(leg_sum)
     edge_slope = [0] * len(t.edges)
-    for v, parent, via in reversed(order):
-        if parent is not None and via is not None:
-            subtree[parent] += subtree[v]
-            a, _b = t.edges[via].ends
-            # Slope directed parent -> v is the leg sum beyond v.
-            edge_slope[via] = subtree[v] if a == parent else -subtree[v]
+    for parent, v, via in reversed(walk):
+        subtree[parent] += subtree[v]
+        # Slope directed parent -> v is the leg sum beyond v.
+        edge_slope[via] = subtree[v] if t.edges[via].ends[0] == parent else -subtree[v]
 
     if not isinstance(base_value, AffineExpr):
         base_value = AffineExpr.constant(base_value)

@@ -345,30 +345,32 @@ def _pullbacks(
 
 
 def _search(slots: list[list], order: list[int]):
-    """Yield (option indices, rows, point) for each feasible choice of one
-    option (a list of rows, or None) per slot, depth first, dropping every
-    prefix the kernel rejects.
+    """Yield (option indices, rows, point, fresh) for each feasible choice
+    of one option (a list of rows, or None) per slot, depth first, dropping
+    every prefix the kernel rejects.
 
     Each point is certified and scaled to integers (see
     ``rows_scaled_point``): a child keeps its parent's point when that point
     satisfies the child's new rows, and the kernel runs only when it does
     not.  The root, which has no rows, starts from the point with every
-    coordinate 1.
+    coordinate 1.  ``fresh`` says that the kernel found the point for the
+    leaf's own rows, so that it is their ``rows_scaled_point``.
     """
 
-    def visit(depth: int, picks: tuple[int, ...], rows: list, point: list[int]):
+    def visit(depth: int, picks: tuple[int, ...], rows: list, point: list[int], fresh: bool):
         if depth == len(slots):
-            yield picks, rows, point
+            yield picks, rows, point, fresh
             return
         for i, option in enumerate(slots[depth]):
             if option is None:
                 continue
             extended = rows + option
-            child = point if holds_at(option, point) else rows_scaled_point(extended, order)
+            kept = holds_at(option, point)
+            child = point if kept else rows_scaled_point(extended, order)
             if child is not None:
-                yield from visit(depth + 1, (*picks, i), extended, child)
+                yield from visit(depth + 1, (*picks, i), extended, child, not kept)
 
-    return visit(0, (), [], [1] * (len(order) + 1))
+    return visit(0, (), [], [1] * (len(order) + 1), False)
 
 
 def _coordinates(K: Cone) -> tuple[list[str], dict[str, int], list[int]]:
@@ -397,7 +399,8 @@ def subdivide_cone(
     identical cells arising from different assignments are merged.  The
     search has one strict slot per nonnegative coordinate of K, then one
     slot per distinct image, with one option per maximal fan cone.  A
-    cell's witness is the kernel's point of its rows.
+    cell's witness is the kernel's point of its rows, which the search
+    often found already.
     """
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
@@ -412,15 +415,16 @@ def subdivide_cone(
         slots.append([_strict_walls(rows) for rows in _pullbacks(image, walls, index)])
 
     cells: dict[tuple, SubdividedCell] = {}
-    for picks, rows, _ in _search(slots, order):
+    for picks, rows, point, fresh in _search(slots, order):
         cone_of = dict(zip(distinct, picks[len(K.inequalities) :]))
         facets = prune_rows([(row, "ge") for row, _ in rows], order)
-        witness = rows_point(rows, order)
+        if not fresh:
+            point = rows_scaled_point(rows, order)
         cell = SubdividedCell(
             parent=K.name,
             assignment=tuple((str(v), maximal[cone_of[image]][0]) for v, image in images.items()),
             halfspaces=tuple(sorted((decode(row, names, rel)[0] for row, rel in facets), key=str)),
-            witness=tuple(sorted((c, witness[index[c]]) for c in coords)),
+            witness=tuple(sorted((c, Fraction(point[index[c]], point[0])) for c in coords)),
             dim=K.dim,
         )
         cells.setdefault(cell.key, cell)
@@ -462,7 +466,7 @@ def _census(
     for image in dict.fromkeys(_images(functionals, fan.dim).values()):
         slots.append(_pullbacks(image, fan.open_faces, index))
     counts: dict[int, int] = {}
-    for _, rows, _ in _search(slots, order):
+    for _, rows, _, _ in _search(slots, order):
         d = len(coords) - _rank([row[1:] for row, rel in rows if rel == "eq"])
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))

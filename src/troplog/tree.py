@@ -91,6 +91,28 @@ class Tree:
             adj[b].append((a, i))
         return adj
 
+    def walk(self, root: VertexId) -> list[tuple[VertexId, VertexId, int]]:
+        """The edges of the depth-first search tree from ``root``, as
+        (parent, child, edge index) in the order each child is first reached.
+
+        A parent comes before its children, so ``reversed`` lists every child
+        before its parent.  The walk reaches only the vertices connected to
+        ``root``, and on a graph with a cycle it leaves out the edges that
+        would close one.
+        """
+        adj = self.adjacency()
+        seen = {root}
+        stack = [root]
+        out = []
+        while stack:
+            v = stack.pop()
+            for w, i in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    out.append((v, w, i))
+                    stack.append(w)
+        return out
+
     def valence(self, v: VertexId) -> int:
         deg = sum(1 for e in self.edges if v in e.ends)
         return deg + len(self.legs_at(v))
@@ -201,57 +223,43 @@ def canonicalize(t: Tree) -> CanonicalForm:
     """Deterministic canonical labeling of a tree shape.
 
     Rooted at the attachment vertex of the minimal leg label; subtrees are
-    ordered by their recursive signature, so leg-label-preserving isomorphic
-    trees get identical keys and canonical coordinate orders.
+    ordered by their signature, so leg-label-preserving isomorphic trees
+    get identical keys and canonical coordinate orders.  Vertices and edges
+    are numbered in preorder, each edge oriented parent -> child.
     """
-    adj = t.adjacency()
+    root = t.root
+    walk = t.walk(root)
     legs_at: dict[VertexId, list[int]] = {v: [] for v in t.vertices}
     for l in t.legs:
         legs_at[l.at].append(l.label)
-    root = t.root
+    children: dict[VertexId, list[tuple[VertexId, int]]] = {v: [] for v in t.vertices}
+    for parent, child, i in walk:
+        children[parent].append((child, i))
 
-    sigs: dict[tuple[VertexId, VertexId | None], str] = {}
-
-    def sig(v: VertexId, parent: VertexId | None) -> str:
-        key = (v, parent)
-        if key not in sigs:
-            child_sigs = sorted(sig(w, v) for w, _ in adj[v] if w != parent)
-            own = ",".join(str(x) for x in sorted(legs_at[v]))
-            sigs[key] = f"({own};{''.join(child_sigs)})"
-        return sigs[key]
-
-    key = sig(root, None)
+    sig: dict[VertexId, str] = {}
+    for v in [child for _, child, _ in reversed(walk)] + [root]:
+        children[v].sort(key=lambda wi: sig[wi[0]])
+        own = ",".join(str(x) for x in sorted(legs_at[v]))
+        sig[v] = f"({own};{''.join(sig[w] for w, _ in children[v])})"
 
     vertex_map: dict[VertexId, str] = {}
     edge_map: dict[int, int] = {}
-
-    def assign(v: VertexId, parent: VertexId | None) -> None:
+    canon_edges: list[Edge] = []
+    stack: list[tuple[VertexId, VertexId | None, int | None]] = [(root, None, None)]
+    while stack:
+        v, parent, via = stack.pop()
         vertex_map[v] = f"v{len(vertex_map)}"
-        children = sorted(
-            ((w, i) for w, i in adj[v] if w != parent),
-            key=lambda wi: sig(wi[0], v),
-        )
-        for w, i in children:
-            edge_map[i] = len(edge_map)
-            assign(w, v)
-
-    assign(root, None)
-
-    canon_edges: list[Edge | None] = [None] * len(t.edges)
-    for orig, canon in edge_map.items():
-        a, b = t.edges[orig].ends
-        # Orient the canonical edge parent -> child.
-        pa, pb = vertex_map[a], vertex_map[b]
-        if int(pa[1:]) > int(pb[1:]):
-            pa, pb = pb, pa
-        canon_edges[canon] = Edge((pa, pb), None)
+        if via is not None:
+            edge_map[via] = len(canon_edges)
+            canon_edges.append(Edge((vertex_map[parent], vertex_map[v])))
+        stack.extend((w, v, i) for w, i in reversed(children[v]))
     canon_tree = Tree(
         tuple(f"v{i}" for i in range(len(t.vertices))),
-        tuple(canon_edges),  # type: ignore[arg-type]
+        tuple(canon_edges),
         tuple(sorted((Leg(l.label, vertex_map[l.at]) for l in t.legs), key=lambda x: x.label)),
     )
     return CanonicalForm(
-        key=key,
+        key=sig[root],
         tree=canon_tree,
         edge_map=tuple(edge_map[i] for i in range(len(t.edges))),
     )

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Eight former library functions are the exception, kept so
+grid search.  Ten former library functions are the exception, kept so
 that their replacements can be required to give the same results:
+``recursive_canonicalize``, the canonical form computed by recursion,
 ``contraction_tree_types``, the type enumeration by leg insertion and
 edge contraction, ``fraction_check_feasible``, the rational
 Fourier-Motzkin kernel, ``wall_face_census``, the f-vector census over
@@ -40,7 +41,6 @@ from troplog import (
     TropicalMapPoint,
     build_map_moduli,
     build_moduli_complex,
-    canonicalize,
     contract_edge,
     extend_from_leg_slopes,
     splitting_at_leg,
@@ -58,7 +58,7 @@ from troplog.feasibility import (
 )
 from troplog.moduli import TRANSLATION_COORD, Cone
 from troplog.subdivision import Fan, SubdividedCell, System
-from troplog.tree import VertexId
+from troplog.tree import CanonicalForm, Edge, Leg, VertexId
 
 _XSYMS = (AffineExpr.symbol("x0"), AffineExpr.symbol("x1"))
 
@@ -187,6 +187,67 @@ def count_stable_by_splits(n: int) -> int:
     return count
 
 
+def recursive_canonicalize(t: Tree) -> CanonicalForm:
+    """The former ``canonicalize``: signatures and numbering by recursion
+    from the root, which limits the depth of the trees it takes.
+
+    Rooted at the attachment vertex of the minimal leg label; subtrees are
+    ordered by their recursive signature, so leg-label-preserving isomorphic
+    trees get identical keys and canonical coordinate orders.
+    """
+    adj = t.adjacency()
+    legs_at: dict[VertexId, list[int]] = {v: [] for v in t.vertices}
+    for l in t.legs:
+        legs_at[l.at].append(l.label)
+    root = t.root
+
+    sigs: dict[tuple[VertexId, VertexId | None], str] = {}
+
+    def sig(v: VertexId, parent: VertexId | None) -> str:
+        key = (v, parent)
+        if key not in sigs:
+            child_sigs = sorted(sig(w, v) for w, _ in adj[v] if w != parent)
+            own = ",".join(str(x) for x in sorted(legs_at[v]))
+            sigs[key] = f"({own};{''.join(child_sigs)})"
+        return sigs[key]
+
+    key = sig(root, None)
+
+    vertex_map: dict[VertexId, str] = {}
+    edge_map: dict[int, int] = {}
+
+    def assign(v: VertexId, parent: VertexId | None) -> None:
+        vertex_map[v] = f"v{len(vertex_map)}"
+        children = sorted(
+            ((w, i) for w, i in adj[v] if w != parent),
+            key=lambda wi: sig(wi[0], v),
+        )
+        for w, i in children:
+            edge_map[i] = len(edge_map)
+            assign(w, v)
+
+    assign(root, None)
+
+    canon_edges: list[Edge | None] = [None] * len(t.edges)
+    for orig, canon in edge_map.items():
+        a, b = t.edges[orig].ends
+        # Orient the canonical edge parent -> child.
+        pa, pb = vertex_map[a], vertex_map[b]
+        if int(pa[1:]) > int(pb[1:]):
+            pa, pb = pb, pa
+        canon_edges[canon] = Edge((pa, pb), None)
+    canon_tree = Tree(
+        tuple(f"v{i}" for i in range(len(t.vertices))),
+        tuple(canon_edges),  # type: ignore[arg-type]
+        tuple(sorted((Leg(l.label, vertex_map[l.at]) for l in t.legs), key=lambda x: x.label)),
+    )
+    return CanonicalForm(
+        key=key,
+        tree=canon_tree,
+        edge_map=tuple(edge_map[i] for i in range(len(t.edges))),
+    )
+
+
 def _insert_leg(state, label):
     """All ways to add one labeled leg to a trivalent shape.
 
@@ -213,14 +274,14 @@ def contraction_tree_types(n: int) -> list[CombinatorialType]:
         states = [s2 for s in states for s2 in _insert_leg(s, label)]
     pending: dict[str, Tree] = {}
     for k, edges, legs in states:
-        cf = canonicalize(Tree.build(list(range(k)), edges, legs))
+        cf = recursive_canonicalize(Tree.build(list(range(k)), edges, legs))
         pending[cf.key] = cf.tree
     found: dict[str, CombinatorialType] = {}
     while pending:
         key, tree = pending.popitem()
         facets = []
         for i in range(len(tree.edges)):
-            cf = canonicalize(contract_edge(tree, i))
+            cf = recursive_canonicalize(contract_edge(tree, i))
             facets.append((cf.key, cf.edge_map))
             if cf.key not in found:
                 pending.setdefault(cf.key, cf.tree)

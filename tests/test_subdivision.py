@@ -382,8 +382,10 @@ def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
     # satisfies.  For the cells and the interior census alike, at every
     # depth the search must reach the nodes of the reference search that
     # runs the kernel at every node, each node's point must satisfy all of
-    # its rows, and the reference must run the kernel more often.
+    # its rows, a point marked fresh must be the kernel's point of its
+    # rows, and the reference must run the kernel more often.
     import oracles
+    import troplog.feasibility
     import troplog.subdivision as sd
 
     search = sd._search
@@ -402,9 +404,11 @@ def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
         nonlocal nodes
         for depth in range(len(slots) + 1):
             got = list(search(slots[:depth], order))
-            assert [(p, r) for p, r, _ in got] == list(oracles.plain_search(slots[:depth], order))
-            for _, rows, point in got:
+            assert [(p, r) for p, r, _, _ in got] == list(oracles.plain_search(slots[:depth], order))
+            for _, rows, point, fresh in got:
                 assert all(_holds(row, rel, point) for row, rel in rows), (rows, point)
+                if fresh:
+                    assert point == troplog.feasibility.rows_scaled_point(rows, order), rows
             nodes += len(got)
         return iter(got)
 
@@ -415,6 +419,37 @@ def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
     sub.stats()
     assert nodes > 2 * len(sub.complex.cones)
     assert 0 < kernel_calls["carry"] < kernel_calls["plain"]
+
+
+@pytest.mark.parametrize(
+    "fan, n, sigma, calls",
+    [(P1, 5, ContactOrder.of([1, 1, 1, 1, -4]), 187), (PLANE, 5, plane_sigmas(5), 489), (QUADRANTS, 5, plane_sigmas(5), 959)],
+    ids=["p1", "plane", "quadrants"],
+)
+def test_cell_witness_reuses_the_leaf_point(monkeypatch, fan, n, sigma, calls):
+    # A leaf whose point the kernel found for the leaf's own rows takes its
+    # witness from that point: no system goes to the kernel twice, the cell
+    # search makes the counted number of calls, and the cells are those of
+    # the brute force over all assignments.
+    import troplog.subdivision as sd
+    from oracles import assignment_subdivide_cone
+
+    systems, repeats = [], []
+
+    def counted(kernel):
+        def call(rows, order):
+            repeats.extend(s for s in systems if s is rows)
+            systems.append(rows)
+            return kernel(rows, order)
+
+        return call
+
+    monkeypatch.setattr(sd, "rows_point", counted(sd.rows_point))
+    monkeypatch.setattr(sd, "rows_scaled_point", counted(sd.rows_scaled_point))
+    sub = subdivide_map_moduli(n, sigma, fan)
+    assert (len(systems), repeats) == (calls, [])
+    for key, K in sub.complex.cones.items():
+        assert sub.cells[key] == assignment_subdivide_cone(K, sub.functionals[key], fan), key
 
 
 @pytest.mark.parametrize(

@@ -5,26 +5,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troplog import (
+    ContactOrder,
     Tree,
     canonicalize,
     contract_edge,
     enumerate_tree_types,
+    extend_from_leg_slopes,
+    is_balanced,
     tree_from_json,
     tree_to_json,
     validate_tree,
+    vertex_values,
 )
 from troplog.errors import NoSuchEdge, UnstableRange
 
 from oracles import (
+    _insert_leg,
     contraction_tree_types,
     count_stable_by_splits,
     count_trivalent_by_splits,
+    random_stable_tree,
     random_tree,
+    recursive_canonicalize,
 )
 
 
 def star(n):
     return Tree.build(["v"], [], [(i + 1, "v") for i in range(n)])
+
+
+def shuffled(rng, t):
+    """``t`` with new vertex names, and its vertices, edges, edge ends and
+    legs in random order."""
+    name = {v: f"x{k}" for v, k in zip(t.vertices, rng.sample(range(10**6), len(t.vertices)))}
+    vertices = [name[v] for v in t.vertices]
+    edges = [(name[a], name[b], e.length) for e in t.edges for a, b in [e.ends[:: rng.choice((1, -1))]]]
+    legs = [(l.label, name[l.at]) for l in t.legs]
+    for xs in (vertices, edges, legs):
+        rng.shuffle(xs)
+    return Tree.build(vertices, edges, legs)
+
+
+def caterpillar(k):
+    """The stable tree on a path of k vertices: two legs at each end, one
+    at every inner vertex, leg 1 at vertex 0."""
+    legs = [(1, 0), (2, 0)] + [(v + 2, v) for v in range(1, k)] + [(k + 2, k - 1)]
+    return Tree.build(list(range(k)), [(v, v + 1) for v in range(k - 1)], legs, lengths=1)
 
 
 class TestValidate:
@@ -142,16 +168,7 @@ class TestCanonical:
     @given(st.randoms(use_true_random=False))
     def test_key_invariant_under_relabeling(self, rnd):
         t = random_tree(random.Random(rnd.randint(0, 10**9)), 6)
-        names = list(t.vertices)
-        shuffled = list(names)
-        rnd.shuffle(shuffled)
-        mapping = dict(zip(names, shuffled))
-        t2 = Tree.build(
-            [mapping[v] for v in t.vertices],
-            [(mapping[e.ends[0]], mapping[e.ends[1]], e.length) for e in t.edges],
-            [(l.label, mapping[l.at]) for l in t.legs],
-        )
-        assert canonicalize(t).key == canonicalize(t2).key
+        assert canonicalize(t).key == canonicalize(shuffled(rnd, t)).key
 
     def test_distinct_types_distinct_keys(self):
         a = Tree.build([0, 1], [(0, 1)], [(1, 0), (2, 0), (3, 1), (4, 1)])
@@ -167,6 +184,35 @@ class TestCanonical:
         cf = canonicalize(t)
         assert sorted(cf.edge_map) == [0, 1]
         assert len(cf.tree.edges) == 2
+
+    def test_matches_recursive_oracle_on_random_trees(self):
+        rng = random.Random(13)
+        for n in range(3, 10):
+            for _ in range(20):
+                t = random_tree(rng, n) if rng.random() < 0.5 else random_stable_tree(rng, n, concrete=False)
+                for u in (t, shuffled(rng, t)):
+                    assert canonicalize(u) == recursive_canonicalize(u), u
+
+    def test_matches_recursive_oracle_on_leg_insertions(self):
+        # Every trivalent shape that leg insertion reaches for n <= 7.
+        layer = [(1, [], [(1, 0), (2, 0), (3, 0)])]
+        states = list(layer)
+        for label in range(4, 8):
+            layer = [s2 for s in layer for s2 in _insert_leg(s, label)]
+            states += layer
+        for k, edges, legs in states:
+            t = Tree.build(list(range(k)), edges, legs)
+            assert canonicalize(t) == recursive_canonicalize(t), t
+
+    def test_deep_caterpillar(self):
+        # A path of 1 500 vertices is deeper than Python's recursion limit.
+        t = caterpillar(1500)
+        assert validate_tree(t).ok
+        relabeled = shuffled(random.Random(5), t)
+        assert canonicalize(relabeled).key == canonicalize(t).key
+        f = extend_from_leg_slopes(relabeled, ContactOrder.of([(-1) ** i for i in range(t.n_legs)]))
+        assert is_balanced(f)
+        assert set(vertex_values(f)) == set(relabeled.vertices)
 
 
 def test_json_roundtrip():
