@@ -134,6 +134,14 @@ class ConeComplex:
         return doc
 
 
+@functools.lru_cache(maxsize=None)
+def _lengths(n: int) -> tuple[tuple[str, ...], tuple[Coord, ...]]:
+    """The edge-length coordinate names ``l_e0, l_e1, ...`` that an n-leg
+    type can have, and their nonnegative ``Coord``s."""
+    names = tuple(f"l_e{i}" for i in range(n - 3))
+    return names, tuple(Coord(name, "nonneg") for name in names)
+
+
 @functools.lru_cache(maxsize=1)
 def _curve_parts(n: int, enumerate_types) -> tuple[tuple, tuple, tuple]:
     """The curve complex for n as frozen parts: its ``(key, Cone)`` items,
@@ -144,16 +152,19 @@ def _curve_parts(n: int, enumerate_types) -> tuple[tuple, tuple, tuple]:
     enumerator gets its own build instead of one made without it.
     """
     types = enumerate_types(n)
+    names, coords = _lengths(n)
     cones = []
     face_maps = []
     for ct in types:
         edges = range(len(ct.tree.edges))
-        cones.append((ct.key, Cone(ct.key, tuple(Coord(f"l_e{i}", "nonneg") for i in edges))))
-        for i, (face_key, face_index) in enumerate(ct.facets):
+        cones.append((ct.key, Cone(ct.key, coords[: len(edges)])))
+        # Types come sorted by key, so sorting each cone's face maps by
+        # their zeroed coordinate sorts them all by (cone, zeroed).
+        for i in sorted(edges, key=names.__getitem__):
+            face_key, face_index = ct.facets[i]
             others = (j for j in edges if j != i)
-            coord_map = tuple(sorted((f"l_e{k}", f"l_e{j}") for j, k in zip(others, face_index)))
-            face_maps.append(FaceMap(face_key, ct.key, coord_map, (f"l_e{i}",)))
-    face_maps.sort(key=lambda f: (f.cone_key, f.zeroed, f.face_key))
+            coord_map = tuple(sorted((names[k], names[j]) for j, k in zip(others, face_index)))
+            face_maps.append(FaceMap(face_key, ct.key, coord_map, (names[i],)))
     return tuple(cones), tuple((ct.key, ct) for ct in types), tuple(face_maps)
 
 
@@ -194,20 +205,68 @@ def _map_cones_over(curve: ConeComplex, sigmas: list[ContactOrder]) -> ConeCompl
     """Map cones over an already built curve complex: each cone gains one
     free translation coordinate and one symbolic function per target
     coordinate (a single PLFunction for m = 1, else a tuple of m)."""
+    cones, functions, _ = _map_parts(curve.n, tuple(curve.types.values()), tuple(sigmas))
+    sigma = sigmas[0] if len(sigmas) == 1 else None
+    return ConeComplex(curve.n, dict(cones), curve.types, curve.face_maps, sigma, dict(functions))
+
+
+def _split_masks(t: Tree) -> tuple[int, ...]:
+    """The split of each edge of a canonical tree: bit i - 1 is set when
+    leg i lies beyond the edge, seen from the root v0.
+
+    A canonical tree lists its edges parent -> child in preorder, so one
+    pass over them backwards meets every child before its parent.
+    """
+    index = {v: i for i, v in enumerate(t.vertices)}
+    beyond = [0] * len(t.vertices)  # legs at each vertex, then in its subtree
+    for l in t.legs:
+        beyond[index[l.at]] |= 1 << (l.label - 1)
+    masks = [0] * len(t.edges)
+    for j in reversed(range(len(t.edges))):
+        parent, child = t.edges[j].ends
+        masks[j] = beyond[index[child]]
+        beyond[index[parent]] |= masks[j]
+    return tuple(masks)
+
+
+def _leg_sums(slopes: tuple[int, ...]) -> list[int]:
+    """The sum of ``slopes`` over every set of legs, indexed by its bitmask."""
+    sums = [0]
+    for s in slopes:
+        sums += [x + s for x in sums]
+    return sums
+
+
+@functools.lru_cache(maxsize=1)
+def _map_parts(
+    n: int, types: tuple[CombinatorialType, ...], sigmas: tuple[ContactOrder, ...]
+) -> tuple[tuple, tuple, tuple]:
+    """The map cones over the given curve types as frozen parts: their
+    ``(key, Cone)`` items, ``(key, function)`` items and ``(key, split
+    masks)`` items, the masks in canonical edge order.
+
+    Built once per curve build and tuple of contact orders, and shared.
+    By the cut rule the slope of edge j, read parent -> child, is the sum
+    of sigma over the legs of its split, so no tree is walked.
+    """
     m = len(sigmas)
     c_names = [TRANSLATION_COORD] if m == 1 else [f"c{j+1}" for j in range(m)]
-    cones = {}
-    functions: dict[str, PLFunction | tuple[PLFunction, ...]] = {}
-    for key, ct in curve.types.items():
-        coords = curve.cones[key].coords + tuple(Coord(cn, "free") for cn in c_names)
-        cones[key] = Cone(key, coords)
+    free = tuple(Coord(cn, "free") for cn in c_names)
+    bases = [AffineExpr.symbol(cn) for cn in c_names]
+    sums = [_leg_sums(s.slopes) for s in sigmas]
+    coords = _lengths(n)[1]
+    cones, functions, masks = [], [], []
+    for ct in types:
+        t = ct.tree
+        splits = _split_masks(t)
         fs = tuple(
-            extend_from_leg_slopes(ct.tree, s, ct.tree.root, AffineExpr.symbol(cn))
-            for s, cn in zip(sigmas, c_names)
+            PLFunction(t, t.root, base, tuple(leg_sums[s] for s in splits), s.slopes)
+            for s, base, leg_sums in zip(sigmas, bases, sums)
         )
-        functions[key] = fs[0] if m == 1 else fs
-    sigma = sigmas[0] if m == 1 else None
-    return ConeComplex(curve.n, cones, curve.types, curve.face_maps, sigma, functions)
+        cones.append((ct.key, Cone(ct.key, coords[: len(splits)] + free)))
+        functions.append((ct.key, fs[0] if m == 1 else fs))
+        masks.append((ct.key, splits))
+    return tuple(cones), tuple(functions), tuple(masks)
 
 
 def build_map_moduli(n: int, sigma: ContactOrder) -> ConeComplex:
@@ -325,42 +384,46 @@ def _check_product_args(n: int, sigma: ContactOrder, leg: int) -> None:
         raise NoSuchLeg(f"no leg labeled {leg}")
 
 
-def _path_coefficients(f: PLFunction) -> dict[VertexId, dict[str, int]]:
-    """Each vertex's value minus the base value, from one walk of ``f``'s
-    symbolic tree: ``{l_e{i}: slope}`` along the path from the basepoint,
-    zero slopes left out."""
-    t = f.tree
-    paths: dict[VertexId, dict[str, int]] = {f.basepoint: {}}
-    for v, w, i in t.walk(f.basepoint):
-        slope = f.slope(v, w, i)
-        paths[w] = {**paths[v], t.length_symbol(i): slope} if slope else paths[v]
-    return paths
+def _path_coefficients(
+    names: tuple[str, ...], splits: tuple[int, ...], slopes: tuple[int, ...], label: int
+) -> dict[str, int]:
+    """Leg ``label``'s value minus the base value on a map cone: ``{l_e{j}:
+    slope}`` over the edges j whose split holds the leg, which are the
+    edges on its path from the root, in edge order, zero slopes left out."""
+    bit = 1 << (label - 1)
+    return {names[j]: s for j, (mask, s) in enumerate(zip(splits, slopes)) if s and mask & bit}
 
 
 def _certified_map_moduli(
     n: int, sigma: ContactOrder, leg: int
 ) -> tuple[ConeComplex, IsomorphismReport]:
     """``build_map_moduli(n, sigma)`` and ``product_decomposition(n, sigma,
-    leg)`` from one build of the curve complex; the arguments are checked
-    before it.
+    leg)`` from one build of the curve complex and of the map cones; the
+    arguments are checked before it.
 
     A cone's splitting at a leg is its base value, the translation
     coordinate of every map cone, plus the integer path coefficients of
-    the leg's vertex.  The face checks and the search for distinct
-    splittings compare these integer maps; one ``AffineExpr`` per cone
-    serves the printed cone map and the unimodularity checks.
+    the leg's vertex, read from the split masks.  The face checks and the
+    search for distinct splittings compare these integer maps; one
+    ``AffineExpr`` per cone serves the printed cone map and the
+    unimodularity checks.
     """
     _check_product_args(n, sigma, leg)
     curve = build_moduli_complex(n)
-    mapc = _map_cones_over(curve, [sigma])
+    cones, functions, masks = _map_parts(n, tuple(curve.types.values()), (sigma,))
+    mapc = ConeComplex(n, dict(cones), curve.types, curve.face_maps, sigma, dict(functions))
+    names = _lengths(n)[0]
+    splits = dict(masks)
+
+    def path(key: str, label: int) -> dict[str, int]:
+        return _path_coefficients(names, splits[key], mapc.functions[key].edge_slopes, label)
 
     failures: list[str] = []
     cone_maps: dict[str, str] = {}
-    at_leg: dict[str, dict[int, dict[str, int]]] = {}  # cone -> leg -> path coefficients
+    at_leg: dict[str, dict[str, int]] = {}  # cone -> path coefficients of ``leg``
     for key, f in mapc.functions.items():
-        paths = _path_coefficients(f)
-        at_leg[key] = {l.label: paths[l.at] for l in f.tree.legs}
-        s = f.base_value + AffineExpr.make(0, at_leg[key][leg])
+        at_leg[key] = path(key, leg)
+        s = f.base_value + AffineExpr.make(0, at_leg[key])
         cone_maps[key] = str(s)
         if s.coeff(TRANSLATION_COORD) != 1:
             failures.append(f"cone {key}: translation coefficient is not 1")
@@ -380,11 +443,11 @@ def _certified_map_moduli(
         face_checks += 1
         rename = {cone_coord: face_coord for face_coord, cone_coord in fm.coord_map}
         coeffs: dict[str, int] = {}
-        for name, coeff in at_leg[fm.cone_key][leg].items():
+        for name, coeff in at_leg[fm.cone_key].items():
             if name not in fm.zeroed:
                 name = rename.get(name, name)
                 coeffs[name] = coeffs.get(name, 0) + coeff
-        if {name: coeff for name, coeff in coeffs.items() if coeff} != at_leg[fm.face_key][leg]:
+        if {name: coeff for name, coeff in coeffs.items() if coeff} != at_leg[fm.face_key]:
             failures.append(
                 f"face map {fm.cone_key} -> {fm.face_key}: splitting not compatible"
             )
@@ -397,7 +460,7 @@ def _certified_map_moduli(
             continue
         witness = None
         for key in sorted(mapc.cones):
-            mine, theirs = at_leg[key][leg], at_leg[key][other]
+            mine, theirs = at_leg[key], path(key, other)
             if mine == theirs:
                 continue
             vi, vj = sum(mine.values()), sum(theirs.values())

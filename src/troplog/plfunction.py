@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .affine import AffineExpr, Rat, as_integer
 from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError
-from .tree import Tree, VertexId, check_incidence, tree_from_json, tree_to_json
+from .tree import Tree, VertexId, check_incidence, checked_walk, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,15 @@ class Multidegree:
         return all(d == 0 for _, d in self.degrees)
 
 
+def _leg_positions(t: Tree) -> dict[int, int]:
+    """Each leg label's position in ``t.leg_labels``; the first one if a
+    label repeats."""
+    position: dict[int, int] = {}
+    for i, label in enumerate(t.leg_labels):
+        position.setdefault(label, i)
+    return position
+
+
 @dataclass(frozen=True)
 class PLFunction:
     """A PL function stored as a basepoint value plus directed slopes.
@@ -93,10 +102,10 @@ class PLFunction:
         raise ParseError(f"edge {edge_index} does not join {v!r} and {w!r}")
 
     def leg_slope(self, label: int) -> int:
-        labels = self.tree.leg_labels
-        if label not in labels:
+        position = _leg_positions(self.tree)
+        if label not in position:
             raise NoSuchLeg(f"no leg labeled {label}")
-        return self.leg_slopes[labels.index(label)]
+        return self.leg_slopes[position[label]]
 
     @property
     def contact_order(self) -> ContactOrder:
@@ -140,9 +149,9 @@ def multidegree(f: PLFunction) -> Multidegree:
         a, b = e.ends
         deg[a] += f.edge_slopes[i]
         deg[b] -= f.edge_slopes[i]
-    labels = t.leg_labels
+    position = _leg_positions(t)
     for l in t.legs:
-        deg[l.at] += f.leg_slopes[labels.index(l.label)]
+        deg[l.at] += f.leg_slopes[position[l.label]]
     return Multidegree(tuple((v, deg[v]) for v in t.vertices))
 
 
@@ -172,18 +181,13 @@ def extend_from_leg_slopes(
     elif basepoint not in t.vertices:
         raise ParseError(f"basepoint {basepoint!r} is not a vertex")
 
-    labels = t.leg_labels
+    position = _leg_positions(t)
     subtree = {v: 0 for v in t.vertices}  # leg slopes at v, then in v's subtree
     for l in t.legs:
-        subtree[l.at] += sigma.slopes[labels.index(l.label)]
+        subtree[l.at] += sigma.slopes[position[l.label]]
 
-    walk = t.walk(basepoint)
-    # The cut rule needs a tree: every vertex reached, one edge fewer than
-    # vertices.
-    if len(walk) + 1 < len(t.vertices):
-        raise ParseError("tree is disconnected; the edge slopes are not determined")
-    if len(t.edges) != len(t.vertices) - 1:
-        raise ParseError("graph contains a cycle (genus > 0); the edge slopes are not determined")
+    # The cut rule needs a tree.
+    walk = checked_walk(t, basepoint, "the edge slopes are")
     edge_slope = [0] * len(t.edges)
     for parent, v, via in reversed(walk):
         subtree[parent] += subtree[v]

@@ -207,6 +207,18 @@ def check_incidence(t: Tree) -> None:
             raise ParseError(f"leg {l.label} attached to unknown vertex {l.at!r}")
 
 
+def checked_walk(t: Tree, root: VertexId, what: str) -> list[tuple[VertexId, VertexId, int]]:
+    """``t.walk(root)`` on a graph that is a tree: the walk reaches every
+    vertex and there is one edge fewer than vertices.  Any other graph is a
+    ParseError saying that ``what`` is not determined."""
+    walk = t.walk(root)
+    if len(walk) + 1 < len(t.vertices):
+        raise ParseError(f"tree is disconnected; {what} not determined")
+    if len(t.edges) != len(t.vertices) - 1:
+        raise ParseError(f"graph contains a cycle (genus > 0); {what} not determined")
+    return walk
+
+
 # ---------------------------------------------------------------------------
 # Canonical forms
 # ---------------------------------------------------------------------------
@@ -225,10 +237,11 @@ def canonicalize(t: Tree) -> CanonicalForm:
     Rooted at the attachment vertex of the minimal leg label; subtrees are
     ordered by their signature, so leg-label-preserving isomorphic trees
     get identical keys and canonical coordinate orders.  Vertices and edges
-    are numbered in preorder, each edge oriented parent -> child.
+    are numbered in preorder, each edge oriented parent -> child.  A graph
+    that is disconnected or has a cycle is a ParseError.
     """
     root = t.root
-    walk = t.walk(root)
+    walk = checked_walk(t, root, "the canonical form is")
     legs_at: dict[VertexId, list[int]] = {v: [] for v in t.vertices}
     for l in t.legs:
         legs_at[l.at].append(l.label)
@@ -313,24 +326,55 @@ def contract_edge(t: Tree, edge_index: int) -> Tree:
     return Tree(vertices, edges, legs)
 
 
-def _split_tree(n: int, splits: tuple[int, ...]) -> Tree:
-    """The stable tree whose bounded edges are the given compatible splits.
+def _split_sets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every set of pairwise compatible splits of n legs, depth first, with
+    the vertex that each split's edge hangs from.
 
     Bit i - 1 of a split stands for leg i; a split holds the legs on the
-    side of its edge away from leg 1, so it never holds leg 1.  ``splits``
-    must be in decreasing order: a split then comes after every split that
-    contains it.  Vertex 0 carries leg 1, vertex j + 1 is the far end of
-    edge j = ``splits[j]``, and everything hangs from the smallest split
-    that contains it.
+    side of its edge away from leg 1, so it never holds leg 1.  Each set is
+    in decreasing order, so a split comes after every split that contains
+    it.  Vertex 0 carries leg 1 and vertex j + 1 is the far end of the
+    j-th split; a split's parent is the far end of the innermost chosen
+    split that contains it, or vertex 0.
     """
+    splits = [s for s in range((1 << n) - 2, 0, -2) if 2 <= s.bit_count() <= n - 2]
+    sets: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def home(mask: int, before: int) -> int:
-        return max((j + 1 for j, s in enumerate(splits[:before]) if s & mask == mask), default=0)
+    def grow(chosen: tuple[int, ...], parents: tuple[int, ...], candidates: list[tuple[int, int]]) -> None:
+        # Candidates are smaller than every chosen split, so compatible
+        # means disjoint from it or contained in it.
+        sets.append((chosen, parents))
+        vertex = len(chosen) + 1
+        for i, (s, parent) in enumerate(candidates):
+            grow(
+                chosen + (s,),
+                parents + (parent,),
+                [(t, vertex if s & t else p) for t, p in candidates[i + 1 :] if s & t in (0, t)],
+            )
 
+    grow((), (), [(s, 0) for s in splits])
+    return sets
+
+
+def _split_tree(n: int, splits: tuple[int, ...], parents: tuple[int, ...]) -> Tree:
+    """The stable tree whose bounded edges are the given compatible splits,
+    with ``splits`` and ``parents`` as ``_split_sets`` lists them: edge j
+    joins ``parents[j]`` to vertex j + 1, and each leg sits at the far end
+    of the innermost split that holds it, or at vertex 0.
+    """
+    own = [(1 << n) - 1, *splits]  # the legs at each vertex, once its children's are removed
+    for s, parent in zip(splits, parents):
+        own[parent] &= ~s
+    home = [0] * n
+    for v, legs in enumerate(own):
+        while legs:
+            low = legs & -legs
+            home[low.bit_length() - 1] = v
+            legs ^= low
     return Tree(
         tuple(range(len(splits) + 1)),
-        tuple(Edge((home(s, j), j + 1)) for j, s in enumerate(splits)),
-        tuple(Leg(i + 1, home(1 << i, len(splits))) for i in range(n)),
+        tuple(Edge((parent, j + 1)) for j, parent in enumerate(parents)),
+        tuple(Leg(i + 1, v) for i, v in enumerate(home)),
     )
 
 
@@ -346,20 +390,9 @@ def enumerate_tree_types(n: int) -> list[CombinatorialType]:
     """
     if n < 3:
         raise UnstableRange(f"stable trees need n >= 3 legs, got {n}")
-    splits = [s for s in range((1 << n) - 2, 0, -2) if 2 <= s.bit_count() <= n - 2]
-    sets: list[tuple[int, ...]] = []
-
-    def grow(chosen: tuple[int, ...], candidates: list[int]) -> None:
-        # Candidates are smaller than every chosen split, so compatible
-        # means disjoint from it or contained in it.
-        sets.append(chosen)
-        for i, s in enumerate(candidates):
-            grow(chosen + (s,), [t for t in candidates[i + 1 :] if s & t in (0, t)])
-
-    grow((), splits)
     forms = {}
-    for chosen in sets:
-        cf = canonicalize(_split_tree(n, chosen))
+    for chosen, parents in _split_sets(n):
+        cf = canonicalize(_split_tree(n, chosen, parents))
         forms[chosen] = (cf, dict(zip(chosen, cf.edge_map)))
     types = []
     for chosen, (cf, index) in forms.items():

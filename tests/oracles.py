@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Ten former library functions are the exception, kept so
-that their replacements can be required to give the same results:
+grid search.  Thirteen former library functions are the exception, kept
+so that their replacements can be required to give the same results:
 ``recursive_canonicalize``, the canonical form computed by recursion,
+``home_scan_split_tree``, the tree of a split set that finds each
+vertex's parent by scanning the splits before it,
 ``contraction_tree_types``, the type enumeration by leg insertion and
 edge contraction, ``fraction_check_feasible``, the rational
 Fourier-Motzkin kernel, ``wall_face_census``, the f-vector census over
@@ -21,7 +23,10 @@ the product certificate that computed every splitting with
 and ``assignment_subdivide_cone``, the cell search over all
 |maximal cones|^|V| assignments of vertices to fan cones, and
 ``plain_search``, the pullback search that runs the kernel at every node
-instead of carrying points.  The oracles pull fans back through their own
+instead of carrying points, ``walk_path_coefficients``, the splitting's
+integer path coefficients summed over a walk of the tree, and
+``index_multidegree``, the multidegree that looked up each leg's slope
+with ``list.index``.  The oracles pull fans back through their own
 ``AffineExpr`` arithmetic, not the library's integer rows.
 """
 
@@ -58,6 +63,7 @@ from troplog.feasibility import (
 )
 from troplog.moduli import TRANSLATION_COORD, Cone
 from troplog.subdivision import Fan, SubdividedCell, System
+from troplog.plfunction import Multidegree, PLFunction
 from troplog.tree import CanonicalForm, Edge, Leg, VertexId
 
 _XSYMS = (AffineExpr.symbol("x0"), AffineExpr.symbol("x1"))
@@ -246,6 +252,50 @@ def recursive_canonicalize(t: Tree) -> CanonicalForm:
         tree=canon_tree,
         edge_map=tuple(edge_map[i] for i in range(len(t.edges))),
     )
+
+
+def home_scan_split_tree(n: int, splits: tuple[int, ...]) -> Tree:
+    """The former ``tree._split_tree``: the stable tree whose bounded edges
+    are the given compatible splits, listed in decreasing order.  Vertex 0
+    carries leg 1, vertex j + 1 is the far end of edge j, and everything
+    hangs from the smallest split that contains it, found by a scan."""
+
+    def home(mask: int, before: int) -> int:
+        return max((j + 1 for j, s in enumerate(splits[:before]) if s & mask == mask), default=0)
+
+    return Tree(
+        tuple(range(len(splits) + 1)),
+        tuple(Edge((home(s, j), j + 1)) for j, s in enumerate(splits)),
+        tuple(Leg(i + 1, home(1 << i, len(splits))) for i in range(n)),
+    )
+
+
+def walk_path_coefficients(f: PLFunction) -> dict[VertexId, dict[str, int]]:
+    """The former ``moduli._path_coefficients``: each vertex's value minus
+    the base value, from one walk of ``f``'s symbolic tree, as
+    ``{l_e{i}: slope}`` along the path from the basepoint, zero slopes left
+    out."""
+    t = f.tree
+    paths: dict[VertexId, dict[str, int]] = {f.basepoint: {}}
+    for v, w, i in t.walk(f.basepoint):
+        slope = f.slope(v, w, i)
+        paths[w] = {**paths[v], t.length_symbol(i): slope} if slope else paths[v]
+    return paths
+
+
+def index_multidegree(f: PLFunction) -> Multidegree:
+    """The former ``multidegree``, which found each leg's slope with
+    ``labels.index`` and so took time quadratic in the number of legs."""
+    t = f.tree
+    deg = {v: 0 for v in t.vertices}
+    for i, e in enumerate(t.edges):
+        a, b = e.ends
+        deg[a] += f.edge_slopes[i]
+        deg[b] -= f.edge_slopes[i]
+    labels = t.leg_labels
+    for l in t.legs:
+        deg[l.at] += f.leg_slopes[labels.index(l.label)]
+    return Multidegree(tuple((v, deg[v]) for v in t.vertices))
 
 
 def _insert_leg(state, label):

@@ -24,10 +24,24 @@ from troplog import (
     stabilize,
 )
 from troplog.errors import LengthMismatch, NonZeroSum, NoSuchLeg, UnstableRange
-from troplog.moduli import _curve_parts, _map_cones, _map_cones_over, _path_coefficients
+from troplog.moduli import (
+    TRANSLATION_COORD,
+    _curve_parts,
+    _lengths,
+    _map_cones,
+    _map_cones_over,
+    _map_parts,
+    _path_coefficients,
+    _split_masks,
+)
 from troplog.tree import canonicalize, contract_edge
 
-from oracles import affine_product_decomposition, random_stable_tree, random_zero_sum
+from oracles import (
+    affine_product_decomposition,
+    random_stable_tree,
+    random_zero_sum,
+    walk_path_coefficients,
+)
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -153,6 +167,24 @@ class TestSharedBuild:
     def test_alternating_n(self):
         for n in (5, 6, 5):
             assert same_complex(build_moduli_complex(n), fresh_complex(n))
+
+    def test_map_functions_built_once(self, monkeypatch):
+        # A product decomposition after a map build reuses its functions,
+        # and changing the returned complex changes no later result.
+        n, sigma = 5, ContactOrder.of([1, 1, 1, 1, -4])
+        _map_parts.cache_clear()
+        made = count_calls(monkeypatch, troplog.moduli.PLFunction)
+        maps = build_map_moduli(n, sigma)
+        expected = maps.to_json()
+        maps.cones.clear()
+        maps.functions.clear()
+        maps.types.clear()
+        rep = product_decomposition(n, sigma, 1)
+        assert rep.certified and rep.cones_checked == 26
+        assert len(made) == 26
+        again = build_map_moduli(n, sigma)
+        assert again.to_json() == expected and len(again.types) == 26
+        assert len(made) == 26
 
     def test_built_once_per_n(self, monkeypatch):
         _curve_parts.cache_clear()
@@ -326,10 +358,36 @@ class TestIntegerCertificate:
         for sigma in self.SIGMAS[n]:
             cx = build_map_moduli(n, sigma)
             for key, f in cx.functions.items():
-                paths = _path_coefficients(f)
+                splits = _split_masks(cx.types[key].tree)
                 for l in f.tree.legs:
-                    s = f.base_value + AffineExpr.make(0, paths[l.at])
+                    paths = _path_coefficients(_lengths(n)[0], splits, f.edge_slopes, l.label)
+                    s = f.base_value + AffineExpr.make(0, paths)
                     assert s == splitting_expr(cx, key, l.label)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_mask_slopes_match_the_cut_rule_walk(self, n):
+        # The slopes read from split masks are those that
+        # extend_from_leg_slopes sums over a walk, for one and two targets.
+        pair = [ContactOrder.of([1] * (n - 1) + [1 - n]), ContactOrder.of([n - 1] + [-1] * (n - 1))]
+        for sigmas in [[s] for s in self.SIGMAS[n]] + [pair]:
+            cx = _map_cones(n, sigmas)
+            for key, ct in cx.types.items():
+                fs = cx.functions[key] if len(sigmas) == 2 else (cx.functions[key],)
+                names = [TRANSLATION_COORD] if len(sigmas) == 1 else ["c1", "c2"]
+                for f, sigma, name in zip(fs, sigmas, names):
+                    assert f == extend_from_leg_slopes(ct.tree, sigma, ct.tree.root, AffineExpr.symbol(name))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_mask_path_coefficients_match_walk_oracle(self, n):
+        for sigma in self.SIGMAS[n]:
+            cx = build_map_moduli(n, sigma)
+            for key, f in cx.functions.items():
+                splits = _split_masks(cx.types[key].tree)
+                walked = walk_path_coefficients(f)
+                for l in f.tree.legs:
+                    paths = _path_coefficients(_lengths(n)[0], splits, f.edge_slopes, l.label)
+                    assert paths == walked[l.at]
+                    assert list(paths) == sorted(paths, key=lambda name: int(name[3:]))
 
 
 class TestStabilize:

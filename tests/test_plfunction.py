@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from troplog import (
 from troplog.errors import LengthMismatch, NonZeroSum
 from troplog.plfunction import PLFunction
 
-from oracles import random_tree, random_zero_sum, solve_balancing_system
+from oracles import index_multidegree, random_tree, random_zero_sum, solve_balancing_system
 
 
 def star(n):
@@ -163,3 +164,42 @@ def test_json_roundtrip():
     doc = plfunction_to_json(f)
     assert doc["base_value"] == "1/2"
     assert plfunction_from_json(doc) == f
+
+
+class TestLegLookups:
+    """Each call maps labels to positions once; the former code called
+    ``labels.index`` once per leg."""
+
+    def test_large_caterpillar_matches_index_lookups(self):
+        rng = random.Random(3)
+        k = 3000
+        labels = rng.sample(range(1, k + 3), k + 2)
+        at = [0, 0] + list(range(1, k)) + [k - 1]
+        legs = list(zip(labels, at))
+        rng.shuffle(legs)
+        t = Tree.build(list(range(k)), [(v, v + 1) for v in range(k - 1)], legs, lengths=1)
+        sigma = random_zero_sum(rng, k + 2)
+        f = extend_from_leg_slopes(t, sigma, 0, 0)
+
+        sorted_labels = t.leg_labels
+        at_vertex = [0] * k
+        for l in t.legs:
+            at_vertex[l.at] += sigma.slopes[sorted_labels.index(l.label)]
+        beyond = list(itertools.accumulate(reversed(at_vertex[1:])))[::-1]  # edge v -> v + 1
+        assert list(f.edge_slopes) == beyond
+        assert multidegree(f) == index_multidegree(f)
+        assert is_balanced(f)
+        # Each leg_slope call sorts the labels, so check a sample of them.
+        sample = rng.sample(labels, 50)
+        assert [f.leg_slope(label) for label in sample] == [
+            f.leg_slopes[sorted_labels.index(label)] for label in sample
+        ]
+
+    def test_repeated_label_takes_its_first_position(self):
+        # Not a valid tree, but extend takes it: both legs labeled 1 get
+        # the first slope, as labels.index gave them.
+        t = Tree.build(["v", "w"], [("v", "w")], [(1, "v"), (1, "w"), (2, "w")])
+        f = extend_from_leg_slopes(t, ContactOrder.of([2, -1, -1]), "v", 0)
+        assert f.edge_slopes == (1,)
+        assert f.leg_slope(1) == 2
+        assert multidegree(f) == index_multidegree(f)

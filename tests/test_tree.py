@@ -17,13 +17,15 @@ from troplog import (
     validate_tree,
     vertex_values,
 )
-from troplog.errors import NoSuchEdge, UnstableRange
+from troplog.errors import NoSuchEdge, ParseError, UnstableRange
+from troplog.tree import _split_sets, _split_tree
 
 from oracles import (
     _insert_leg,
     contraction_tree_types,
     count_stable_by_splits,
     count_trivalent_by_splits,
+    home_scan_split_tree,
     random_stable_tree,
     random_tree,
     recursive_canonicalize,
@@ -106,6 +108,13 @@ class TestEnumerate:
         for n in range(3, 8):
             got = [(ct.key, ct.tree, ct.facets) for ct in enumerate_tree_types(n)]
             assert got == [(ct.key, ct.tree, ct.facets) for ct in contraction_tree_types(n)]
+
+    def test_split_trees_match_home_scan_oracle(self):
+        for n in range(3, 8):
+            sets = _split_sets(n)
+            assert len(sets) == len(enumerate_tree_types(n))
+            for splits, parents in sets:
+                assert _split_tree(n, splits, parents) == home_scan_split_tree(n, splits)
 
     def test_closed_form_counts(self):
         # Cones: A000311(n - 1).  Rays: the splits, 2^(n-1) - n - 1.
@@ -203,6 +212,16 @@ class TestCanonical:
         for k, edges, legs in states:
             t = Tree.build(list(range(k)), edges, legs)
             assert canonicalize(t) == recursive_canonicalize(t), t
+
+    def test_cycle_is_a_parse_error(self):
+        t = Tree.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], [(1, "a"), (2, "b"), (3, "c")])
+        with pytest.raises(ParseError, match="graph contains a cycle"):
+            canonicalize(t)
+
+    def test_disconnected_is_a_parse_error(self):
+        t = Tree.build(["a", "b"], [], [(1, "a"), (2, "b")])
+        with pytest.raises(ParseError, match="tree is disconnected"):
+            canonicalize(t)
 
     def test_deep_caterpillar(self):
         # A path of 1 500 vertices is deeper than Python's recursion limit.
