@@ -18,10 +18,13 @@ same point as integers over the common denominator of its coordinates.
 Every point is certified: it is checked against every row in integer
 arithmetic, over that denominator, and a failed check raises RuntimeError.
 ``holds_at`` makes the same check of a scaled point against other rows.
-``prune_rows`` drops implied inequalities with one ``rows_point`` call
-each.  ``check_feasible`` and ``prune_redundant`` wrap them for
-``AffineExpr`` constraints; the witness of ``check_feasible`` is checked
-against the caller's constraints too.  An infeasible verdict is the one
+``prune_rows`` drops implied inequalities.  Given a point strictly inside
+every row, it first shoots a ray from the point against each row's normal,
+and the one row that a ray meets first is a facet with no kernel call (the
+ray-shooting step of Clarkson 1994); each other 'ge' row takes one
+``rows_point`` call.  ``check_feasible`` and ``prune_redundant`` wrap
+them for ``AffineExpr`` constraints; the witness of ``check_feasible`` is
+checked against the caller's constraints too.  An infeasible verdict is the one
 Fourier-Motzkin reaches: a combination of the rows that is a violated
 constant.  No floating point is used anywhere.
 """
@@ -239,18 +242,58 @@ def holds_at(rows: list[tuple[Row, str]], point: list[int]) -> bool:
     return all(_holds(sum(map(mul, row, point)), rel) for row, rel in rows)
 
 
-def prune_rows(rows: list[tuple[Row, str]], order: list[int]) -> list[tuple[Row, str]]:
+def _shot_facets(rows: list[tuple[Row, str]], point: list[int]) -> set[tuple[Row, str]]:
+    """The rows that a ray from ``point`` certifies as facets.
+
+    ``point`` is a scaled point (see ``rows_scaled_point``), over a
+    positive denominator, at which every row must be strictly positive,
+    else RuntimeError.  For each row a, a
+    ray leaves the point along d = (0, -a_1, ..., -a_m); row s falls along
+    it at the rate r_s = -s.d and reaches zero at t_s = (s.point) / r_s.
+    When a single row has the smallest t_s, it is 0 at the hit point and
+    every other row is positive there, so that row is a facet of the
+    system.  A tie certifies nothing.  The t_s are compared by
+    cross-multiplication.
+    """
+    values = [sum(map(mul, row, point)) for row, _ in rows]
+    if point[0] <= 0 or not all(v > 0 for v in values):
+        raise RuntimeError("prune_rows: the point is not strictly inside every row")
+    normals = [row[1:] for row, _ in rows]
+    found = set()
+    for a in normals:
+        hit, tie, value, rate = None, False, 0, 0
+        for j, s in enumerate(normals):
+            r = sum(map(mul, s, a))
+            if r <= 0:
+                continue
+            if hit is None or values[j] * rate < value * r:
+                hit, tie, value, rate = j, False, values[j], r
+            elif values[j] * rate == value * r:
+                tie = True
+        if hit is not None and not tie:
+            found.add(rows[hit])
+    return found
+
+
+def prune_rows(
+    rows: list[tuple[Row, str]], order: list[int], point: list[int] | None = None
+) -> list[tuple[Row, str]]:
     """Drop the copies of a row and the 'ge' rows implied by the rest.
 
     A non-constant 'ge' row is implied iff the rest together with its strict
-    negation is infeasible; a constant one iff it holds.  Rows of other
-    relations are kept.
+    negation is infeasible, one ``rows_point`` call; a constant one iff it
+    holds.  Rows of other relations are kept.  Given a scaled ``point`` at
+    which every row is strictly positive (else RuntimeError), rays from it
+    first certify some rows as facets (see ``_shot_facets``); such a row
+    is irredundant against every subset of the other rows, so it is kept
+    without a kernel call and the result is the same as without ``point``.
     """
     kept = list(dict.fromkeys(rows))
+    facets = set() if point is None else _shot_facets(kept, point)
     i = 0
     while i < len(kept):
         row, rel = kept[i]
-        if rel != "ge":
+        if rel != "ge" or kept[i] in facets:
             redundant = False
         elif not any(row[1:]):
             redundant = row[0] >= 0

@@ -61,15 +61,6 @@ class Multidegree:
         return all(d == 0 for _, d in self.degrees)
 
 
-def _leg_positions(t: Tree) -> dict[int, int]:
-    """Each leg label's position in ``t.leg_labels``; the first one if a
-    label repeats."""
-    position: dict[int, int] = {}
-    for i, label in enumerate(t.leg_labels):
-        position.setdefault(label, i)
-    return position
-
-
 @dataclass(frozen=True)
 class PLFunction:
     """A PL function stored as a basepoint value plus directed slopes.
@@ -102,7 +93,7 @@ class PLFunction:
         raise ParseError(f"edge {edge_index} does not join {v!r} and {w!r}")
 
     def leg_slope(self, label: int) -> int:
-        position = _leg_positions(self.tree)
+        position = self.tree.leg_positions
         if label not in position:
             raise NoSuchLeg(f"no leg labeled {label}")
         return self.leg_slopes[position[label]]
@@ -149,7 +140,7 @@ def multidegree(f: PLFunction) -> Multidegree:
         a, b = e.ends
         deg[a] += f.edge_slopes[i]
         deg[b] -= f.edge_slopes[i]
-    position = _leg_positions(t)
+    position = t.leg_positions
     for l in t.legs:
         deg[l.at] += f.leg_slopes[position[l.label]]
     return Multidegree(tuple((v, deg[v]) for v in t.vertices))
@@ -181,7 +172,7 @@ def extend_from_leg_slopes(
     elif basepoint not in t.vertices:
         raise ParseError(f"basepoint {basepoint!r} is not a vertex")
 
-    position = _leg_positions(t)
+    position = t.leg_positions
     subtree = {v: 0 for v in t.vertices}  # leg slopes at v, then in v's subtree
     for l in t.legs:
         subtree[l.at] += sigma.slopes[position[l.label]]

@@ -399,8 +399,10 @@ def subdivide_cone(
     identical cells arising from different assignments are merged.  The
     search has one strict slot per nonnegative coordinate of K, then one
     slot per distinct image, with one option per maximal fan cone.  A
-    cell's witness is the kernel's point of its rows, which the search
-    often found already.
+    cell's facets come from ``prune_rows``, which gets the search's point,
+    strictly inside every row of the leaf, to shoot rays from.  A cell's
+    witness is the kernel's point of its rows, which the search often
+    found already.
     """
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
@@ -417,7 +419,7 @@ def subdivide_cone(
     cells: dict[tuple, SubdividedCell] = {}
     for picks, rows, point, fresh in _search(slots, order):
         cone_of = dict(zip(distinct, picks[len(K.inequalities) :]))
-        facets = prune_rows([(row, "ge") for row, _ in rows], order)
+        facets = prune_rows([(row, "ge") for row, _ in rows], order, point)
         if not fresh:
             point = rows_scaled_point(rows, order)
         cell = SubdividedCell(

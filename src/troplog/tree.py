@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .affine import Rat, as_fraction, as_integer, fraction_str
 from .errors import NoSuchEdge, NoSuchLeg, ParseError, UnstableRange
@@ -56,9 +57,21 @@ class Tree:
     def n_legs(self) -> int:
         return len(self.legs)
 
-    @property
+    @cached_property
     def leg_labels(self) -> tuple[int, ...]:
+        """The leg labels, sorted; computed once per tree, like
+        ``leg_positions``.  Neither is a field, so neither takes part in
+        equality or hashing."""
         return tuple(sorted(l.label for l in self.legs))
+
+    @cached_property
+    def leg_positions(self) -> dict[int, int]:
+        """Each leg label's position in ``leg_labels``; the first one if a
+        label repeats."""
+        position: dict[int, int] = {}
+        for i, label in enumerate(self.leg_labels):
+            position.setdefault(label, i)
+        return position
 
     @property
     def is_concrete(self) -> bool:

@@ -5,7 +5,7 @@ import pytest
 
 import troplog.feasibility
 from troplog import AffineExpr, check_feasible, prune_redundant
-from troplog.feasibility import canonical_system, encode, rows_point
+from troplog.feasibility import canonical_system, encode, prune_rows, rows_point
 
 x = AffineExpr.symbol("x")
 y = AffineExpr.symbol("y")
@@ -168,3 +168,91 @@ def test_fraction_oracle_agreement():
 def test_unlisted_variables_are_eliminated_last():
     res = check_feasible([(x - y, "ge"), (y - 1, "gt"), (-y + 3, "ge")], ["x"])
     assert res.feasible and res.witness == {"y": 2, "x": 2}
+
+
+def _counted_rows_point(monkeypatch) -> list:
+    """Patch the kernel that ``prune_rows`` calls; return the call log."""
+    calls = []
+    kernel = troplog.feasibility.rows_point
+
+    def counted(rows, order):
+        calls.append(rows)
+        return kernel(rows, order)
+
+    monkeypatch.setattr(troplog.feasibility, "rows_point", counted)
+    return calls
+
+
+def _random_interior_system(rng: random.Random, m: int):
+    """Rows strictly positive at a random integer point (den = 1): random
+    normals, copies, positive constants, 'gt' rows and a row doubled
+    without reduction, which ties with its original on every ray."""
+    point = [1] + [rng.randint(-3, 3) for _ in range(m)]
+    rows = []
+    for _ in range(rng.randint(m + 1, 2 * m + 2)):
+        normal = [rng.randint(-2, 2) for _ in range(m)]
+        value = rng.randint(1, 4)
+        const = value - sum(a * k for a, k in zip(normal, point[1:]))
+        rows.append(((const, *normal), rng.choice(["ge", "ge", "ge", "gt"])))
+    rows += rng.sample(rows, 2)
+    rows.append(((rng.randint(1, 3),) + (0,) * m, "ge"))
+    row, _ = rng.choice(rows)
+    rows.append((tuple(2 * k for k in row), "ge"))
+    rng.shuffle(rows)
+    return rows, point
+
+
+def test_shooting_keeps_the_rows_of_the_kernel_loop(monkeypatch):
+    # Rays from an interior point only skip kernel calls: the kept rows are
+    # those of the plain loop, in the same order, on every system.
+    calls = _counted_rows_point(monkeypatch)
+    rng = random.Random(15)
+    plain = shot = 0
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        rows, point = _random_interior_system(rng, m)
+        order = rng.sample(range(1, m + 1), m)
+        before = len(calls)
+        want = prune_rows(rows, order)
+        plain += len(calls) - before
+        before = len(calls)
+        assert prune_rows(rows, order, point) == want, (rows, point)
+        shot += len(calls) - before
+    assert 0 < shot < plain
+
+
+def test_shooting_ties_certify_nothing(monkeypatch):
+    # x >= 0 twice over, once as 2x: every ray meets both at once, so both
+    # go to the kernel (3 calls without rays, 2 with), and the loop keeps
+    # the later one, as without rays.
+    calls = _counted_rows_point(monkeypatch)
+    rows = [((0, 1, 0), "ge"), ((0, 0, 1), "ge"), ((0, 2, 0), "ge")]
+    assert prune_rows(rows, [1, 2], [1, 1, 1]) == prune_rows(rows, [1, 2]) == rows[1:]
+    assert len(calls) == 3 + 2
+    # A constant row has no direction to shoot along and falls along no
+    # ray: alone, it is still dropped as a satisfied constant.
+    assert prune_rows([((2, 0, 0), "ge")], [1, 2], [1, 1, 1]) == []
+
+
+SIMPLEX = [((0, 1, 0), "ge"), ((0, 0, 1), "ge"), ((1, -1, -1), "ge")]
+
+
+def test_shooting_certifies_every_facet_of_a_simplex(monkeypatch):
+    # x > 0, y > 0, 1 - x - y > 0 at (1/3, 1/3): the ray along each inward
+    # normal meets its own facet first, so no row goes to the kernel.
+    calls = _counted_rows_point(monkeypatch)
+    assert prune_rows(SIMPLEX, [1, 2], [3, 1, 1]) == SIMPLEX
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows, point",
+    [(SIMPLEX, [3, 0, 1]), (SIMPLEX, [1, 1, 1]), (SIMPLEX, [3, -1, 1]), (SIMPLEX, [-3, -1, -1]), (SIMPLEX[:2], [-1, 1, 1])],
+    ids=["boundary", "outside", "negative-coordinate", "negative-denominator", "negated-cone"],
+)
+def test_shooting_needs_a_strictly_interior_point(rows, point):
+    # On the boundary, outside, or over a negative denominator, even where
+    # every row reads positive (x, y >= 0 at (1, 1) / -1 = (-1, -1)):
+    # an error, raised without assert so that it holds under python -O too.
+    with pytest.raises(RuntimeError):
+        prune_rows(rows, [1, 2], point)

@@ -453,6 +453,41 @@ def test_cell_witness_reuses_the_leaf_point(monkeypatch, fan, n, sigma, calls):
 
 
 @pytest.mark.parametrize(
+    "fan, sigmas, calls",
+    [
+        (P1, [ContactOrder.of([1, 1, 1, 1, -4]), ContactOrder.of([2, -1, 1, -3, 1])], 280),
+        (PLANE, [plane_sigmas(5)], 722),
+    ],
+    ids=["p1", "plane"],
+)
+def test_facets_shot_from_the_leaf_point(monkeypatch, fan, sigmas, calls):
+    # The cell search hands prune_rows each leaf's point; the facets it
+    # keeps are those of the plain kernel loop on every leaf, and the
+    # kernel runs the counted number of times (746 and 1 364 without rays).
+    import troplog.feasibility
+    import troplog.subdivision as sd
+
+    kernel, shot, leaves = troplog.feasibility.rows_point, [], []
+
+    def counted(rows, order):
+        shot.append(rows)
+        return kernel(rows, order)
+
+    def both(rows, order, point):
+        leaves.append(rows)
+        with monkeypatch.context() as m:
+            m.setattr(troplog.feasibility, "rows_point", counted)
+            got = troplog.feasibility.prune_rows(rows, order, point)
+        assert got == troplog.feasibility.prune_rows(rows, order), (rows, point)
+        return got
+
+    monkeypatch.setattr(sd, "prune_rows", both)
+    for sigma in sigmas:
+        subdivide_map_moduli(5, sigma, fan)
+    assert len(leaves) > 100 and len(shot) == calls
+
+
+@pytest.mark.parametrize(
     "fan, cases",
     [(fan, [(len(s), ContactOrder.of(s)) for s in CENSUS_SIGMAS]) for fan, _ in ONE_DIM_FANS]
     + [(fan, [(n, plane_sigmas(n)) for n in (3, 4)]) for fan in (PLANE, QUADRANTS)],
