@@ -205,28 +205,9 @@ def _map_cones_over(curve: ConeComplex, sigmas: list[ContactOrder]) -> ConeCompl
     """Map cones over an already built curve complex: each cone gains one
     free translation coordinate and one symbolic function per target
     coordinate (a single PLFunction for m = 1, else a tuple of m)."""
-    cones, functions, _ = _map_parts(curve.n, tuple(curve.types.values()), tuple(sigmas))
+    cones, functions = _map_parts(curve.n, tuple(curve.types.values()), tuple(sigmas))
     sigma = sigmas[0] if len(sigmas) == 1 else None
     return ConeComplex(curve.n, dict(cones), curve.types, curve.face_maps, sigma, dict(functions))
-
-
-def _split_masks(t: Tree) -> tuple[int, ...]:
-    """The split of each edge of a canonical tree: bit i - 1 is set when
-    leg i lies beyond the edge, seen from the root v0.
-
-    A canonical tree lists its edges parent -> child in preorder, so one
-    pass over them backwards meets every child before its parent.
-    """
-    index = {v: i for i, v in enumerate(t.vertices)}
-    beyond = [0] * len(t.vertices)  # legs at each vertex, then in its subtree
-    for l in t.legs:
-        beyond[index[l.at]] |= 1 << (l.label - 1)
-    masks = [0] * len(t.edges)
-    for j in reversed(range(len(t.edges))):
-        parent, child = t.edges[j].ends
-        masks[j] = beyond[index[child]]
-        beyond[index[parent]] |= masks[j]
-    return tuple(masks)
 
 
 def _leg_sums(slopes: tuple[int, ...]) -> list[int]:
@@ -240,14 +221,14 @@ def _leg_sums(slopes: tuple[int, ...]) -> list[int]:
 @functools.lru_cache(maxsize=1)
 def _map_parts(
     n: int, types: tuple[CombinatorialType, ...], sigmas: tuple[ContactOrder, ...]
-) -> tuple[tuple, tuple, tuple]:
+) -> tuple[tuple, tuple]:
     """The map cones over the given curve types as frozen parts: their
-    ``(key, Cone)`` items, ``(key, function)`` items and ``(key, split
-    masks)`` items, the masks in canonical edge order.
+    ``(key, Cone)`` items and ``(key, function)`` items.
 
     Built once per curve build and tuple of contact orders, and shared.
     By the cut rule the slope of edge j, read parent -> child, is the sum
-    of sigma over the legs of its split, so no tree is walked.
+    of sigma over the legs of the type's ``splits[j]``, so no tree is
+    walked.
     """
     m = len(sigmas)
     c_names = [TRANSLATION_COORD] if m == 1 else [f"c{j+1}" for j in range(m)]
@@ -255,18 +236,16 @@ def _map_parts(
     bases = [AffineExpr.symbol(cn) for cn in c_names]
     sums = [_leg_sums(s.slopes) for s in sigmas]
     coords = _lengths(n)[1]
-    cones, functions, masks = [], [], []
+    cones, functions = [], []
     for ct in types:
         t = ct.tree
-        splits = _split_masks(t)
         fs = tuple(
-            PLFunction(t, t.root, base, tuple(leg_sums[s] for s in splits), s.slopes)
+            PLFunction(t, t.root, base, tuple(leg_sums[s] for s in ct.splits), s.slopes)
             for s, base, leg_sums in zip(sigmas, bases, sums)
         )
-        cones.append((ct.key, Cone(ct.key, coords[: len(splits)] + free)))
+        cones.append((ct.key, Cone(ct.key, coords[: len(ct.splits)] + free)))
         functions.append((ct.key, fs[0] if m == 1 else fs))
-        masks.append((ct.key, splits))
-    return tuple(cones), tuple(functions), tuple(masks)
+    return tuple(cones), tuple(functions)
 
 
 def build_map_moduli(n: int, sigma: ContactOrder) -> ConeComplex:
@@ -389,7 +368,8 @@ def _path_coefficients(
 ) -> dict[str, int]:
     """Leg ``label``'s value minus the base value on a map cone: ``{l_e{j}:
     slope}`` over the edges j whose split holds the leg, which are the
-    edges on its path from the root, in edge order, zero slopes left out."""
+    edges on its path from the root, in edge order, zero slopes left out.
+    ``splits`` is the type's ``CombinatorialType.splits``."""
     bit = 1 << (label - 1)
     return {names[j]: s for j, (mask, s) in enumerate(zip(splits, slopes)) if s and mask & bit}
 
@@ -403,20 +383,17 @@ def _certified_map_moduli(
 
     A cone's splitting at a leg is its base value, the translation
     coordinate of every map cone, plus the integer path coefficients of
-    the leg's vertex, read from the split masks.  The face checks and the
-    search for distinct splittings compare these integer maps; one
-    ``AffineExpr`` per cone serves the printed cone map and the
+    the leg's vertex, read from the splits of the cone's type.  The face
+    checks and the search for distinct splittings compare these integer
+    maps; one ``AffineExpr`` per cone serves the printed cone map and the
     unimodularity checks.
     """
     _check_product_args(n, sigma, leg)
-    curve = build_moduli_complex(n)
-    cones, functions, masks = _map_parts(n, tuple(curve.types.values()), (sigma,))
-    mapc = ConeComplex(n, dict(cones), curve.types, curve.face_maps, sigma, dict(functions))
+    mapc = _map_cones(n, [sigma])
     names = _lengths(n)[0]
-    splits = dict(masks)
 
     def path(key: str, label: int) -> dict[str, int]:
-        return _path_coefficients(names, splits[key], mapc.functions[key].edge_slopes, label)
+        return _path_coefficients(names, mapc.types[key].splits, mapc.functions[key].edge_slopes, label)
 
     failures: list[str] = []
     cone_maps: dict[str, str] = {}
@@ -430,7 +407,8 @@ def _certified_map_moduli(
         for name, coeff in s.terms:
             if name != TRANSLATION_COORD and coeff.denominator != 1:
                 failures.append(f"cone {key}: non-integer coefficient on {name}")
-        curve_coords = {c.name for c in curve.cones[key].coords}
+        # The curve cone of a type has one length coordinate per edge.
+        curve_coords = set(names[: len(mapc.types[key].tree.edges)])
         map_coords = {c.name for c in mapc.cones[key].coords}
         if map_coords != curve_coords | {TRANSLATION_COORD}:
             failures.append(f"cone {key}: coordinates do not match curve cone plus free line")

@@ -24,7 +24,9 @@ class ContactOrder:
 
     @staticmethod
     def of(values) -> "ContactOrder":
-        return ContactOrder(tuple(int(v) for v in values))
+        """The contact order with the given integer slopes; a float, a bool
+        or a string is a ParseError, not truncated."""
+        return ContactOrder(tuple(as_integer(v, "leg slope") for v in values))
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import Rat, as_fraction, fraction_str
+from .affine import Rat, as_fraction, as_integer, fraction_str
 
 
 @dataclass(frozen=True)
@@ -38,5 +38,7 @@ class SelfMapNormalForm:
 
 
 def classify_self_map(r: int, a: Rat) -> SelfMapNormalForm:
-    """Discrete classification data of a self-map of the log torus."""
-    return SelfMapNormalForm(int(r), as_fraction(a))
+    """Discrete classification data of a self-map of the log torus.  The
+    degree ``r`` must be an integer: a float, a bool or a string is a
+    ParseError, not truncated."""
+    return SelfMapNormalForm(as_integer(r, "degree"), as_fraction(a))

@@ -298,11 +298,16 @@ class CombinatorialType:
     ``facets[i]`` describes the type reached by contracting edge i of
     ``tree``: its key, and for each other edge of ``tree`` in index order,
     that edge's index in the contracted type's canonical tree.
+
+    ``splits[j]`` is the split of canonical edge j: bit i - 1 is set when
+    leg i lies beyond the edge, seen from the root v0.  Edge j is read
+    parent -> child, so the legs of its split are those beyond the child.
     """
 
     tree: Tree
     key: str
     facets: tuple[tuple[str, tuple[int, ...]], ...]
+    splits: tuple[int, ...]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CombinatorialType) and self.key == other.key
@@ -398,8 +403,10 @@ def enumerate_tree_types(n: int) -> list[CombinatorialType]:
     tree is determined by the splits of its bounded edges, and a set of
     splits comes from a tree exactly when they are pairwise compatible
     (Buneman 1971).  Every compatible set is listed depth first and its
-    tree canonicalized once.  Contracting an edge deletes its split, so
-    each facet is the set minus one split, found by lookup.
+    tree canonicalized once; its edge map puts the splits in canonical
+    edge order, which is the order of ``CombinatorialType.splits``.
+    Contracting an edge deletes its split, so each facet is the set minus
+    one split, found by lookup.
     """
     if n < 3:
         raise UnstableRange(f"stable trees need n >= 3 legs, got {n}")
@@ -409,12 +416,12 @@ def enumerate_tree_types(n: int) -> list[CombinatorialType]:
         forms[chosen] = (cf, dict(zip(chosen, cf.edge_map)))
     types = []
     for chosen, (cf, index) in forms.items():
-        order = sorted(chosen, key=index.__getitem__)  # the splits in canonical edge order
+        splits = tuple(sorted(chosen, key=index.__getitem__))
         facets = []
-        for s in order:
+        for s in splits:
             face, face_index = forms[tuple(t for t in chosen if t != s)]
-            facets.append((face.key, tuple(face_index[t] for t in order if t != s)))
-        types.append(CombinatorialType(cf.tree, cf.key, tuple(facets)))
+            facets.append((face.key, tuple(face_index[t] for t in splits if t != s)))
+        types.append(CombinatorialType(cf.tree, cf.key, tuple(facets), splits))
     return sorted(types, key=lambda ct: ct.key)
 
 
@@ -434,20 +441,39 @@ def tree_to_json(t: Tree) -> dict:
     }
 
 
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"{what} must be a JSON list, got {type(x).__name__}")
+    return x
+
+
+def _vertex_id(v) -> VertexId:
+    """A JSON string or integer.  A bool or a float is refused: ``true``
+    and ``1.0`` would both match the vertex ``1``."""
+    if isinstance(v, bool) or not isinstance(v, (str, int)):
+        raise ParseError(f"vertex ids must be strings or integers, got {type(v).__name__}")
+    return v
+
+
+def _edge_from_json(e) -> Edge:
+    ends = _json_list(e["ends"], "an edge's ends")
+    if len(ends) != 2:
+        raise ParseError(f"an edge has 2 ends, got {len(ends)}")
+    length = e.get("length")
+    return Edge(
+        (_vertex_id(ends[0]), _vertex_id(ends[1])),
+        None if length is None else as_fraction(length),
+    )
+
+
 def tree_from_json(doc: dict) -> Tree:
     try:
-        vertices = tuple(doc["vertices"])
-        edges = tuple(
-            Edge(
-                (e["ends"][0], e["ends"][1]),
-                None if e.get("length") is None else as_fraction(e["length"]),
-            )
-            for e in doc["edges"]
+        vertices = tuple(_vertex_id(v) for v in _json_list(doc["vertices"], "vertices"))
+        edges = tuple(_edge_from_json(e) for e in _json_list(doc["edges"], "edges"))
+        legs = tuple(
+            Leg(as_integer(l["label"], "leg label"), _vertex_id(l["at"]))
+            for l in _json_list(doc["legs"], "legs")
         )
-        legs = tuple(Leg(as_integer(l["label"], "leg label"), l["at"]) for l in doc["legs"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed tree document: missing/bad field {exc}") from exc
-    for v in vertices + tuple(v for e in edges for v in e.ends) + tuple(l.at for l in legs):
-        if isinstance(v, (list, dict)):
-            raise ParseError(f"vertex ids must be strings or numbers, got {v!r}")
     return Tree(vertices, edges, legs)

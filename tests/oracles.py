@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Thirteen former library functions are the exception, kept
+grid search.  Fourteen former library functions are the exception, kept
 so that their replacements can be required to give the same results:
 ``recursive_canonicalize``, the canonical form computed by recursion,
 ``home_scan_split_tree``, the tree of a split set that finds each
@@ -24,10 +24,12 @@ and ``assignment_subdivide_cone``, the cell search over all
 |maximal cones|^|V| assignments of vertices to fan cones, and
 ``plain_search``, the pullback search that runs the kernel at every node
 instead of carrying points, ``walk_path_coefficients``, the splitting's
-integer path coefficients summed over a walk of the tree, and
+integer path coefficients summed over a walk of the tree,
 ``index_multidegree``, the multidegree that looked up each leg's slope
-with ``list.index``.  The oracles pull fans back through their own
-``AffineExpr`` arithmetic, not the library's integer rows.
+with ``list.index``, and ``backward_split_masks``, the splits of a
+canonical tree's edges from one backward pass over them.  The oracles
+pull fans back through their own ``AffineExpr`` arithmetic, not the
+library's integer rows.
 """
 
 from __future__ import annotations
@@ -283,6 +285,26 @@ def walk_path_coefficients(f: PLFunction) -> dict[VertexId, dict[str, int]]:
     return paths
 
 
+def backward_split_masks(t: Tree) -> tuple[int, ...]:
+    """The former ``moduli._split_masks``: the split of each edge of a
+    canonical tree, bit i - 1 set when leg i lies beyond the edge, seen
+    from the root v0.
+
+    A canonical tree lists its edges parent -> child in preorder, so one
+    pass over them backwards meets every child before its parent.
+    """
+    index = {v: i for i, v in enumerate(t.vertices)}
+    beyond = [0] * len(t.vertices)  # legs at each vertex, then in its subtree
+    for l in t.legs:
+        beyond[index[l.at]] |= 1 << (l.label - 1)
+    masks = [0] * len(t.edges)
+    for j in reversed(range(len(t.edges))):
+        parent, child = t.edges[j].ends
+        masks[j] = beyond[index[child]]
+        beyond[index[parent]] |= masks[j]
+    return tuple(masks)
+
+
 def index_multidegree(f: PLFunction) -> Multidegree:
     """The former ``multidegree``, which found each leg's slope with
     ``labels.index`` and so took time quadratic in the number of legs."""
@@ -318,7 +340,8 @@ def _insert_leg(state, label):
 def contraction_tree_types(n: int) -> list[CombinatorialType]:
     """The former ``enumerate_tree_types``: trivalent shapes by leg
     insertion, the other shapes by contracting internal edges with a
-    worklist, each type's facets recorded from its contractions."""
+    worklist, each type's facets recorded from its contractions and its
+    splits from ``backward_split_masks``."""
     states = [(1, [], [(1, 0), (2, 0), (3, 0)])]
     for label in range(4, n + 1):
         states = [s2 for s in states for s2 in _insert_leg(s, label)]
@@ -335,7 +358,7 @@ def contraction_tree_types(n: int) -> list[CombinatorialType]:
             facets.append((cf.key, cf.edge_map))
             if cf.key not in found:
                 pending.setdefault(cf.key, cf.tree)
-        found[key] = CombinatorialType(tree, key, tuple(facets))
+        found[key] = CombinatorialType(tree, key, tuple(facets), backward_split_masks(tree))
     return [found[k] for k in sorted(found)]
 
 

@@ -340,6 +340,18 @@ class TestSubdivide:
             ),
         ),
         ("extend", _tree_doc(edges=[{"ends": ["a", "b"], "length": "1e5000"}])),
+        ("validate", _tree_doc(vertices="ab")),
+        ("validate", _tree_doc(vertices={"a": 1, "b": 2})),
+        ("validate", _tree_doc(edges=[{"ends": "ab", "length": "1"}])),
+        ("validate", _tree_doc(edges=[{"ends": ["a", "b", "c"], "length": "1"}])),
+        (
+            "validate",
+            {
+                "vertices": [True, 2],
+                "edges": [{"ends": [True, 2], "length": "1"}],
+                "legs": [{"label": 1, "at": 1}, {"label": 2, "at": 1}, {"label": 3, "at": 2}, {"label": 4, "at": 2}],
+            },
+        ),
     ],
     ids=[
         "extend-unknown-vertex",
@@ -351,6 +363,11 @@ class TestSubdivide:
         "edge-slope-2.5",
         "leg-slope-string",
         "edge-length-1e5000",
+        "vertices-string",
+        "vertices-object",
+        "ends-string",
+        "three-ends",
+        "vertex-id-true",
     ],
 )
 def test_malformed_tree_parse_error(capture, tmp_path, command, doc):

@@ -23,7 +23,7 @@ from troplog import (
     splitting_expr,
     stabilize,
 )
-from troplog.errors import LengthMismatch, NonZeroSum, NoSuchLeg, UnstableRange
+from troplog.errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError, UnstableRange
 from troplog.moduli import (
     TRANSLATION_COORD,
     _curve_parts,
@@ -32,7 +32,6 @@ from troplog.moduli import (
     _map_cones_over,
     _map_parts,
     _path_coefficients,
-    _split_masks,
 )
 from troplog.tree import canonicalize, contract_edge
 
@@ -140,7 +139,7 @@ def fresh_complex(n: int) -> ConeComplex:
 def same_complex(cx: ConeComplex, other: ConeComplex) -> bool:
     # CombinatorialType compares by key alone, so compare its fields too.
     def types(c):
-        return {k: (ct.key, ct.tree, ct.facets) for k, ct in c.types.items()}
+        return {k: (ct.key, ct.tree, ct.facets, ct.splits) for k, ct in c.types.items()}
 
     return cx.to_json() == other.to_json() and types(cx) == types(other)
 
@@ -358,7 +357,7 @@ class TestIntegerCertificate:
         for sigma in self.SIGMAS[n]:
             cx = build_map_moduli(n, sigma)
             for key, f in cx.functions.items():
-                splits = _split_masks(cx.types[key].tree)
+                splits = cx.types[key].splits
                 for l in f.tree.legs:
                     paths = _path_coefficients(_lengths(n)[0], splits, f.edge_slopes, l.label)
                     s = f.base_value + AffineExpr.make(0, paths)
@@ -382,7 +381,7 @@ class TestIntegerCertificate:
         for sigma in self.SIGMAS[n]:
             cx = build_map_moduli(n, sigma)
             for key, f in cx.functions.items():
-                splits = _split_masks(cx.types[key].tree)
+                splits = cx.types[key].splits
                 walked = walk_path_coefficients(f)
                 for l in f.tree.legs:
                     paths = _path_coefficients(_lengths(n)[0], splits, f.edge_slopes, l.label)
@@ -446,6 +445,12 @@ class TestSelfMaps:
     def test_constant_stratum(self):
         nf = classify_self_map(0, 5)
         assert nf.kernel_order == 0 and nf.degree == 0
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+    def test_non_integer_degree_parse_error(self, bad):
+        # Truncation would read 2.7 as degree 2.
+        with pytest.raises(ParseError):
+            classify_self_map(bad, 0)
 
     def test_composition(self):
         composed = classify_self_map(2, 1).compose(classify_self_map(3, 4))

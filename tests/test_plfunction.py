@@ -15,7 +15,7 @@ from troplog import (
     plfunction_to_json,
     vertex_values,
 )
-from troplog.errors import LengthMismatch, NonZeroSum
+from troplog.errors import LengthMismatch, NonZeroSum, ParseError
 from troplog.plfunction import PLFunction
 
 from oracles import index_multidegree, random_tree, random_zero_sum, solve_balancing_system
@@ -98,6 +98,14 @@ class TestBalanced:
                 tuple(rng.randint(-3, 3) for _ in t.legs),
             )
             assert is_balanced(f) == multidegree(f).is_zero
+
+
+class TestContactOrder:
+    @pytest.mark.parametrize("bad", [0.5, -0.5, 1.9, 2.0, True, "1", Fraction(1)])
+    def test_non_integer_slope_parse_error(self, bad):
+        # Truncation would read [0.5, -0.5, 1.9] as (0, 0, 1).
+        with pytest.raises(ParseError):
+            ContactOrder.of([bad, 0, -1])
 
 
 class TestExtend:

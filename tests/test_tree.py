@@ -106,8 +106,8 @@ class TestEnumerate:
 
     def test_matches_contraction_enumeration(self):
         for n in range(3, 8):
-            got = [(ct.key, ct.tree, ct.facets) for ct in enumerate_tree_types(n)]
-            assert got == [(ct.key, ct.tree, ct.facets) for ct in contraction_tree_types(n)]
+            got = [(ct.key, ct.tree, ct.facets, ct.splits) for ct in enumerate_tree_types(n)]
+            assert got == [(ct.key, ct.tree, ct.facets, ct.splits) for ct in contraction_tree_types(n)]
 
     def test_split_trees_match_home_scan_oracle(self):
         for n in range(3, 8):
