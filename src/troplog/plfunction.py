@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .affine import AffineExpr, Rat, as_integer
 from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError
-from .tree import Tree, VertexId, check_incidence, checked_walk, tree_from_json, tree_to_json
+from .tree import Tree, VertexId, _vertex_id, check_incidence, checked_walk, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -218,11 +218,13 @@ def plfunction_from_json(doc: dict) -> PLFunction:
     t = tree_from_json(doc)
     check_incidence(t)
     try:
-        basepoint = doc["basepoint"]
+        # Vertex ids are checked as the tree's are: ``true`` and ``1.0``
+        # would both match the vertex ``1``.
+        basepoint = _vertex_id(doc["basepoint"])
         base_value = AffineExpr.parse(str(doc["base_value"]))
         slopes_by_pair = {}
         for rec in doc["edge_slopes"]:
-            slopes_by_pair[(rec["from"], rec["to"])] = as_integer(rec["slope"], "slope")
+            slopes_by_pair[(_vertex_id(rec["from"]), _vertex_id(rec["to"]))] = as_integer(rec["slope"], "slope")
         edge_slopes = []
         for e in t.edges:
             a, b = e.ends

@@ -3,8 +3,12 @@
 A complete fan in the target line (or plane) pulls back, through the
 per-vertex value functionals of the symbolic balanced function, to a
 subdivision of every moduli cone: one maximal cell per feasible
-full-dimensional assignment of vertex images to fan cones.  All geometry
-runs through the exact feasibility kernel.
+full-dimensional assignment of vertex images to fan cones.  On the fan of
+P^1, when the images are tree potentials (as on every map cone), the cells
+and the interior face counts are read from the order that the slopes put
+on the vertices, with one kernel call per cell, for its witness, and none
+for the counts.  Everything else runs through the exact feasibility
+kernel.
 """
 
 from __future__ import annotations
@@ -324,20 +328,25 @@ def _images(
     return out
 
 
-def _pullbacks(
-    image: tuple[AffineExpr, ...], systems: tuple[System, ...], index: dict[str, int]
-) -> list[list[tuple[Row, str]]]:
-    """Each target system of (normal, rel) pulled back along an image, as
-    integer rows over the columns of ``index``: the image's coordinates are
-    encoded once, scaled by the one positive integer that clears all their
-    denominators (scaled one by one, they would tilt a 2-D pullback), and
-    the row of ``normal`` is sum_j normal[j] * image_row[j], reduced."""
+def _image_rows(image: tuple[AffineExpr, ...], index: dict[str, int]) -> list[list[int]]:
+    """The image's coordinates as integer rows over the columns of
+    ``index``, all scaled by the one positive integer that clears their
+    denominators (scaled one by one, they would tilt a 2-D pullback)."""
     den = lcm(*(q.denominator for f in image for q in (f.const, *(c for _, c in f.terms))))
     image_rows = [[0] * (len(index) + 1) for _ in image]
     for row, f in zip(image_rows, image):
         for k, q in [(0, f.const), *((index[name], q) for name, q in f.terms)]:
             row[k] = q.numerator * (den // q.denominator)
-    columns = list(zip(*image_rows))
+    return image_rows
+
+
+def _pullbacks(
+    image: tuple[AffineExpr, ...], systems: tuple[System, ...], index: dict[str, int]
+) -> list[list[tuple[Row, str]]]:
+    """Each target system of (normal, rel) pulled back along an image, as
+    integer rows over the columns of ``index``: the row of ``normal`` is
+    sum_j normal[j] * image_row[j] over the ``_image_rows``, reduced."""
+    columns = list(zip(*_image_rows(image, index)))
     return [
         [(_reduced(tuple(sum(map(mul, normal, col)) for col in columns)), rel) for normal, rel in system]
         for system in systems
@@ -396,41 +405,227 @@ def subdivide_cone(
 
     Each cell fixes, for every vertex, the fan cone containing its image
     vector of values; a cell survives iff it meets the interior of K, and
-    identical cells arising from different assignments are merged.  The
-    search has one strict slot per nonnegative coordinate of K, then one
-    slot per distinct image, with one option per maximal fan cone.  A
-    cell's facets come from ``prune_rows``, which gets the search's point,
-    strictly inside every row of the leaf, to shoot rays from.  A cell's
-    witness is the kernel's point of its rows, which the search often
-    found already.
+    identical cells arising from different assignments are merged.  On
+    P^1 with tree potentials for images (see ``_slope_order``) the cells
+    are read from the slope order, one per up-set (``_ordered_cells``);
+    otherwise a search finds them (``_searched_cells``).  Either way a
+    cell's witness is the kernel's point of the leaf's rows: K's strict
+    rows, then one strict wall row per distinct image, in image order.
     """
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
     images = _images(vertex_functionals, fan.dim)
     distinct = list(dict.fromkeys(images.values()))
-    maximal = fan.maximal_cones()
     coords, index, order = _coordinates(K)
     names = sorted(coords)
+    strict = [row for h in K.inequalities for row in encode([(h, "gt")], index)]
+    line = _slope_order(K, distinct, fan)
+    if line is None:
+        found = _searched_cells(distinct, fan, strict, index, order)
+    else:
+        found = _ordered_cells(K, distinct, line, strict, index, order)
+
+    # Each facet row is decoded once per cone, with its string and its
+    # entry of the cell key (``canonical_system``).
+    decoded: dict[Row, tuple[str, AffineExpr, tuple]] = {}
+
+    def halfspace(row: Row) -> tuple[str, AffineExpr, tuple]:
+        if row not in decoded:
+            h = decode(row, names, "ge")[0]
+            decoded[row] = (str(h), h, canonical_system([(h, "ge")])[0])
+        return decoded[row]
+
+    slot = {image: i for i, image in enumerate(distinct)}
+    vertex_slots = [(str(v), slot[image]) for v, image in images.items()]
+    columns = [(c, index[c]) for c in names]
+    cells: dict[tuple, SubdividedCell] = {}
+    for picks, facets, point in found:
+        hs = sorted(map(halfspace, facets), key=lambda entry: entry[0])
+        key = tuple(sorted(entry for _, _, entry in hs))
+        if key not in cells:
+            cells[key] = SubdividedCell(
+                parent=K.name,
+                assignment=tuple((v, picks[i]) for v, i in vertex_slots),
+                halfspaces=tuple(h for _, h, _ in hs),
+                witness=tuple((c, Fraction(point[k], point[0])) for c, k in columns),
+                dim=K.dim,
+            )
+    return [cells[k] for k in sorted(cells)]
+
+
+def _searched_cells(distinct: list, fan: Fan, strict: list, index: dict[str, int], order: list[int]):
+    """Yield (fan cone per distinct image, facet rows, witness) per leaf of
+    the search over one slot per row of ``strict``, then one slot per
+    distinct image, with one option per maximal fan cone.  A leaf's facets
+    come from ``prune_rows``, which gets the search's point, strictly
+    inside every row of the leaf, to shoot rays from; its witness is the
+    kernel's point of its rows, which the search often found already."""
+    maximal = fan.maximal_cones()
     walls = tuple(fc.halfspaces for _, fc in maximal)
-    slots = [[encode([(h, "gt")], index)] for h in K.inequalities]
+    slots = [[[row]] for row in strict]
     for image in distinct:
         slots.append([_strict_walls(rows) for rows in _pullbacks(image, walls, index)])
-
-    cells: dict[tuple, SubdividedCell] = {}
     for picks, rows, point, fresh in _search(slots, order):
-        cone_of = dict(zip(distinct, picks[len(K.inequalities) :]))
         facets = prune_rows([(row, "ge") for row, _ in rows], order, point)
         if not fresh:
             point = rows_scaled_point(rows, order)
-        cell = SubdividedCell(
-            parent=K.name,
-            assignment=tuple((str(v), maximal[cone_of[image]][0]) for v, image in images.items()),
-            halfspaces=tuple(sorted((decode(row, names, rel)[0] for row, rel in facets), key=str)),
-            witness=tuple(sorted((c, Fraction(point[index[c]], point[0])) for c in coords)),
-            dim=K.dim,
-        )
-        cells.setdefault(cell.key, cell)
-    return [cells[k] for k in sorted(cells)]
+        yield [maximal[p][0] for p in picks[len(strict) :]], [row for row, _ in facets], point
+
+
+# ---------------------------------------------------------------------------
+# P^1: the cells and faces from the slope order
+# ---------------------------------------------------------------------------
+#
+# On a map cone for one contact order, vertex v takes the value c + g(v),
+# where c is the free translation and g(v) sums slope * length along the
+# path from the root.  Each edge of nonzero slope orders its ends' classes
+# of equal image; since c is free and any potential that increases along
+# the edges is reached by positive lengths, the P^1 pullback depends on
+# this order alone (Stanley, Enumerative Combinatorics I, section 3.4).
+
+
+def _slope_order(K: Cone, distinct: list, fan: Fan):
+    """``(up, down, edges)`` when the fan is P^1 and the distinct images
+    are tree potentials, else None.
+
+    The fan must be 1-D with maximal cones exactly the rays (1) and (-1),
+    at fan indices ``up`` and ``down``; the origin is the only other cone
+    a 1-D fan can list, and no subdivision reads it.  The images are tree
+    potentials when the pairs of them whose difference is a nonzero
+    multiple of one nonnegative coordinate of K each use their own
+    coordinate and number one less than the images, and a free coordinate
+    has a nonzero coefficient in the first image.  Such pairs make no
+    cycle (the distinct coordinates around one could not cancel), so they
+    span the images as a tree, and every image shares the first one's
+    free coefficients.  ``edges`` holds (lower, upper, coordinate) per
+    pair, as indices into ``distinct``: the upper image exceeds the lower
+    one by a positive multiple of the coordinate.
+    """
+    maximal = fan.maximal_cones()
+    rays = {cone.gens: i for i, cone in maximal}
+    if fan.dim != 1 or len(maximal) != 2 or set(rays) != {((1,),), ((-1,),)} or not distinct:
+        return None
+    values = [dict(f.terms) for (f,) in distinct]
+    if not any(c.name in values[0] for c in K.coords if c.sign == "free"):
+        return None
+    # Each image as a set of (name, (numerator, denominator)), the constant
+    # under the name None: two images differ in the names of the symmetric
+    # difference of their sets, which integer pairs hash fast.
+    items = [{(name, (q.numerator, q.denominator)) for name, q in ((None, f.const), *f.terms)} for (f,) in distinct]
+    nonneg = {c.name for c in K.coords if c.sign == "nonneg"}
+    edges, used = [], set()
+    for i, j in itertools.combinations(range(len(distinct)), 2):
+        diff = {name for name, _ in items[i] ^ items[j]}
+        if len(diff) == 1 and (name := diff.pop()) in nonneg:
+            if name in used:
+                return None
+            used.add(name)
+            upper = values[j].get(name, 0) > values[i].get(name, 0)
+            edges.append((i, j, name) if upper else (j, i, name))
+    if len(edges) != len(distinct) - 1:
+        return None
+    return rays[((1,),)], rays[((-1,),)], edges
+
+
+def _up_sets(above: list[list[int]], below: list[list[int]]) -> list[int]:
+    """The up-sets of the order whose covering pairs ``above`` and
+    ``below`` list per class, as bitmasks: the classes are taken from the
+    top down, each one joining every up-set found so far that holds all
+    the classes above it."""
+    waiting = [len(a) for a in above]
+    ready = [v for v, n in enumerate(waiting) if not n]
+    sets = [0]
+    while ready:
+        v = ready.pop()
+        sets += [s | 1 << v for s in sets if all(s >> w & 1 for w in above[v])]
+        for w in below[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                ready.append(w)
+    return sets
+
+
+def _ordered_cells(K: Cone, distinct: list, line, strict: list, index: dict[str, int], order: list[int]):
+    """Yield (fan cone per distinct image, facet rows, witness) per up-set
+    U of the slope order: the classes in U go to the ray (1), the rest to
+    (-1).  The facets are l >= 0 for each nonnegative coordinate that is
+    no order edge or whose edge has both ends on one side, the wall of
+    each minimal class of U and the wall of each maximal class outside U.
+    The witness is the one kernel call per cell, on the leaf's rows."""
+    up, down, edges = line
+    k = len(distinct)
+    walls = [_reduced(tuple(_image_rows(image, index)[0])) for image in distinct]
+    negated = [tuple(-x for x in w) for w in walls]
+    coordinate = {c.name: row for c, (row, _) in zip((c for c in K.coords if c.sign == "nonneg"), strict)}
+    always = [row for name, row in coordinate.items() if name not in {name for _, _, name in edges}]
+    below = [[lo for lo, hi, _ in edges if hi == v] for v in range(k)]
+    above = [[hi for lo, hi, _ in edges if lo == v] for v in range(k)]
+    for u in _up_sets(above, below):
+        inside = [bool(u >> v & 1) for v in range(k)]
+        rows = strict + [(walls[v] if inside[v] else negated[v], "gt") for v in range(k)]
+        facets = always + [coordinate[name] for lo, hi, name in edges if inside[lo] == inside[hi]]
+        facets += [walls[v] for v in range(k) if inside[v] and not any(inside[w] for w in below[v])]
+        facets += [negated[v] for v in range(k) if not inside[v] and all(inside[w] for w in above[v])]
+        yield [up if side else down for side in inside], facets, rows_scaled_point(rows, order)
+
+
+def _ordered_census(dim: int, k: int, edges: list) -> dict[int, int]:
+    """The faces of a P^1 pullback in the relative interior of a cone of
+    dimension ``dim``, by dimension, from the slope order on its k classes.
+
+    Such a face labels each class -1, 0 or +1 by the side of the origin
+    its image takes; the labels never decrease from the lower end of an
+    edge to the upper end, and no edge has 0 at both ends, since its
+    length is positive.  A face with z zeros has dimension dim - z, the
+    zero images being independent.  One dynamic program over the class
+    tree, rooted at class 0, counts the labelings by z.
+    """
+    near = [[] for _ in range(k)]
+    for lo, hi, _ in edges:
+        near[lo].append((hi, True))
+        near[hi].append((lo, False))
+    walk, parent = [0], {0: None}
+    for v in walk:
+        for w, _ in near[v]:
+            if w not in parent:
+                parent[w] = v
+                walk.append(w)
+    # counts[v]: the labelings of v's subtree with v labelled -1, 0 and +1,
+    # each as a list of counts by the number of zeros.
+    counts: list = [None] * k
+    for v in reversed(walk):
+        minus, zero, plus = [1], [0, 1], [1]
+        for w, w_above in near[v]:
+            if w == parent[v]:
+                continue
+            m, z, p = counts[w]
+            every = _plus((m, z, p))
+            if w_above:
+                minus, zero, plus = _times(minus, every), _times(zero, p), _times(plus, p)
+            else:
+                minus, zero, plus = _times(minus, m), _times(zero, m), _times(plus, every)
+        counts[v] = minus, zero, plus
+    total = _plus(counts[0])
+    return dict(sorted((dim - z, c) for z, c in enumerate(total) if c))
+
+
+def _plus(polys) -> list[int]:
+    """The sum of polynomials given as coefficient lists."""
+    out: list[int] = []
+    for p in polys:
+        out += [0] * (len(p) - len(out))
+        for z, c in enumerate(p):
+            out[z] += c
+    return out
+
+
+def _times(p: list[int], q: list[int]) -> list[int]:
+    """The product of two polynomials given as coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def _rank(rows: list[tuple[int, ...]]) -> int:
@@ -461,11 +656,17 @@ def _census(
     coordinate of K (an option per relation), then one per distinct image
     vector (an option per relatively open fan face), each choice encoded as
     integer rows once, over K's coordinates.  A face has dimension
-    #coords - rank of its equalities.
+    #coords - rank of its equalities.  The faces in the relative interior
+    of K (``rels`` is ("gt",)) on P^1 with tree potentials for images are
+    counted from the slope order instead, with no kernel call
+    (``_ordered_census``).
     """
     coords, index, order = _coordinates(K)
+    distinct = list(dict.fromkeys(_images(functionals, fan.dim).values()))
+    if rels == ("gt",) and (line := _slope_order(K, distinct, fan)) is not None:
+        return _ordered_census(len(coords), len(distinct), line[2])
     slots = [[encode([(h, rel)], index) for rel in rels] for h in K.inequalities]
-    for image in dict.fromkeys(_images(functionals, fan.dim).values()):
+    for image in distinct:
         slots.append(_pullbacks(image, fan.open_faces, index))
     counts: dict[int, int] = {}
     for _, rows, _, _ in _search(slots, order):
@@ -502,7 +703,10 @@ class SubdividedComplex:
         the f-vector of K is the sum, over K and the cones reached from it
         through ``CombinatorialType.facets``, of the census of the faces in
         the cone's relative interior (every nonnegative coordinate positive),
-        each searched once; distinct contracted split sets are distinct keys.
+        each counted once; distinct contracted split sets are distinct keys.
+        On P^1 each count comes from the slope order of the cone's vertex
+        values, one dynamic program over the tree with no kernel call;
+        other fans search the cone's interior faces.
         """
 
         @functools.cache

@@ -422,6 +422,42 @@ def test_selfmap_result_over_digit_limit(capsys):
     _assert_output_limit(capsys, main(["selfmap", "--r", big, "--a", "0", "--compose", "1", big]))
 
 
+def _integer_vertex_pl_doc(**changes):
+    doc = {
+        "vertices": [1, 2],
+        "edges": [{"ends": [1, 2], "length": "1"}],
+        "legs": [{"label": 1, "at": 1}, {"label": 2, "at": 1}, {"label": 3, "at": 2}],
+        "basepoint": 1,
+        "base_value": "0",
+        "edge_slopes": [{"from": 1, "to": 2, "slope": -1}],
+        "leg_slopes": {"1": 1, "2": 0, "3": -1},
+    }
+    for key, value in changes.items():
+        if key in ("from", "to"):
+            doc["edge_slopes"][0][key] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"basepoint": True}, {"basepoint": 1.0}, {"basepoint": [1]}, {"from": True}, {"to": 2.0}, {"from": None}],
+    ids=["basepoint-true", "basepoint-float", "basepoint-list", "from-true", "to-float", "from-null"],
+)
+def test_pl_document_vertex_ids_are_checked(capture, tmp_path, changes):
+    # The basepoint and the ends of a slope record are vertex ids like the
+    # tree's: true and 1.0 would match the vertex 1.
+    p = tmp_path / "plf.json"
+    p.write_text(json.dumps(_integer_vertex_pl_doc()))
+    code, env = capture(["multidegree", str(p)])
+    assert (code, env["status"], env["payload"]["balanced"]) == (0, "ok", True)
+    p.write_text(json.dumps(_integer_vertex_pl_doc(**changes)))
+    code, env = capture(["multidegree", str(p)])
+    assert (code, env["status"]) == (2, "ParseError")
+    assert "vertex ids must be strings or integers" in env["payload"]["message"]
+
+
 def test_multidegree_result_over_digit_limit(capsys, tmp_path):
     # Two slopes of 4 300 digits each are valid JSON integers; their sum,
     # the degree of the only vertex, has 4 301.

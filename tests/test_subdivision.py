@@ -372,6 +372,14 @@ def _holds(row, rel, point):
     return value > 0 if rel == "gt" else value >= 0 if rel == "ge" else value == 0
 
 
+def search_everywhere(monkeypatch):
+    """Make the cells and the census search on P1 too, where they would
+    read the slope order instead."""
+    import troplog.subdivision as sd
+
+    monkeypatch.setattr(sd, "_slope_order", lambda K, distinct, fan: None)
+
+
 @pytest.mark.parametrize(
     "fan, n, sigma",
     [(P1, 5, ContactOrder.of([2, -1, 1, -3, 1])), (P1, 5, ContactOrder.of([0, 1, 0, -1, 0])), (PLANE, 4, plane_sigmas(4))],
@@ -383,11 +391,13 @@ def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
     # depth the search must reach the nodes of the reference search that
     # runs the kernel at every node, each node's point must satisfy all of
     # its rows, a point marked fresh must be the kernel's point of its
-    # rows, and the reference must run the kernel more often.
+    # rows, and the reference must run the kernel more often.  On P1 this
+    # is the search that the slope order replaces.
     import oracles
     import troplog.feasibility
     import troplog.subdivision as sd
 
+    search_everywhere(monkeypatch)
     search = sd._search
     kernel_calls = {"carry": 0, "plain": 0}
 
@@ -430,10 +440,12 @@ def test_cell_witness_reuses_the_leaf_point(monkeypatch, fan, n, sigma, calls):
     # A leaf whose point the kernel found for the leaf's own rows takes its
     # witness from that point: no system goes to the kernel twice, the cell
     # search makes the counted number of calls, and the cells are those of
-    # the brute force over all assignments.
+    # the brute force over all assignments.  On P1 this is the search that
+    # the slope order replaces.
     import troplog.subdivision as sd
     from oracles import assignment_subdivide_cone
 
+    search_everywhere(monkeypatch)
     systems, repeats = [], []
 
     def counted(kernel):
@@ -464,9 +476,11 @@ def test_facets_shot_from_the_leaf_point(monkeypatch, fan, sigmas, calls):
     # The cell search hands prune_rows each leaf's point; the facets it
     # keeps are those of the plain kernel loop on every leaf, and the
     # kernel runs the counted number of times (746 and 1 364 without rays).
+    # On P1 this is the search that the slope order replaces.
     import troplog.feasibility
     import troplog.subdivision as sd
 
+    search_everywhere(monkeypatch)
     kernel, shot, leaves = troplog.feasibility.rows_point, [], []
 
     def counted(rows, order):
@@ -617,3 +631,149 @@ def test_integer_pullback_of_fractional_images(fan):
     assert len(cells) > 2
     assert cells == assignment_subdivide_cone(HAND_BUILT, functionals, fan)
     assert face_census(HAND_BUILT, functionals, fan) == witness_face_census(HAND_BUILT, functionals, fan)
+
+
+# P1, with and without the origin and in any order, where the cells and the
+# interior census are read from the slope order.
+P1_REORDERED = Fan.of([[], [(-1,)], [(1,)]], 1)
+P1_FANS = [
+    pytest.param(P1, id="p1"),
+    pytest.param(P1_WITHOUT_ORIGIN, id="p1-without-origin"),
+    pytest.param(P1_REORDERED, id="p1-reordered"),
+]
+# n = 3..6: slopes of one sign but one, mixed slopes, and zero slopes; the
+# reordered fan, which only moves the fan indices, stops at n = 5.
+ORDER_SIGMAS = [
+    (1, 1, -2), (1, 0, -1), (0, 0, 0),
+    (1, 1, 1, -3), (2, -1, 1, -2), (1, 0, 0, -1),
+    (1, 1, 1, 1, -4), (2, -1, 1, -3, 1), (0, 1, 0, -1, 0),
+    (1, 1, 1, 1, 1, -5), (2, 0, -1, 1, -2, 0),
+]
+
+
+def spy_slope_order(monkeypatch) -> list:
+    """Record what each call of ``_slope_order`` returns."""
+    import troplog.subdivision as sd
+
+    found, real = [], sd._slope_order
+
+    def spy(K, distinct, fan):
+        found.append(real(K, distinct, fan))
+        return found[-1]
+
+    monkeypatch.setattr(sd, "_slope_order", spy)
+    return found
+
+
+@pytest.mark.parametrize("fan", P1_FANS)
+def test_slope_order_matches_search_and_oracle(monkeypatch, fan):
+    # The payload read from the slope order is the search's, byte for byte,
+    # f-vectors included, and its cells are those of the brute force over
+    # all assignments.
+    import json
+
+    from oracles import assignment_subdivide_cone
+
+    found = spy_slope_order(monkeypatch)
+    for sigma in ORDER_SIGMAS if fan is not P1_REORDERED else [s for s in ORDER_SIGMAS if len(s) <= 5]:
+        sub = subdivide_map_moduli(len(sigma), ContactOrder.of(sigma), fan)
+        got = json.dumps(sub.to_json())
+        with monkeypatch.context() as m:
+            search_everywhere(m)
+            assert json.dumps(subdivide_map_moduli(len(sigma), ContactOrder.of(sigma), fan).to_json()) == got, sigma
+        for key, K in sub.complex.cones.items():
+            assert sub.cells[key] == assignment_subdivide_cone(K, sub.functionals[key], fan), (sigma, key)
+    assert found and None not in found
+
+
+@pytest.mark.parametrize("fan", P1_FANS)
+def test_slope_order_kernel_calls(monkeypatch, fan):
+    # On P1 each cell takes one kernel call, rows_scaled_point for its
+    # witness; prune_rows never runs, and stats() calls no kernel.
+    import troplog.feasibility as fe
+    import troplog.subdivision as sd
+
+    calls = {"kernel": 0, "rows_scaled_point": 0, "rows_point": 0, "prune_rows": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(fe, "_certified_point", counted("kernel", fe._certified_point))
+    for name in ("rows_scaled_point", "rows_point", "prune_rows"):
+        monkeypatch.setattr(sd, name, counted(name, getattr(sd, name)))
+    sub = subdivide_map_moduli(6, ContactOrder.of([2, 0, -1, 1, -2, 0]), fan)
+    cells = sub.stats()["total_max_cells"]
+    assert cells == sum(map(len, sub.cells.values())) > 100
+    assert calls == {"kernel": cells, "rows_scaled_point": cells, "rows_point": 0, "prune_rows": 0}
+
+
+c, d = AffineExpr.symbol("c"), AffineExpr.symbol("d")
+la, lb, lc = AffineExpr.symbol("l_a"), AffineExpr.symbol("l_b"), AffineExpr.symbol("l_c")
+LENGTHS_AND_C = Cone("K", (Coord("l_a", "nonneg"), Coord("l_b", "nonneg"), Coord("l_c", "nonneg"), Coord("c", "free")))
+TWO_FREE = Cone("K", (*LENGTHS_AND_C.coords, Coord("d", "free")))
+# Tree potentials: each pair of images joined in the tree differs by a
+# multiple of its own length; the base may hold constants, another free
+# coordinate, a length of the tree or none.
+BASE = c * Fraction(1, 2) + d + lc * 3 + Fraction(7, 3)
+TREE_POTENTIALS = [
+    (TWO_FREE, [BASE, BASE + la * Fraction(2, 3), BASE - lb * 5, BASE + la * Fraction(2, 3)]),
+    (LENGTHS_AND_C, [c + la, c + la * 2, c + la - lb]),
+    (LENGTHS_AND_C, [c - la, c, c + lb, c + lb + lc]),
+]
+# Not tree potentials: a length used by two or three pairs, no free
+# coordinate, free coefficients that differ, too few pairs, and the images
+# of HAND_BUILT.
+OTHER_IMAGES = [
+    (LENGTHS_AND_C, [c, c + la, c + la + lb, c + la * 2 + lb]),
+    (LENGTHS_AND_C, [c, c + la, c + la * 2]),
+    (LENGTHS_AND_C, [la, la + lb]),
+    (LENGTHS_AND_C, [c, c * 2 + la]),
+    (LENGTHS_AND_C, [c, c + la, c + la + lb * 2 + lc]),
+    (HAND_BUILT, [AffineExpr.parse(image[0]) for image in HAND_BUILT_IMAGES]),
+]
+
+
+def functionals_of(images):
+    return {(f"v{i}", 0): f for i, f in enumerate(images)}
+
+
+@pytest.mark.parametrize("fan", P1_FANS)
+@pytest.mark.parametrize("K, images", TREE_POTENTIALS, ids=["two-free", "base-on-a-tree-length", "chain"])
+def test_hand_built_tree_potentials(monkeypatch, fan, K, images):
+    # Any tree potentials take the slope order, with the search's cells and
+    # interior census and the brute force's cells.
+    import troplog.subdivision as sd
+    from oracles import assignment_subdivide_cone
+
+    found = spy_slope_order(monkeypatch)
+    functionals = functionals_of(images)
+    cells = subdivide_cone(K, functionals, fan)
+    census = sd._census(K, functionals, fan, ("gt",))
+    assert len(found) == 2 and None not in found
+    assert cells == assignment_subdivide_cone(K, functionals, fan)
+    search_everywhere(monkeypatch)
+    assert cells == subdivide_cone(K, functionals, fan)
+    assert census == sd._census(K, functionals, fan, ("gt",))
+
+
+@pytest.mark.parametrize(
+    "fan", [*P1_FANS, pytest.param(Fan.trivial(1), id="trivial"), pytest.param(PLANE, id="plane")]
+)
+@pytest.mark.parametrize("K, images", OTHER_IMAGES, ids=["length-twice", "length-thrice", "no-free", "free-differs", "too-few-pairs", "hand-built"])
+def test_other_functionals_keep_the_search(monkeypatch, fan, K, images):
+    # A public call whose images are not tree potentials, or whose fan is
+    # not P1, goes through the search and matches the brute force.
+    import troplog.subdivision as sd
+    from oracles import assignment_subdivide_cone
+
+    found = spy_slope_order(monkeypatch)
+    searched = []
+    search = sd._search
+    monkeypatch.setattr(sd, "_search", lambda slots, order: searched.append(slots) or search(slots, order))
+    functionals = {(v, j): f for (v, _), f in functionals_of(images).items() for j in range(fan.dim)}
+    assert subdivide_cone(K, functionals, fan) == assignment_subdivide_cone(K, functionals, fan)
+    assert found == [None] and searched
