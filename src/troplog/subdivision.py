@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, ne
 
 from .affine import AffineExpr, as_integer, fraction_str
 from .errors import IncompleteFan, LengthMismatch, ParseError, UnsupportedDimension
@@ -27,7 +27,6 @@ from .feasibility import (
     _reduced,
     canonical_system,
     decode,
-    encode,
     holds_at,
     prune_rows,
     rows_point,
@@ -312,41 +311,54 @@ class SubdividedCell:
         }
 
 
-def _images(
-    functionals: dict[tuple[VertexId, int], AffineExpr], dim: int
-) -> dict[VertexId, tuple[AffineExpr, ...]]:
-    """Each vertex's image vector of values, in sorted vertex order."""
+Image = tuple[Row, ...]  # one integer row per fan coordinate
+
+
+def _encoded(K: Cone, functionals: dict[tuple[VertexId, int], AffineExpr], dim: int):
+    """``(names, order, units, distinct, image_of)``: what the cells and
+    the census of K read, encoded once.
+
+    Column k of a row is K's coordinate ``names[k - 1]`` (sorted), column
+    0 the constant; ``order`` eliminates the columns in K's coordinate
+    order, and ``units`` maps the column of each nonnegative coordinate,
+    in K's order, to its unit row.  An image is ``dim`` integer rows, one
+    per fan coordinate; ``distinct`` lists the distinct images in sorted
+    vertex order, and ``image_of`` maps each vertex to its image's index
+    there.  Every image of K is scaled by one positive integer, the lcm of
+    the denominators of all the functionals: so equal rows are equal
+    images, and no image has its coordinates scaled apart (which would
+    tilt a 2-D pullback).
+    """
+    names = sorted(c.name for c in K.coords)
+    index = {name: k for k, name in enumerate(names, 1)}
+    nonneg = [index[c.name] for c in K.coords if c.sign == "nonneg"]
+    units = {col: tuple(int(k == col) for k in range(len(names) + 1)) for col in nonneg}
     for v, j in functionals:
         if j not in range(dim):
             raise LengthMismatch(f"functional for vertex {v!r}, coordinate {j}, in a fan of dimension {dim}")
-    out = {}
+    den = lcm(*(q.denominator for f in functionals.values() for q in (f.const, *(c for _, c in f.terms))))
+    distinct: dict[Image, int] = {}
+    image_of: dict[VertexId, int] = {}
     for v in sorted({v for v, _ in functionals}, key=str):
+        rows = []
         for j in range(dim):
             if (v, j) not in functionals:
                 raise LengthMismatch(f"missing functional for vertex {v!r}, coordinate {j}")
-        out[v] = tuple(functionals[(v, j)] for j in range(dim))
-    return out
+            f = functionals[(v, j)]
+            row = [f.const.numerator * (den // f.const.denominator)] + [0] * len(names)
+            for name, q in f.terms:
+                if name not in index:
+                    raise LengthMismatch(f"functional for vertex {v!r}, coordinate {j}, names unknown {name!r}")
+                row[index[name]] = q.numerator * (den // q.denominator)
+            rows.append(tuple(row))
+        image_of[v] = distinct.setdefault(tuple(rows), len(distinct))
+    return names, [index[c.name] for c in K.coords], units, list(distinct), image_of
 
 
-def _image_rows(image: tuple[AffineExpr, ...], index: dict[str, int]) -> list[list[int]]:
-    """The image's coordinates as integer rows over the columns of
-    ``index``, all scaled by the one positive integer that clears their
-    denominators (scaled one by one, they would tilt a 2-D pullback)."""
-    den = lcm(*(q.denominator for f in image for q in (f.const, *(c for _, c in f.terms))))
-    image_rows = [[0] * (len(index) + 1) for _ in image]
-    for row, f in zip(image_rows, image):
-        for k, q in [(0, f.const), *((index[name], q) for name, q in f.terms)]:
-            row[k] = q.numerator * (den // q.denominator)
-    return image_rows
-
-
-def _pullbacks(
-    image: tuple[AffineExpr, ...], systems: tuple[System, ...], index: dict[str, int]
-) -> list[list[tuple[Row, str]]]:
-    """Each target system of (normal, rel) pulled back along an image, as
-    integer rows over the columns of ``index``: the row of ``normal`` is
-    sum_j normal[j] * image_row[j] over the ``_image_rows``, reduced."""
-    columns = list(zip(*_image_rows(image, index)))
+def _pullbacks(image: Image, systems: tuple[System, ...]) -> list[list[tuple[Row, str]]]:
+    """Each target system of (normal, rel) pulled back along an image: the
+    row of ``normal`` is sum_j normal[j] * image[j], reduced."""
+    columns = list(zip(*image))
     return [
         [(_reduced(tuple(sum(map(mul, normal, col)) for col in columns)), rel) for normal, rel in system]
         for system in systems
@@ -382,13 +394,6 @@ def _search(slots: list[list], order: list[int]):
     return visit(0, (), [], [1] * (len(order) + 1), False)
 
 
-def _coordinates(K: Cone) -> tuple[list[str], dict[str, int], list[int]]:
-    """K's coordinates, their columns (sorted) and the elimination order."""
-    coords = [c.name for c in K.coords]
-    index = {name: k for k, name in enumerate(sorted(coords), 1)}
-    return coords, index, [index[c] for c in coords]
-
-
 def _strict_walls(rows: list) -> list | None:
     """The non-constant rows made strict; None if a constant row fails."""
     if any(not any(row[1:]) and row[0] < 0 for row, _ in rows):
@@ -414,62 +419,59 @@ def subdivide_cone(
     """
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
-    images = _images(vertex_functionals, fan.dim)
-    distinct = list(dict.fromkeys(images.values()))
-    coords, index, order = _coordinates(K)
-    names = sorted(coords)
-    strict = [row for h in K.inequalities for row in encode([(h, "gt")], index)]
-    line = _slope_order(K, distinct, fan)
+    names, order, units, distinct, image_of = _encoded(K, vertex_functionals, fan.dim)
+    line = _slope_order(distinct, units, fan)
     if line is None:
-        found = _searched_cells(distinct, fan, strict, index, order)
+        found = _searched_cells(distinct, fan, units, order)
     else:
-        found = _ordered_cells(K, distinct, line, strict, index, order)
+        found = _ordered_cells(distinct, line, units, order)
 
     # Each facet row is decoded once per cone, with its string and its
-    # entry of the cell key (``canonical_system``).
+    # entry of the cell key: reduced, it is already ``canonical_system``'s.
     decoded: dict[Row, tuple[str, AffineExpr, tuple]] = {}
 
     def halfspace(row: Row) -> tuple[str, AffineExpr, tuple]:
         if row not in decoded:
             h = decode(row, names, "ge")[0]
-            decoded[row] = (str(h), h, canonical_system([(h, "ge")])[0])
+            decoded[row] = (str(h), h, ("ge", h.const, h.terms))
         return decoded[row]
 
-    slot = {image: i for i, image in enumerate(distinct)}
-    vertex_slots = [(str(v), slot[image]) for v, image in images.items()]
-    columns = [(c, index[c]) for c in names]
-    cells: dict[tuple, SubdividedCell] = {}
+    vertex_slots = [(str(v), i) for v, i in image_of.items()]
+    # Cells are merged on their sorted integer facet rows, which hash fast,
+    # and listed in the order of their keys.
+    cells: dict[tuple[Row, ...], tuple[tuple, SubdividedCell]] = {}
     for picks, facets, point in found:
-        hs = sorted(map(halfspace, facets), key=lambda entry: entry[0])
-        key = tuple(sorted(entry for _, _, entry in hs))
-        if key not in cells:
-            cells[key] = SubdividedCell(
+        rows = tuple(sorted(facets))
+        if rows not in cells:
+            hs = sorted(map(halfspace, rows), key=lambda entry: entry[0])
+            cells[rows] = tuple(sorted(entry for _, _, entry in hs)), SubdividedCell(
                 parent=K.name,
                 assignment=tuple((v, picks[i]) for v, i in vertex_slots),
                 halfspaces=tuple(h for _, h, _ in hs),
-                witness=tuple((c, Fraction(point[k], point[0])) for c, k in columns),
+                witness=tuple((c, Fraction(point[k], point[0])) for k, c in enumerate(names, 1)),
                 dim=K.dim,
             )
-    return [cells[k] for k in sorted(cells)]
+    return [cell for _, cell in sorted(cells.values(), key=lambda entry: entry[0])]
 
 
-def _searched_cells(distinct: list, fan: Fan, strict: list, index: dict[str, int], order: list[int]):
+def _searched_cells(distinct: list[Image], fan: Fan, units: dict[int, Row], order: list[int]):
     """Yield (fan cone per distinct image, facet rows, witness) per leaf of
-    the search over one slot per row of ``strict``, then one slot per
-    distinct image, with one option per maximal fan cone.  A leaf's facets
-    come from ``prune_rows``, which gets the search's point, strictly
-    inside every row of the leaf, to shoot rays from; its witness is the
-    kernel's point of its rows, which the search often found already."""
+    the search over one slot per nonnegative coordinate, its strict unit
+    row, then one slot per distinct image, with one option per maximal fan
+    cone.  A leaf's facets come from ``prune_rows``, which gets the
+    search's point, strictly inside every row of the leaf, to shoot rays
+    from; its witness is the kernel's point of its rows, which the search
+    often found already."""
     maximal = fan.maximal_cones()
     walls = tuple(fc.halfspaces for _, fc in maximal)
-    slots = [[[row]] for row in strict]
+    slots = [[[(row, "gt")]] for row in units.values()]
     for image in distinct:
-        slots.append([_strict_walls(rows) for rows in _pullbacks(image, walls, index)])
+        slots.append([_strict_walls(rows) for rows in _pullbacks(image, walls)])
     for picks, rows, point, fresh in _search(slots, order):
         facets = prune_rows([(row, "ge") for row, _ in rows], order, point)
         if not fresh:
             point = rows_scaled_point(rows, order)
-        yield [maximal[p][0] for p in picks[len(strict) :]], [row for row, _ in facets], point
+        yield [maximal[p][0] for p in picks[len(units) :]], [row for row, _ in facets], point
 
 
 # ---------------------------------------------------------------------------
@@ -484,45 +486,42 @@ def _searched_cells(distinct: list, fan: Fan, strict: list, index: dict[str, int
 # this order alone (Stanley, Enumerative Combinatorics I, section 3.4).
 
 
-def _slope_order(K: Cone, distinct: list, fan: Fan):
+def _slope_order(distinct: list[Image], units: dict[int, Row], fan: Fan):
     """``(up, down, edges)`` when the fan is P^1 and the distinct images
     are tree potentials, else None.
 
     The fan must be 1-D with maximal cones exactly the rays (1) and (-1),
     at fan indices ``up`` and ``down``; the origin is the only other cone
-    a 1-D fan can list, and no subdivision reads it.  The images are tree
-    potentials when the pairs of them whose difference is a nonzero
-    multiple of one nonnegative coordinate of K each use their own
-    coordinate and number one less than the images, and a free coordinate
-    has a nonzero coefficient in the first image.  Such pairs make no
+    a 1-D fan can list, and no subdivision reads it.  Each image is one
+    integer row, all of them under the cone's one scale (see
+    ``_encoded``), so two images differ by a nonzero multiple of one
+    coordinate iff their rows differ in exactly that column.  The images
+    are tree potentials when the pairs of rows that differ in exactly one
+    column, the column of a nonnegative coordinate (in ``units``), each
+    use their own column and number one less than the images, and a free
+    coordinate's column is nonzero in the first row.  Such pairs make no
     cycle (the distinct coordinates around one could not cancel), so they
     span the images as a tree, and every image shares the first one's
-    free coefficients.  ``edges`` holds (lower, upper, coordinate) per
-    pair, as indices into ``distinct``: the upper image exceeds the lower
-    one by a positive multiple of the coordinate.
+    free coefficients.  ``edges`` holds (lower, upper, column) per pair,
+    as indices into ``distinct``: the upper row is the larger in the
+    column.
     """
     maximal = fan.maximal_cones()
     rays = {cone.gens: i for i, cone in maximal}
     if fan.dim != 1 or len(maximal) != 2 or set(rays) != {((1,),), ((-1,),)} or not distinct:
         return None
-    values = [dict(f.terms) for (f,) in distinct]
-    if not any(c.name in values[0] for c in K.coords if c.sign == "free"):
+    rows = [row for (row,) in distinct]
+    if not any(x for k, x in enumerate(rows[0]) if k and k not in units):
         return None
-    # Each image as a set of (name, (numerator, denominator)), the constant
-    # under the name None: two images differ in the names of the symmetric
-    # difference of their sets, which integer pairs hash fast.
-    items = [{(name, (q.numerator, q.denominator)) for name, q in ((None, f.const), *f.terms)} for (f,) in distinct]
-    nonneg = {c.name for c in K.coords if c.sign == "nonneg"}
     edges, used = [], set()
-    for i, j in itertools.combinations(range(len(distinct)), 2):
-        diff = {name for name, _ in items[i] ^ items[j]}
-        if len(diff) == 1 and (name := diff.pop()) in nonneg:
-            if name in used:
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        differs = list(map(ne, rows[i], rows[j]))
+        if differs.count(True) == 1 and (k := differs.index(True)) in units:
+            if k in used:
                 return None
-            used.add(name)
-            upper = values[j].get(name, 0) > values[i].get(name, 0)
-            edges.append((i, j, name) if upper else (j, i, name))
-    if len(edges) != len(distinct) - 1:
+            used.add(k)
+            edges.append((i, j, k) if rows[j][k] > rows[i][k] else (j, i, k))
+    if len(edges) != len(rows) - 1:
         return None
     return rays[((1,),)], rays[((-1,),)], edges
 
@@ -545,7 +544,7 @@ def _up_sets(above: list[list[int]], below: list[list[int]]) -> list[int]:
     return sets
 
 
-def _ordered_cells(K: Cone, distinct: list, line, strict: list, index: dict[str, int], order: list[int]):
+def _ordered_cells(distinct: list[Image], line, units: dict[int, Row], order: list[int]):
     """Yield (fan cone per distinct image, facet rows, witness) per up-set
     U of the slope order: the classes in U go to the ray (1), the rest to
     (-1).  The facets are l >= 0 for each nonnegative coordinate that is
@@ -554,16 +553,16 @@ def _ordered_cells(K: Cone, distinct: list, line, strict: list, index: dict[str,
     The witness is the one kernel call per cell, on the leaf's rows."""
     up, down, edges = line
     k = len(distinct)
-    walls = [_reduced(tuple(_image_rows(image, index)[0])) for image in distinct]
+    walls = [_reduced(row) for (row,) in distinct]
     negated = [tuple(-x for x in w) for w in walls]
-    coordinate = {c.name: row for c, (row, _) in zip((c for c in K.coords if c.sign == "nonneg"), strict)}
-    always = [row for name, row in coordinate.items() if name not in {name for _, _, name in edges}]
+    strict = [(row, "gt") for row in units.values()]
+    always = [row for col, row in units.items() if col not in {col for _, _, col in edges}]
     below = [[lo for lo, hi, _ in edges if hi == v] for v in range(k)]
     above = [[hi for lo, hi, _ in edges if lo == v] for v in range(k)]
     for u in _up_sets(above, below):
         inside = [bool(u >> v & 1) for v in range(k)]
         rows = strict + [(walls[v] if inside[v] else negated[v], "gt") for v in range(k)]
-        facets = always + [coordinate[name] for lo, hi, name in edges if inside[lo] == inside[hi]]
+        facets = always + [units[col] for lo, hi, col in edges if inside[lo] == inside[hi]]
         facets += [walls[v] for v in range(k) if inside[v] and not any(inside[w] for w in below[v])]
         facets += [negated[v] for v in range(k) if not inside[v] and all(inside[w] for w in above[v])]
         yield [up if side else down for side in inside], facets, rows_scaled_point(rows, order)
@@ -654,23 +653,22 @@ def _census(
 
     The faces are the leaves of the search over one slot per nonnegative
     coordinate of K (an option per relation), then one per distinct image
-    vector (an option per relatively open fan face), each choice encoded as
-    integer rows once, over K's coordinates.  A face has dimension
-    #coords - rank of its equalities.  The faces in the relative interior
-    of K (``rels`` is ("gt",)) on P^1 with tree potentials for images are
-    counted from the slope order instead, with no kernel call
-    (``_ordered_census``).
+    vector (an option per relatively open fan face), each choice pulled
+    back once to integer rows over K's columns (see ``_encoded``).  A face
+    has dimension #coords - rank of its equalities.  The faces in the
+    relative interior of K (``rels`` is ("gt",)) on P^1 with tree
+    potentials for images are counted from the slope order instead, with
+    no kernel call (``_ordered_census``).
     """
-    coords, index, order = _coordinates(K)
-    distinct = list(dict.fromkeys(_images(functionals, fan.dim).values()))
-    if rels == ("gt",) and (line := _slope_order(K, distinct, fan)) is not None:
-        return _ordered_census(len(coords), len(distinct), line[2])
-    slots = [[encode([(h, rel)], index) for rel in rels] for h in K.inequalities]
+    names, order, units, distinct, _ = _encoded(K, functionals, fan.dim)
+    if rels == ("gt",) and (line := _slope_order(distinct, units, fan)) is not None:
+        return _ordered_census(len(names), len(distinct), line[2])
+    slots = [[[(row, rel)] for rel in rels] for row in units.values()]
     for image in distinct:
-        slots.append(_pullbacks(image, fan.open_faces, index))
+        slots.append(_pullbacks(image, fan.open_faces))
     counts: dict[int, int] = {}
     for _, rows, _, _ in _search(slots, order):
-        d = len(coords) - _rank([row[1:] for row, rel in rows if rel == "eq"])
+        d = len(names) - _rank([row[1:] for row, rel in rows if rel == "eq"])
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
 

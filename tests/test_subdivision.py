@@ -377,7 +377,7 @@ def search_everywhere(monkeypatch):
     read the slope order instead."""
     import troplog.subdivision as sd
 
-    monkeypatch.setattr(sd, "_slope_order", lambda K, distinct, fan: None)
+    monkeypatch.setattr(sd, "_slope_order", lambda *args: None)
 
 
 @pytest.mark.parametrize(
@@ -592,9 +592,12 @@ def test_functionals_computed_once(monkeypatch):
     assert len(calls) == len(sub.complex.cones) == 26
 
 
-def test_functional_beyond_fan_dimension_rejected():
+def test_functional_beyond_fan_dimension_rejected(monkeypatch):
     # The functionals of a two-target cone have a coordinate 1, which a
-    # 1-D fan has no room for.
+    # 1-D fan has no room for; a functional may read only K's coordinates,
+    # and either is found before any kernel call.
+    import troplog.feasibility
+
     sigma = [ContactOrder.of([1, 1, 1, -3]), ContactOrder.of([1, -3, 1, 1])]
     sub = subdivide_map_moduli(4, sigma, PLANE)
     for key, K in sub.complex.cones.items():
@@ -604,6 +607,14 @@ def test_functional_beyond_fan_dimension_rejected():
             face_census(K, sub.functionals[key], P1)
     with pytest.raises(LengthMismatch, match="missing functional"):
         subdivide_cone(free_line(), {("v", 1): AffineExpr.symbol("c")}, PLANE)
+    kernel_calls = []
+    monkeypatch.setattr(troplog.feasibility, "_certified_point", lambda *args: kernel_calls.append(args))
+    K = Cone("K", (Coord("l_e0", "nonneg"), Coord("c", "free")))
+    functionals = {("v0", 0): AffineExpr.symbol("c"), ("v1", 0): AffineExpr.parse("zz + c")}
+    for call in (subdivide_cone, face_census):
+        with pytest.raises(LengthMismatch, match="vertex 'v1', coordinate 0, names unknown 'zz'"):
+            call(K, functionals, P1)
+    assert kernel_calls == []
 
 
 HAND_BUILT = Cone("K", (Coord("l_e0", "nonneg"), Coord("c1", "free"), Coord("c2", "free")))
@@ -613,13 +624,18 @@ HAND_BUILT_IMAGES = [
     ("1/2*c1 - 3/4*l_e0", "5/6*l_e0 + 3/2*c2 - 1/4*c1"),
     ("2*l_e0 + 2*c1", "1/3*c2"),
     ("7/3 - 1/5*c1", "2/7*c2 - c1 + 1/2"),
+    # Proportional images, which one scale per image would merge.
+    ("1/2*l_e0 + 1/2*c1", "1/2*c2"),
+    ("l_e0 + c1", "c2"),
 ]
 
 
 @pytest.mark.parametrize("fan", [P1, PLANE, QUADRANTS], ids=["p1", "plane", "quadrants"])
 def test_integer_pullback_of_fractional_images(fan):
-    # The integer rows of an image share one scale, so a 2-D wall such as
-    # -x + y pulls back to -(2*l_e0 + 2*c1) + 1/3*c2, not -(l_e0 + c1) + c2.
+    # The integer rows of the images share one scale for the cone, so a
+    # 2-D wall such as -x + y pulls back to -(2*l_e0 + 2*c1) + 1/3*c2, not
+    # -(l_e0 + c1) + c2, and the proportional images stay two images.
+    import troplog.subdivision as sd
     from oracles import assignment_subdivide_cone, witness_face_census
 
     functionals = {
@@ -627,6 +643,9 @@ def test_integer_pullback_of_fractional_images(fan):
         for i, image in enumerate(HAND_BUILT_IMAGES)
         for j, text in enumerate(image[: fan.dim])
     }
+    distinct = sd._encoded(HAND_BUILT, functionals, fan.dim)[3]
+    assert len(distinct) == len({image[: fan.dim] for image in HAND_BUILT_IMAGES}) == 5
+    assert distinct[-1] == tuple(tuple(2 * x for x in row) for row in distinct[-2])
     cells = subdivide_cone(HAND_BUILT, functionals, fan)
     assert len(cells) > 2
     assert cells == assignment_subdivide_cone(HAND_BUILT, functionals, fan)
@@ -657,8 +676,8 @@ def spy_slope_order(monkeypatch) -> list:
 
     found, real = [], sd._slope_order
 
-    def spy(K, distinct, fan):
-        found.append(real(K, distinct, fan))
+    def spy(*args):
+        found.append(real(*args))
         return found[-1]
 
     monkeypatch.setattr(sd, "_slope_order", spy)
