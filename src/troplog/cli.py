@@ -116,14 +116,14 @@ def cmd_moduli(args) -> dict:
 
 
 def cmd_subdivide(args) -> dict:
-    fan = subdivision.Fan.from_json(_read_json(args.fan))
-    report = subdivision.validate_fan(fan)
-    if not report.ok:
-        raise errors.IncompleteFan("; ".join(report.problems))
+    # Cheap checks first, as in cmd_moduli: the fan check is quadratic in its cones.
     sigmas = [_sigma(s) for s in args.sigma.split(";")]
+    moduli._check_contacts(args.n, sigmas)
     _check_size(args.n)
-    sub = subdivision.subdivide_map_moduli(args.n, sigmas if len(sigmas) > 1 else sigmas[0], fan)
-    return sub.to_json()
+    fan = subdivision.Fan.from_json(_read_json(args.fan))
+    if problems := subdivision.validate_fan(fan).problems:
+        raise errors.IncompleteFan("; ".join(problems))
+    return subdivision.subdivide_map_moduli(args.n, sigmas, fan).to_json()
 
 
 def cmd_validate_fan(args) -> dict:

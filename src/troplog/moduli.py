@@ -312,7 +312,8 @@ def splitting_expr(complex_: ConeComplex, key: str, label: int) -> AffineExpr:
     ct = complex_.types[key]
     if label not in ct.tree.leg_labels:
         raise NoSuchLeg(f"no leg labeled {label}")
-    return vertex_values(f)[ct.tree.leg(label).at]
+    path = _path_coefficients(_lengths(complex_.n)[0], ct.splits, f.edge_slopes, 1 << (label - 1))
+    return f.base_value + AffineExpr.make(0, path)
 
 
 @dataclass
@@ -364,14 +365,14 @@ def _check_product_args(n: int, sigma: ContactOrder, leg: int) -> None:
 
 
 def _path_coefficients(
-    names: tuple[str, ...], splits: tuple[int, ...], slopes: tuple[int, ...], label: int
+    names: tuple[str, ...], splits: tuple[int, ...], slopes: tuple[int, ...], legs: int
 ) -> dict[str, int]:
-    """Leg ``label``'s value minus the base value on a map cone: ``{l_e{j}:
-    slope}`` over the edges j whose split holds the leg, which are the
-    edges on its path from the root, in edge order, zero slopes left out.
-    ``splits`` is the type's ``CombinatorialType.splits``."""
-    bit = 1 << (label - 1)
-    return {names[j]: s for j, (mask, s) in enumerate(zip(splits, slopes)) if s and mask & bit}
+    """A vertex's value minus the base value on a map cone: ``{l_e{j}:
+    slope}`` over the edges j whose split (``CombinatorialType.splits``)
+    holds every leg of the bitmask ``legs``, in edge order, zero slopes left
+    out.  These edges are the vertex's path from the root when ``legs`` is
+    leg l's bit at its vertex, or ``splits[j]`` at the child of edge j."""
+    return {names[j]: s for j, (split, s) in enumerate(zip(splits, slopes)) if s and split & legs == legs}
 
 
 def _certified_map_moduli(
@@ -393,7 +394,7 @@ def _certified_map_moduli(
     names = _lengths(n)[0]
 
     def path(key: str, label: int) -> dict[str, int]:
-        return _path_coefficients(names, mapc.types[key].splits, mapc.functions[key].edge_slopes, label)
+        return _path_coefficients(names, mapc.types[key].splits, mapc.functions[key].edge_slopes, 1 << (label - 1))
 
     failures: list[str] = []
     cone_maps: dict[str, str] = {}

@@ -1,14 +1,15 @@
 """Complete fans and the pullback subdivision of map-moduli cones.
 
 A complete fan in the target line (or plane) pulls back, through the
-per-vertex value functionals of the symbolic balanced function, to a
-subdivision of every moduli cone: one maximal cell per feasible
-full-dimensional assignment of vertex images to fan cones.  On the fan of
-P^1, when the images are tree potentials (as on every map cone), the cells
-and the interior face counts are read from the order that the slopes put
-on the vertices, with one kernel call per cell, for its witness, and none
-for the counts.  Everything else runs through the exact feasibility
-kernel.
+per-vertex value functionals of the symbolic balanced function (on a map
+cone, read from its type's splits), to a subdivision of every moduli cone:
+one maximal cell per feasible full-dimensional assignment of vertex images
+to fan cones.  A cone's images are encoded as integer rows for its cells,
+and again by ``stats()``.  On the fan of P^1, when the images are tree
+potentials (as on every map cone), the cells and the interior face counts
+are read from the order that the slopes put on the vertices, with one
+kernel call per cell, for its witness, and none for the counts.
+Everything else runs through the exact feasibility kernel.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ from .errors import IncompleteFan, LengthMismatch, ParseError, UnsupportedDimens
 from .feasibility import (
     Row,
     _reduced,
-    canonical_system,
     decode,
     holds_at,
     prune_rows,
     rows_point,
     rows_scaled_point,
 )
-from .moduli import Cone, ConeComplex, _map_cones
-from .plfunction import ContactOrder, vertex_values
+from .moduli import Cone, ConeComplex, _lengths, _map_cones, _path_coefficients
+from .plfunction import ContactOrder
 from .tree import ValidationReport, VertexId
 
 Vector = tuple[int, ...]
@@ -290,10 +290,6 @@ class SubdividedCell:
     halfspaces: tuple[AffineExpr, ...]  # each >= 0
     witness: tuple[tuple[str, Fraction], ...]
     dim: int
-
-    @property
-    def key(self):
-        return canonical_system([(h, "ge") for h in self.halfspaces])
 
     def contains(self, point: dict[str, Fraction]) -> bool:
         return all(h.evaluate(point) >= 0 for h in self.halfspaces)
@@ -748,14 +744,17 @@ class SubdividedComplex:
 
 
 def cone_functionals(cx: ConeComplex, key: str) -> dict[tuple[VertexId, int], AffineExpr]:
-    """Per-vertex value functionals of the symbolic function(s) on one cone."""
-    fs = cx.functions[key]
-    if not isinstance(fs, tuple):
-        fs = (fs,)
+    """Per-vertex value functionals of the symbolic function(s) on one cone:
+    the base value plus the vertex's ``_path_coefficients``, whose mask is
+    all legs at the root and ``splits[j]`` at the child of edge j."""
+    fs, ct, names = cx.functions[key], cx.types[key], _lengths(cx.n)[0]
+    masks = [(ct.tree.root, (1 << cx.n) - 1)] + [(e.ends[1], s) for e, s in zip(ct.tree.edges, ct.splits)]
     out: dict[tuple[VertexId, int], AffineExpr] = {}
-    for j, f in enumerate(fs):
-        for v, val in vertex_values(f).items():
-            out[(v, j)] = val
+    for j, f in enumerate(fs if isinstance(fs, tuple) else (fs,)):
+        base = dict(f.base_value.terms)  # names no length, so one ``make`` adds a path to it
+        for v, legs in masks:
+            path = _path_coefficients(names, ct.splits, f.edge_slopes, legs)
+            out[(v, j)] = AffineExpr.make(f.base_value.const, {**base, **path})
     return out
 
 

@@ -51,7 +51,7 @@ from troplog import (
     contract_edge,
     extend_from_leg_slopes,
     splitting_at_leg,
-    splitting_expr,
+    vertex_values,
 )
 from troplog.errors import IncompleteFan, LengthMismatch
 from troplog.feasibility import (
@@ -640,6 +640,12 @@ def witness_prune_redundant(constraints: list[Constraint]) -> list[Constraint]:
     return kept
 
 
+def cell_key(cell: SubdividedCell) -> tuple:
+    """The former ``SubdividedCell.key``: the cell's halfspaces as
+    ``canonical_system`` fixes them, so that equal cells have equal keys."""
+    return canonical_system([(h, "ge") for h in cell.halfspaces])
+
+
 def assignment_subdivide_cone(
     K: Cone,
     vertex_functionals: dict[tuple[VertexId, int], AffineExpr],
@@ -692,7 +698,7 @@ def assignment_subdivide_cone(
             witness=tuple(sorted((k, interior.witness[k]) for k in coords)),
             dim=K.dim,
         )
-        cells.setdefault(cell.key, cell)
+        cells.setdefault(cell_key(cell), cell)
     return [cells[k] for k in sorted(cells)]
 
 
@@ -786,11 +792,14 @@ def affine_product_decomposition(n: int, sigma: ContactOrder, leg: int) -> Isomo
     curve = build_moduli_complex(n)
     mapc = build_map_moduli(n, sigma)
 
+    def splitting(key: str, label: int) -> AffineExpr:
+        return vertex_values(mapc.functions[key])[mapc.types[key].tree.leg(label).at]
+
     failures: list[str] = []
     cone_maps: dict[str, str] = {}
     splittings: dict[str, AffineExpr] = {}
     for key in mapc.cones:
-        s = splitting_expr(mapc, key, leg)
+        s = splitting(key, leg)
         splittings[key] = s
         cone_maps[key] = str(s)
         if s.coeff(TRANSLATION_COORD) != 1:
@@ -824,7 +833,7 @@ def affine_product_decomposition(n: int, sigma: ContactOrder, leg: int) -> Isomo
             continue
         witness = None
         for key in sorted(mapc.cones):
-            diff = splittings[key] - splitting_expr(mapc, key, other)
+            diff = splittings[key] - splitting(key, other)
             if diff.is_zero:
                 continue
             point = _concrete_point(mapc.types[key], sigma)

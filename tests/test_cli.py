@@ -280,6 +280,23 @@ class TestSubdivide:
         functions = payload["complex"]["functions"]["(1,2,3;)"]
         assert [plfunction_from_json(f).leg_slopes for f in functions] == [(1, 1, -2), (1, -2, 1)]
 
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["--n", "9", "--sigma", "1,x"], "ParseError"),
+            (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8"], "SizeLimit"),
+            (["--n", "4", "--sigma", "1,1,1,-2"], "NonZeroSum"),
+        ],
+        ids=["bad-sigma", "n-9", "nonzero-sum"],
+    )
+    def test_cheap_checks_before_fan_check(self, capture, monkeypatch, p1_fan, argv, status):
+        def no_check(fan):
+            raise AssertionError("checked the fan before the arguments")
+
+        monkeypatch.setattr(troplog.subdivision, "validate_fan", no_check)
+        code, env = capture(["subdivide", *argv, "--fan", p1_fan])
+        assert env["status"] == status and code == troplog.cli.EXIT_CODES[status]
+
     def test_validate_fan(self, capture, p1_fan):
         code, env = capture(["validate-fan", p1_fan])
         assert code == 0 and env["payload"]["valid"]

@@ -10,6 +10,7 @@ from troplog import (
     AffineExpr,
     ConeComplex,
     ContactOrder,
+    Fan,
     Tree,
     TropicalMapPoint,
     build_map_moduli,
@@ -22,6 +23,8 @@ from troplog import (
     splitting_at_leg,
     splitting_expr,
     stabilize,
+    subdivide_map_moduli,
+    vertex_values,
 )
 from troplog.errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError, UnstableRange
 from troplog.moduli import (
@@ -33,6 +36,7 @@ from troplog.moduli import (
     _map_parts,
     _path_coefficients,
 )
+from troplog.subdivision import cone_functionals
 from troplog.tree import canonicalize, contract_edge
 
 from oracles import (
@@ -354,14 +358,16 @@ class TestIntegerCertificate:
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_path_coefficients_match_splitting_expr(self, n):
+        # Both read the path rule, so both are checked against a walk.
         for sigma in self.SIGMAS[n]:
             cx = build_map_moduli(n, sigma)
             for key, f in cx.functions.items():
                 splits = cx.types[key].splits
+                values = vertex_values(f)
                 for l in f.tree.legs:
-                    paths = _path_coefficients(_lengths(n)[0], splits, f.edge_slopes, l.label)
+                    paths = _path_coefficients(_lengths(n)[0], splits, f.edge_slopes, 1 << (l.label - 1))
                     s = f.base_value + AffineExpr.make(0, paths)
-                    assert s == splitting_expr(cx, key, l.label)
+                    assert s == splitting_expr(cx, key, l.label) == values[l.at]
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_mask_slopes_match_the_cut_rule_walk(self, n):
@@ -378,15 +384,39 @@ class TestIntegerCertificate:
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_mask_path_coefficients_match_walk_oracle(self, n):
-        for sigma in self.SIGMAS[n]:
-            cx = build_map_moduli(n, sigma)
-            for key, f in cx.functions.items():
-                splits = cx.types[key].splits
-                walked = walk_path_coefficients(f)
-                for l in f.tree.legs:
-                    paths = _path_coefficients(_lengths(n)[0], splits, f.edge_slopes, l.label)
-                    assert paths == walked[l.at]
-                    assert list(paths) == sorted(paths, key=lambda name: int(name[3:]))
+        # The rule at every vertex: the root's mask is all legs, the child
+        # of edge j's is its split, and a leg's vertex's is the leg's bit.
+        pair = [ContactOrder.of([1] * (n - 1) + [1 - n]), ContactOrder.of([n - 1] + [-1] * (n - 1))]
+        for sigmas in [[s] for s in self.SIGMAS[n]] + [pair]:
+            cx = _map_cones(n, sigmas)
+            for key, ct in cx.types.items():
+                t = ct.tree
+                masks = [(t.root, (1 << n) - 1)] + [(e.ends[1], s) for e, s in zip(t.edges, ct.splits)]
+                masks += [(l.at, 1 << (l.label - 1)) for l in t.legs]
+                fs = cx.functions[key] if len(sigmas) == 2 else (cx.functions[key],)
+                for f in fs:
+                    walked = walk_path_coefficients(f)
+                    assert {v for v, _ in masks} == set(walked)
+                    for v, legs in masks:
+                        paths = _path_coefficients(_lengths(n)[0], ct.splits, f.edge_slopes, legs)
+                        assert paths == walked[v]
+                        assert list(paths) == sorted(paths, key=lambda name: int(name[3:]))
+                values = {(v, j): value for j, f in enumerate(fs) for v, value in vertex_values(f).items()}
+                assert cone_functionals(cx, key) == values
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_map_cones_are_not_walked(self, monkeypatch, n):
+        # Values on map cones come from the path rule alone.
+        calls = count_calls(monkeypatch, vertex_values)
+        sigma = ContactOrder.of([1] * (n - 1) + [1 - n])
+        subdivide_map_moduli(n, sigma, Fan.projective_line())
+        plane = Fan.of([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2)
+        subdivide_map_moduli(n, [sigma, ContactOrder.of([1, 1 - n] + [1] * (n - 2))], plane)
+        cx = build_map_moduli(n, sigma)
+        for key in cx.cones:
+            splitting_expr(cx, key, n)
+        assert product_decomposition(n, sigma, 1).certified
+        assert calls == []
 
 
 class TestStabilize:

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import troplog
@@ -29,3 +30,20 @@ def test_oracles_import_no_private_names():
         if alias.name.startswith("_")
     ]
     assert not found
+
+
+def test_no_unused_imports():
+    # Catches an import left behind by a deleted code path.  An import kept
+    # on purpose says why after ``# noqa: F401`` on its line.
+    found = []
+    for path in SOURCES:
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text, str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and not re.search(r"# noqa: F401\s+\S", lines[alias.lineno - 1]):
+                        found.append(f"{path.name}:{alias.lineno} {name}")
+    assert SOURCES and not found

@@ -20,6 +20,8 @@ from troplog.feasibility import canonical_system, prune_redundant
 from troplog.moduli import Cone, Coord
 from troplog.subdivision import cone_functionals
 
+from oracles import cell_key
+
 P1 = Fan.projective_line()
 
 
@@ -116,7 +118,7 @@ class TestSubdivideCone:
     def test_free_line_two_cells(self):
         cells = subdivide_cone(free_line(), {("v", 0): AffineExpr.symbol("c")}, P1)
         assert len(cells) == 2
-        keys = {c.key for c in cells}
+        keys = {cell_key(c) for c in cells}
         assert keys == {
             canonical_system([(AffineExpr.symbol("c"), "ge")]),
             canonical_system([(-AffineExpr.symbol("c"), "ge")]),
@@ -214,7 +216,7 @@ class TestSubdivideModuli:
                 if not check_full_dim(system, cx.cones[fm.face_key]):
                     continue
                 restricted.add(canonical_system(prune_redundant(system + [(i, "ge") for i in cx.cones[fm.face_key].inequalities])))
-            face_cells = {c.key for c in sub.cells[fm.face_key]}
+            face_cells = {cell_key(c) for c in sub.cells[fm.face_key]}
             assert restricted == face_cells
 
     def test_mdim_mismatch(self):
@@ -580,13 +582,12 @@ def test_functionals_computed_once(monkeypatch):
     import troplog.subdivision
 
     calls = []
-    vertex_values = troplog.subdivision.vertex_values
 
-    def counted(f):
-        calls.append(f)
-        return vertex_values(f)
+    def counted(cx, key):
+        calls.append(key)
+        return cone_functionals(cx, key)
 
-    monkeypatch.setattr(troplog.subdivision, "vertex_values", counted)
+    monkeypatch.setattr(troplog.subdivision, "cone_functionals", counted)
     sub = subdivide_map_moduli(5, ContactOrder.of([1, 1, 1, 1, -4]), P1)
     sub.to_json()
     assert len(calls) == len(sub.complex.cones) == 26
