@@ -9,12 +9,17 @@ eliminated by substitution first, on the row's first nonzero column;
 inequalities by pairwise combination, in the caller's column order.  Every
 step is an integer combination of two rows followed by division by the gcd,
 so elimination does no rational arithmetic.  When a system is feasible, a
-rational point (``fractions.Fraction``) is reconstructed by
-back-substitution, the only step that builds a ``Fraction``.
+point is reconstructed by back-substitution, also in integers: each value
+is a reduced pair (numerator, denominator > 0), bounds are compared by
+cross-multiplication, and ``lo + 1``, ``up - 1`` and ``(lo + up) / 2`` are
+formed on the pairs.  On the row path only ``rows_point``'s return value
+is a ``fractions.Fraction``; ``decode`` and ``normalize`` build them for
+``AffineExpr`` constraints.
 
 ``rows_point(rows, order)`` is the entry point of the kernel: it returns
 a point of a system of rows, or None; ``rows_scaled_point`` returns the
 same point as integers over the common denominator of its coordinates.
+``order`` must be a permutation of the rows' columns, else ValueError.
 Every point is certified: it is checked against every row in integer
 arithmetic, over that denominator, and a failed check raises RuntimeError.
 ``holds_at`` makes the same check of a scaled point against other rows.
@@ -134,43 +139,68 @@ def _eliminate(rows: list[tuple[Row, str]], order: list[int]):
     return substitutions, stages
 
 
-def _solve_for(row: Row, p: int, vals: dict[int, Fraction]) -> Fraction:
-    """The value of column ``p`` that makes ``row`` zero at ``vals``."""
+def _solve_for(row: Row, p: int, vals: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """The value of column ``p`` that makes ``row`` zero at ``vals``, as a
+    reduced pair (numerator, denominator > 0), like every value in ``vals``."""
     num, den = row[0], 1
-    for j in range(1, len(row)):
-        c = row[j]
-        if c and j != p:
-            v = vals[j]
-            d = v.denominator
-            num = num * d + c * v.numerator * den
-            den *= d
-    return Fraction(-num, den * row[p])
+    for j, c in enumerate(row):
+        if c and j and j != p:
+            n, d = vals[j]
+            if den % d:
+                num, den = num * d + c * n * den, den * d
+            else:
+                num += c * n * (den // d)
+    num, den = -num, den * row[p]
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def _back_substitute(record) -> dict[int, Fraction]:
+def _tightest(rows: list[tuple[Row, bool]], p: int, vals: dict, sign: int):
+    """The largest (``sign`` 1) or smallest (``sign`` -1) of the bounds that
+    ``rows`` put on column ``p`` at ``vals``, as (numerator, denominator,
+    strict), strict if a strict row attains it; None when there are no rows.
+    Bounds are compared by cross-multiplication."""
+    best = None
+    for row, strict in rows:
+        n, d = _solve_for(row, p, vals)
+        if best is None:
+            best = n, d, strict
+            continue
+        bn, bd, _ = best
+        gap = (n * bd - bn * d) * sign
+        if gap > 0:
+            best = n, d, strict
+        elif gap == 0 and strict:
+            best = bn, bd, True
+    return best
+
+
+def _back_substitute(record) -> dict[int, tuple[int, int]]:
     """A point of the system that ``_eliminate`` returned ``record`` for,
-    as column -> value in the order assigned: the latest-eliminated column
-    first, the substituted columns last."""
+    as column -> reduced (numerator, denominator > 0), in the order
+    assigned: the latest-eliminated column first, the substituted columns
+    last."""
     substitutions, stages = record
-    vals: dict[int, Fraction] = {}
+    vals: dict[int, tuple[int, int]] = {}
     for p, lowers, uppers in reversed(stages):
-        lo_vals = [(_solve_for(r, p, vals), s) for r, s in lowers]
-        up_vals = [(_solve_for(r, p, vals), s) for r, s in uppers]
-        lo = max((v for v, _ in lo_vals), default=None)
-        up = min((v for v, _ in up_vals), default=None)
+        lo = _tightest(lowers, p, vals, 1)
+        up = _tightest(uppers, p, vals, -1)
         if lo is None and up is None:
-            val = Fraction(0)
+            vals[p] = (0, 1)
         elif up is None:
-            strict = any(s for v, s in lo_vals if v == lo)
-            val = lo + 1 if strict else lo
+            n, d, strict = lo
+            vals[p] = (n + d, d) if strict else (n, d)
         elif lo is None:
-            strict = any(s for v, s in up_vals if v == up)
-            val = up - 1 if strict else up
-        elif lo < up:
-            val = (lo + up) / 2
+            n, d, strict = up
+            vals[p] = (n - d, d) if strict else (n, d)
+        elif lo[0] * up[1] < up[0] * lo[1]:
+            num, den = lo[0] * up[1] + up[0] * lo[1], 2 * lo[1] * up[1]
+            g = gcd(num, den)
+            vals[p] = (num // g, den // g)
         else:
-            val = lo  # lo == up; FM guarantees the bounds are non-strict here
-        vals[p] = val
+            vals[p] = lo[:2]  # lo == up; FM guarantees the bounds are non-strict here
     for p, row in reversed(substitutions):
         vals[p] = _solve_for(row, p, vals)
     return vals
@@ -202,15 +232,19 @@ def decode(row: Row, names: list[str], rel: str) -> Constraint:
 
 
 def _certified_point(rows: list[tuple[Row, str]], order: list[int]):
-    """``rows_point`` together with the same point scaled to integers, or None."""
+    """The point of ``rows_point`` as reduced (numerator, denominator)
+    pairs, together with the same point scaled to integers, or None."""
+    width = len(rows[0][0]) if rows else len(order) + 1
+    if sorted(order) != list(range(1, width)):
+        raise ValueError(f"order {order} is not a permutation of the columns 1..{width - 1}")
     record = _eliminate(list(rows), order)
     if record is None:
         return None
     vals = _back_substitute(record)
-    den = lcm(*(q.denominator for q in vals.values()))
+    den = lcm(*(d for _, d in vals.values()))
     point = [den] + [0] * len(order)
-    for p, q in vals.items():
-        point[p] = q.numerator * (den // q.denominator)
+    for p, (n, d) in vals.items():
+        point[p] = n * (den // d)
     for row, rel in rows:
         if not _holds(sum(map(mul, row, point)), rel):
             raise RuntimeError(f"witness reconstruction failed on row {row} {rel} 0")
@@ -224,10 +258,11 @@ def rows_point(rows: list[tuple[Row, str]], order: list[int]) -> dict[int, Fract
     column; the point maps each column to its value, in the order
     back-substitution assigns them.  It is certified: it is checked against
     every row in integer arithmetic, over the common denominator of its
-    coordinates, and a failed check raises RuntimeError.
+    coordinates, and a failed check raises RuntimeError.  An ``order``
+    that is not a permutation of the rows' columns raises ValueError.
     """
     found = _certified_point(rows, order)
-    return None if found is None else found[0]
+    return None if found is None else {p: Fraction(n, d) for p, (n, d) in found[0].items()}
 
 
 def rows_scaled_point(rows: list[tuple[Row, str]], order: list[int]) -> list[int] | None:

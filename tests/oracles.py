@@ -3,14 +3,15 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Fourteen former library functions are the exception, kept
+grid search.  Fifteen former library functions are the exception, kept
 so that their replacements can be required to give the same results:
 ``recursive_canonicalize``, the canonical form computed by recursion,
 ``home_scan_split_tree``, the tree of a split set that finds each
 vertex's parent by scanning the splits before it,
 ``contraction_tree_types``, the type enumeration by leg insertion and
 edge contraction, ``fraction_check_feasible``, the rational
-Fourier-Motzkin kernel, ``wall_face_census``, the f-vector census over
+Fourier-Motzkin kernel, ``fraction_back_substitute``, the integer-row
+kernel's back-substitution in ``Fraction`` arithmetic, ``wall_face_census``, the f-vector census over
 the walls of the cells, which is right for a 1-D target fan only,
 ``pairwise_face_problems``,
 the fan check that compares each pairwise intersection with the smallest
@@ -541,6 +542,50 @@ def fraction_check_feasible(
         if not (value > 0 if rel == "gt" else value >= 0 if rel == "ge" else value == 0):
             raise RuntimeError(f"witness reconstruction failed on {expr} {rel} 0")
     return Feasibility(True, point)
+
+
+def _fraction_solve_for(row: tuple[int, ...], p: int, vals: dict[int, Fraction]) -> Fraction:
+    """The value of column ``p`` that makes ``row`` zero at ``vals``."""
+    num, den = row[0], 1
+    for j in range(1, len(row)):
+        c = row[j]
+        if c and j != p:
+            v = vals[j]
+            d = v.denominator
+            num = num * d + c * v.numerator * den
+            den *= d
+    return Fraction(-num, den * row[p])
+
+
+def fraction_back_substitute(record) -> dict[int, Fraction]:
+    """The back-substitution of the integer-row kernel as it was in
+    ``Fraction`` arithmetic: a point of the system that
+    ``feasibility._eliminate`` returned ``record`` for, as column -> value
+    in the order assigned, the latest-eliminated column first and the
+    substituted columns last."""
+    substitutions, stages = record
+    vals: dict[int, Fraction] = {}
+    for p, lowers, uppers in reversed(stages):
+        lo_vals = [(_fraction_solve_for(r, p, vals), s) for r, s in lowers]
+        up_vals = [(_fraction_solve_for(r, p, vals), s) for r, s in uppers]
+        lo = max((v for v, _ in lo_vals), default=None)
+        up = min((v for v, _ in up_vals), default=None)
+        if lo is None and up is None:
+            val = Fraction(0)
+        elif up is None:
+            strict = any(s for v, s in lo_vals if v == lo)
+            val = lo + 1 if strict else lo
+        elif lo is None:
+            strict = any(s for v, s in up_vals if v == up)
+            val = up - 1 if strict else up
+        elif lo < up:
+            val = (lo + up) / 2
+        else:
+            val = lo  # lo == up; FM guarantees the bounds are non-strict here
+        vals[p] = val
+    for p, row in reversed(substitutions):
+        vals[p] = _fraction_solve_for(row, p, vals)
+    return vals
 
 
 def _fraction_rank(rows: list[tuple[Fraction, ...]]) -> int:

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 import troplog.feasibility
-from troplog import AffineExpr, check_feasible, prune_redundant
-from troplog.feasibility import canonical_system, encode, prune_rows, rows_point
+from troplog import AffineExpr, ContactOrder, Fan, check_feasible, prune_redundant, subdivide_map_moduli
+from troplog.feasibility import canonical_system, encode, prune_rows, rows_point, rows_scaled_point
 
 x = AffineExpr.symbol("x")
 y = AffineExpr.symbol("y")
@@ -116,18 +117,130 @@ def test_rows_point_values():
     assert all(type(q) is Fraction for q in point.values())
 
 
+def test_kernel_points_build_no_fraction(monkeypatch):
+    # Elimination and back-substitution run in integers; of the kernel's
+    # results only rows_point's is made of Fractions.
+    rows, order = _encoded([(x * 2 - 1, "gt"), (-x + y, "ge"), (-y + 4, "gt")], [])
+    monkeypatch.setattr(troplog.feasibility, "Fraction", None)
+    assert rows_scaled_point(rows, order) == [8, 11, 18]
+    with pytest.raises(TypeError):
+        rows_point(rows, order)
+
+
 def test_row_path_certifies_its_witness(monkeypatch):
     # A wrong back-substituted point must raise, never pass as a verdict.
     rows, order = _encoded([(x, "ge"), (-x + 1, "ge"), (y - x, "gt")], [])
     assert rows_point(rows, order) is not None
+    # Each value is a reduced pair (numerator, denominator); add 5 to it.
     back = troplog.feasibility._back_substitute
     monkeypatch.setattr(
-        troplog.feasibility, "_back_substitute", lambda record: {p: q + 5 for p, q in back(record).items()}
+        troplog.feasibility,
+        "_back_substitute",
+        lambda record: {p: (n + 5 * d, d) for p, (n, d) in back(record).items()},
     )
     with pytest.raises(RuntimeError):
         rows_point(rows, order)
     with pytest.raises(RuntimeError):
         check_feasible([(x, "ge"), (-x + 1, "ge"), (y - x, "gt")])
+
+
+@pytest.mark.parametrize(
+    "rows, order",
+    [([((0, 1, 1), "ge")], [1]), ([((0, 1), "eq")], [2]), ([((0, 1), "gt")], [1, 2]), ([], [1, 3]), ([], [1, 1])],
+    ids=["missing-column", "eq-row-unknown-column", "extra-column", "empty-gap", "empty-repeat"],
+)
+def test_order_must_permute_the_columns(rows, order):
+    # An order that misses a column, names one the rows lack or repeats
+    # one is an error, raised without assert so that it holds under -O.
+    for kernel in (rows_point, rows_scaled_point):
+        with pytest.raises(ValueError, match="not a permutation of the columns"):
+            kernel(rows, order)
+
+
+def _same_as_fraction_oracle(rows, order) -> bool:
+    """Check both kernel entry points against the Fraction back-substitution
+    of the same elimination record; return the verdict."""
+    from oracles import fraction_back_substitute
+
+    got, scaled = rows_point(rows, order), rows_scaled_point(rows, order)
+    record = troplog.feasibility._eliminate(list(rows), order)
+    if record is None:
+        assert got is None and scaled is None, rows
+        return False
+    want = fraction_back_substitute(record)
+    assert got == want and list(got) == list(want), (rows, order)
+    assert all(type(q) is Fraction for q in got.values())
+    den = lcm(*(q.denominator for q in want.values()))
+    want_scaled = [den] + [0] * len(order)
+    for p, q in want.items():
+        want_scaled[p] = q.numerator * (den // q.denominator)
+    assert scaled == want_scaled and all(type(k) is int for k in scaled), (rows, order)
+    return True
+
+
+def _random_rows(rng: random.Random, m: int) -> list:
+    """Reduced integer rows over m columns: most hold at a planted integer
+    point (some with equality), the rest are random, and constant and zero
+    rows of every relation turn up too."""
+    planted = [rng.randint(-3, 3) for _ in range(m)]
+    rows = []
+    for _ in range(rng.randint(0, 2 * m + 1)):
+        rel = rng.choice(["eq", "ge", "ge", "gt", "gt"])
+        kind = rng.random()
+        if kind < 0.1:
+            row = (rng.randint(-2, 2),) + (0,) * m
+        elif kind < 0.15:
+            row = (0,) * (m + 1)
+        else:
+            normal = [rng.choice([-3, -2, -1, 0, 0, 1, 2, 3]) for _ in range(m)]
+            value = 0 if rel == "eq" else rng.randint(rel == "gt", 3)
+            const = value - sum(a * k for a, k in zip(normal, planted))
+            row = (const if kind < 0.8 else rng.randint(-4, 4), *normal)
+        g = gcd(*row)
+        rows.append((tuple(k // g for k in row) if g > 1 else row, rel))
+    return rows
+
+
+def test_integer_back_substitution_matches_fraction_oracle():
+    # The same point as the Fraction back-substitution, value for value and
+    # in the same key order, scaled to the same integers, on random systems.
+    rng = random.Random(20)
+    feasible = 0
+    for _ in range(2500):
+        m = rng.randint(1, 4)
+        feasible += _same_as_fraction_oracle(_random_rows(rng, m), rng.sample(range(1, m + 1), m))
+    assert 800 < feasible < 2300  # both verdicts are well represented
+
+
+PLANE = Fan.of([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2)
+
+
+@pytest.mark.parametrize(
+    "sigma, fan",
+    [
+        ([1, 1, 1, 1, -4], Fan.projective_line()),
+        ([2, -1, 1, -3, 1], Fan.projective_line()),
+        ([[1, 1, 1, 1, -4], [1, -4, 1, 1, 1]], PLANE),
+    ],
+    ids=["p1-one-negative", "p1-mixed", "plane"],
+)
+def test_subdivision_kernel_calls_match_fraction_oracle(monkeypatch, sigma, fan):
+    # Every kernel call that a subdivision and its statistics make at n = 5
+    # gives the point of the Fraction back-substitution.
+    calls, kernel = [], troplog.feasibility._certified_point
+
+    def recorded(rows, order):
+        calls.append((list(rows), list(order)))
+        return kernel(rows, order)
+
+    contact = [ContactOrder.of(s) for s in sigma] if fan is PLANE else ContactOrder.of(sigma)
+    with monkeypatch.context() as m:
+        m.setattr(troplog.feasibility, "_certified_point", recorded)
+        subdivide_map_moduli(5, contact, fan).stats()
+    feasible = sum(_same_as_fraction_oracle(rows, order) for rows, order in calls)
+    # On P1 every call is a cell's witness; on the plane most calls of the
+    # search and of prune_rows are infeasible verdicts.
+    assert feasible > 80 and (feasible < len(calls)) == (fan is PLANE)
 
 
 def _random_rational(rng: random.Random) -> Fraction:
