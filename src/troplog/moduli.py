@@ -75,7 +75,7 @@ class Cone:
         return {
             "type_key": self.name,
             "coords": [{"name": c.name, "sign": c.sign} for c in self.coords],
-            "facets": [str(f) for f in self.inequalities],
+            "facets": [c.name for c in self.coords if c.sign == "nonneg"],
             "dim": self.dim,
         }
 

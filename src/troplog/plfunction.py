@@ -152,6 +152,15 @@ def is_balanced(f: PLFunction) -> bool:
     return multidegree(f).is_zero
 
 
+def _check_labels(t: Tree) -> None:
+    """A repeated leg label is a ParseError: slopes are read per label, so
+    the legs that share one would share a slope."""
+    labels = t.leg_labels
+    for a, b in zip(labels, labels[1:]):
+        if a == b:
+            raise ParseError(f"leg label {a} is repeated")
+
+
 def extend_from_leg_slopes(
     t: Tree,
     sigma: ContactOrder,
@@ -163,8 +172,10 @@ def extend_from_leg_slopes(
 
     Exists iff the slopes sum to zero; the slope directed v -> w is the sum
     of the leg slopes in the component of w after cutting the edge.  A
-    graph that is disconnected or has a cycle is a ParseError.
+    graph that is disconnected or has a cycle, or a repeated leg label, is
+    a ParseError.
     """
+    _check_labels(t)
     if sigma.n != t.n_legs:
         raise LengthMismatch(f"{sigma.n} slopes for a tree with {t.n_legs} legs")
     if not sigma.is_balanced:
@@ -217,6 +228,7 @@ def plfunction_to_json(f: PLFunction) -> dict:
 def plfunction_from_json(doc: dict) -> PLFunction:
     t = tree_from_json(doc)
     check_incidence(t)
+    _check_labels(t)
     try:
         # Vertex ids are checked as the tree's are: ``true`` and ``1.0``
         # would both match the vertex ``1``.

@@ -18,7 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul, ne
 
 from .affine import AffineExpr, as_integer, fraction_str
@@ -51,13 +51,6 @@ def _check_dim(dim: int) -> None:
         raise UnsupportedDimension(f"fans are supported in dimension 1 or 2 only, got {dim}")
 
 
-def _primitive(v: Vector) -> Vector:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return tuple(x // g for x in v) if g else v
-
-
 @dataclass(frozen=True)
 class FanCone:
     """A rational cone given by integer ray generators.
@@ -79,7 +72,7 @@ class FanCone:
             if len(v) != ambient:
                 raise ParseError(f"generator {g} has wrong dimension")
             if any(v):
-                p = _primitive(v)
+                p = _reduced(v)
                 if p not in rays:
                     rays.append(p)
         halfspaces, dim = _derive_halfspaces(tuple(rays), ambient)
@@ -122,7 +115,7 @@ def _derive_halfspaces(rays: tuple[Vector, ...], ambient: int):
         for n in ((-gy, gx), (gy, -gx)):
             if all(n[0] * rx + n[1] * ry >= 0 for rx, ry in rays):
                 if n not in candidates:
-                    candidates.append(_primitive(n))
+                    candidates.append(_reduced(n))
     pos = [n for n in candidates if tuple(-x for x in n) not in candidates]
     eqs = sorted({max(n, tuple(-x for x in n)) for n in candidates if tuple(-x for x in n) in candidates})
     if eqs:
@@ -405,10 +398,14 @@ def subdivide_cone(
     """Maximal cells of the pullback subdivision of K along the fan.
 
     Each cell fixes, for every vertex, the fan cone containing its image
-    vector of values; a cell survives iff it meets the interior of K, and
-    identical cells arising from different assignments are merged.  On
-    P^1 with tree potentials for images (see ``_slope_order``) the cells
-    are read from the slope order, one per up-set (``_ordered_cells``);
+    vector of values; a cell survives iff it meets the interior of K.
+    Cells are merged and ordered on their integer facet rows: a cell's key
+    is its rows as ``(row[0], ((k, row[k]) for each nonzero column k))``,
+    sorted, and the first assignment of a key is kept.  Columns follow
+    K's sorted coordinate names, so the keys sort as the halfspaces'
+    ``(const, terms)`` would.  On P^1 with tree potentials for images (see
+    ``_slope_order``) the cells are read from the slope order, one per
+    up-set (``_ordered_cells``);
     otherwise a search finds them (``_searched_cells``).  Either way a
     cell's witness is the kernel's point of the leaf's rows: K's strict
     rows, then one strict wall row per distinct image, in image order.
@@ -422,32 +419,30 @@ def subdivide_cone(
     else:
         found = _ordered_cells(distinct, line, units, order)
 
-    # Each facet row is decoded once per cone, with its string and its
-    # entry of the cell key: reduced, it is already ``canonical_system``'s.
-    decoded: dict[Row, tuple[str, AffineExpr, tuple]] = {}
+    # Each facet row is decoded once per cone: reduced, it is already
+    # ``canonical_system``'s.
+    decoded: dict[Row, tuple[str, AffineExpr]] = {}
 
-    def halfspace(row: Row) -> tuple[str, AffineExpr, tuple]:
+    def halfspace(row: Row) -> tuple[str, AffineExpr]:
         if row not in decoded:
             h = decode(row, names, "ge")[0]
-            decoded[row] = (str(h), h, ("ge", h.const, h.terms))
+            decoded[row] = (str(h), h)
         return decoded[row]
 
     vertex_slots = [(str(v), i) for v, i in image_of.items()]
-    # Cells are merged on their sorted integer facet rows, which hash fast,
-    # and listed in the order of their keys.
-    cells: dict[tuple[Row, ...], tuple[tuple, SubdividedCell]] = {}
+    cells: dict[tuple, SubdividedCell] = {}
     for picks, facets, point in found:
-        rows = tuple(sorted(facets))
-        if rows not in cells:
-            hs = sorted(map(halfspace, rows), key=lambda entry: entry[0])
-            cells[rows] = tuple(sorted(entry for _, _, entry in hs)), SubdividedCell(
+        key = tuple(sorted((row[0], tuple((k, x) for k, x in enumerate(row) if k and x)) for row in facets))
+        if key not in cells:
+            hs = sorted(map(halfspace, facets), key=lambda entry: entry[0])
+            cells[key] = SubdividedCell(
                 parent=K.name,
                 assignment=tuple((v, picks[i]) for v, i in vertex_slots),
-                halfspaces=tuple(h for _, h, _ in hs),
+                halfspaces=tuple(h for _, h in hs),
                 witness=tuple((c, Fraction(point[k], point[0])) for k, c in enumerate(names, 1)),
                 dim=K.dim,
             )
-    return [cell for _, cell in sorted(cells.values(), key=lambda entry: entry[0])]
+    return [cells[key] for key in sorted(cells)]
 
 
 def _searched_cells(distinct: list[Image], fan: Fan, units: dict[int, Row], order: list[int]):

@@ -168,6 +168,20 @@ class TestExtend:
         assert code == 2 and env["status"] == "ParseError"
         assert env["payload"]["message"].startswith(message)
 
+    def test_repeated_leg_label(self, capture, tmp_path):
+        # Legs 1@a and 1@b would share one slope, which balances nothing.
+        legs = [(1, "a"), (2, "a"), (3, "b"), (4, "b"), (1, "b")]
+        doc = {
+            "vertices": ["a", "b"],
+            "edges": [{"ends": ["a", "b"], "length": None}],
+            "legs": [{"label": label, "at": v} for label, v in legs],
+        }
+        p = tmp_path / "repeated.json"
+        p.write_text(json.dumps(doc))
+        code, env = capture(["extend", str(p), "--sigma", "2,0,-1,-1,0"])
+        assert (code, env["status"]) == (2, "ParseError")
+        assert env["payload"]["message"] == "leg label 1 is repeated"
+
     def test_star_no_edges(self, capture, tmp_path):
         doc = {"vertices": ["v"], "edges": [], "legs": [{"label": 1, "at": "v"}, {"label": 2, "at": "v"}]}
         p = tmp_path / "star.json"

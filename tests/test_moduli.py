@@ -63,6 +63,22 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cone_facets_print_as_the_inequalities(n):
+    # A cone's JSON lists its nonnegative coordinates by name, which is how
+    # their inequalities print, on curve cones and on map cones for one
+    # and for two targets.
+    sigma = (1,) * (n - 1) + (1 - n,)
+    complexes = [
+        build_moduli_complex(n),
+        build_map_moduli(n, ContactOrder.of(sigma)),
+        _map_cones(n, [ContactOrder.of(sigma), ContactOrder.of((1, 1 - n) + (1,) * (n - 2))]),
+    ]
+    for cx in complexes:
+        for key, cone in cx.cones.items():
+            assert cone.to_json()["facets"] == [str(f) for f in cone.inequalities], key
+
+
 class TestCurveModuli:
     def test_n3_point(self):
         cx = build_moduli_complex(3)

@@ -202,10 +202,15 @@ class TestLegLookups:
         ]
 
     def test_repeated_label_takes_its_first_position(self):
-        # Not a valid tree, but extend takes it: both legs labeled 1 get
-        # the first slope, as labels.index gave them.
-        t = Tree.build(["v", "w"], [("v", "w")], [(1, "v"), (1, "w"), (2, "w")])
-        f = extend_from_leg_slopes(t, ContactOrder.of([2, -1, -1]), "v", 0)
-        assert f.edge_slopes == (1,)
-        assert f.leg_slope(1) == 2
-        assert multidegree(f) == index_multidegree(f)
+        # A repeated label keeps its first position in the sorted labels;
+        # a function on such a tree would give its legs one slope, so
+        # neither extend nor the JSON reader builds one.
+        t = Tree.build(["a", "b"], [("a", "b")], [(1, "a"), (2, "a"), (3, "b"), (4, "b"), (1, "b")])
+        assert t.leg_labels == (1, 1, 2, 3, 4)
+        assert t.leg_positions == {1: 0, 2: 2, 3: 3, 4: 4}
+        with pytest.raises(ParseError, match="leg label 1 is repeated"):
+            extend_from_leg_slopes(t, ContactOrder.of([2, 0, -1, -1, 0]), "a", 0)
+        doc = plfunction_to_json(extend_from_leg_slopes(path3(), ContactOrder.of([1, 1, -2]), "v1", 0))
+        doc["legs"].append({"label": 1, "at": "v2"})
+        with pytest.raises(ParseError, match="leg label 1 is repeated"):
+            plfunction_from_json(doc)

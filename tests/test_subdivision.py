@@ -577,6 +577,54 @@ def test_cells_match_assignment_oracle(monkeypatch, fan, name):
             assert got == subdivide_map_moduli(n, sigma, fan).to_json(), (n, sigma)
 
 
+def test_merged_cells_match_assignment_oracle(monkeypatch):
+    # With the ray (1) listed twice, every cell is found once per copy: the
+    # merge keeps the first fan index, and the cells, their halfspaces and
+    # assignments are the brute force's, byte for byte.
+    import json
+
+    import troplog.subdivision as sd
+    from oracles import assignment_subdivide_cone
+
+    fan = Fan.of([[(1,)], [(1,)], [(-1,)], []], 1)
+    leaves = []
+    real = sd._searched_cells
+
+    def counted(*args):
+        for leaf in real(*args):
+            leaves.append(leaf)
+            yield leaf
+
+    monkeypatch.setattr(sd, "_searched_cells", counted)
+    sub = subdivide_map_moduli(5, ContactOrder.of([1, 1, 1, 1, -4]), fan)
+    cells = [c for cs in sub.cells.values() for c in cs]
+    assert len(leaves) > len(cells)
+    assert {i for c in cells for _, i in c.assignment} == {0, 2}
+    for key, K in sub.complex.cones.items():
+        expected = assignment_subdivide_cone(K, sub.functionals[key], fan)
+        assert json.dumps([c.to_json() for c in sub.cells[key]]) == json.dumps([c.to_json() for c in expected]), key
+
+
+# sha256 of the sorted-key compact JSON of each payload.
+PAYLOAD_DIGESTS = [
+    ("p1-sigma-1,1,1,1,-4", P1, [(1, 1, 1, 1, -4)], "096c093408c73af070e7171747639af028eeb4eaa2215030b8447a604c5879f2"),
+    ("p1-sigma-2,-1,1,-3,1", P1, [(2, -1, 1, -3, 1)], "9ddc43ada6cd62c1d8f3168c8b1a42106f15fbac17caa6cceebe84b0e97c2982"),
+    ("plane-full", PLANE_FULL, [(1, 1, 1, 1, -4), (1, -4, 1, 1, 1)], "b109392d3d2d94167787b88ea538b8479d61c96a4347e5afc5ed98c6be055110"),
+]
+
+
+@pytest.mark.parametrize("fan, sigmas, digest", [case[1:] for case in PAYLOAD_DIGESTS], ids=[case[0] for case in PAYLOAD_DIGESTS])
+def test_subdivision_payload_digests(fan, sigmas, digest):
+    # The n = 5 payloads of the P^1 and plane benchmarks keep their bytes:
+    # cells, halfspaces, witnesses, their order and the f-vectors.
+    import hashlib
+    import json
+
+    payload = subdivide_map_moduli(5, [ContactOrder.of(s) for s in sigmas], fan).to_json()
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_functionals_computed_once(monkeypatch):
     # stats() reads the functionals that subdivide_map_moduli computed.
     import troplog.subdivision
