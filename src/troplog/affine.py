@@ -17,11 +17,18 @@ from .errors import ParseError
 Rat = int | str | Fraction
 
 
+# The string syntax that ``Fraction`` reads on every supported Python
+# (3.10's, less exponents): later versions also read '1_000' and '3 / 4'.
+_RATIONAL_RE = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|\.\d*)?\s*")
+
+
 def as_fraction(x: Rat) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational.
 
-    A string with an exponent ('1e5000') is refused before it is read:
-    ``Fraction`` would compute the power, however large.
+    A string is surrounding whitespace, a sign, then digits with an optional
+    '/digits' or decimal part ('.5' and '5.' read).  A string with an
+    exponent ('1e5000') is refused before it is read: ``Fraction`` would
+    compute the power, however large.
     """
     if isinstance(x, Fraction):
         return x
@@ -32,6 +39,8 @@ def as_fraction(x: Rat) -> Fraction:
     if isinstance(x, str):
         if "e" in x or "E" in x:
             raise ParseError(f"not a rational (exponents are not accepted): {x!r}")
+        if not _RATIONAL_RE.fullmatch(x):
+            raise ParseError(f"not a rational: {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

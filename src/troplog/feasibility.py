@@ -12,14 +12,14 @@ so elimination does no rational arithmetic.  When a system is feasible, a
 point is reconstructed by back-substitution, also in integers: each value
 is a reduced pair (numerator, denominator > 0), bounds are compared by
 cross-multiplication, and ``lo + 1``, ``up - 1`` and ``(lo + up) / 2`` are
-formed on the pairs.  On the row path only ``rows_point``'s return value
-is a ``fractions.Fraction``; ``decode`` and ``normalize`` build them for
-``AffineExpr`` constraints.
+formed on the pairs.  ``fractions.Fraction`` appears only at the
+``AffineExpr`` boundary: in ``decode``, in ``check_feasible``'s witness and
+in the ``Feasibility`` type.
 
-``rows_point(rows, order)`` is the entry point of the kernel: it returns
-a point of a system of rows, or None; ``rows_scaled_point`` returns the
-same point as integers over the common denominator of its coordinates.
-``order`` must be a permutation of the rows' columns, else ValueError.
+``rows_scaled_point(rows, order)`` is the entry point of the kernel: it
+returns a point of a system of rows as integers over the common denominator
+of its coordinates, or None when the system has none.  ``order`` must be a
+permutation of the rows' columns, else ValueError.
 Every point is certified: it is checked against every row in integer
 arithmetic, over that denominator, and a failed check raises RuntimeError.
 ``holds_at`` makes the same check of a scaled point against other rows.
@@ -27,7 +27,7 @@ arithmetic, over that denominator, and a failed check raises RuntimeError.
 every row, it first shoots a ray from the point against each row's normal,
 and the one row that a ray meets first is a facet with no kernel call (the
 ray-shooting step of Clarkson 1994); each other 'ge' row takes one
-``rows_point`` call.  ``check_feasible`` and ``prune_redundant`` wrap
+``rows_scaled_point`` call.  ``check_feasible`` and ``prune_redundant`` wrap
 them for ``AffineExpr`` constraints; the witness of ``check_feasible`` is
 checked against the caller's constraints too.  An infeasible verdict is the one
 Fourier-Motzkin reaches: a combination of the rows that is a violated
@@ -63,14 +63,6 @@ def _coprime(expr: AffineExpr) -> list[int]:
     ints = [q.numerator * (den // q.denominator) for q in nums]
     g = gcd(*ints) or 1
     return [k // g for k in ints]
-
-
-def normalize(c: Constraint) -> Constraint:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    expr, rel = c
-    const, *coeffs = _coprime(expr)
-    terms = tuple((name, Fraction(k)) for (name, _), k in zip(expr.terms, coeffs))
-    return (AffineExpr(Fraction(const), terms), rel)
 
 
 def _reduced(row: Row) -> Row:
@@ -232,8 +224,9 @@ def decode(row: Row, names: list[str], rel: str) -> Constraint:
 
 
 def _certified_point(rows: list[tuple[Row, str]], order: list[int]):
-    """The point of ``rows_point`` as reduced (numerator, denominator)
-    pairs, together with the same point scaled to integers, or None."""
+    """The point of ``rows_scaled_point`` as column -> reduced (numerator,
+    denominator) pairs, in the order back-substitution assigns them,
+    together with its scaled form, or None."""
     width = len(rows[0][0]) if rows else len(order) + 1
     if sorted(order) != list(range(1, width)):
         raise ValueError(f"order {order} is not a permutation of the columns 1..{width - 1}")
@@ -251,23 +244,16 @@ def _certified_point(rows: list[tuple[Row, str]], order: list[int]):
     return vals, point
 
 
-def rows_point(rows: list[tuple[Row, str]], order: list[int]) -> dict[int, Fraction] | None:
+def rows_scaled_point(rows: list[tuple[Row, str]], order: list[int]) -> list[int] | None:
     """A point of the system of reduced integer rows, or None if it has none.
 
     Phase 2 eliminates the columns in ``order``, which must list every
-    column; the point maps each column to its value, in the order
-    back-substitution assigns them.  It is certified: it is checked against
-    every row in integer arithmetic, over the common denominator of its
-    coordinates, and a failed check raises RuntimeError.  An ``order``
-    that is not a permutation of the rows' columns raises ValueError.
+    column.  The point is (den, den * x_1, ..., den * x_m) over the common
+    denominator of its coordinates.  It is certified: it is checked against
+    every row in integer arithmetic, and a failed check raises RuntimeError.
+    An ``order`` that is not a permutation of the rows' columns raises
+    ValueError.
     """
-    found = _certified_point(rows, order)
-    return None if found is None else {p: Fraction(n, d) for p, (n, d) in found[0].items()}
-
-
-def rows_scaled_point(rows: list[tuple[Row, str]], order: list[int]) -> list[int] | None:
-    """The point of ``rows_point`` as integers over the common denominator
-    of its coordinates, (den, den * x_1, ..., den * x_m), or None."""
     found = _certified_point(rows, order)
     return None if found is None else found[1]
 
@@ -316,7 +302,7 @@ def prune_rows(
     """Drop the copies of a row and the 'ge' rows implied by the rest.
 
     A non-constant 'ge' row is implied iff the rest together with its strict
-    negation is infeasible, one ``rows_point`` call; a constant one iff it
+    negation is infeasible, one ``rows_scaled_point`` call; a constant one iff it
     holds.  Rows of other relations are kept.  Given a scaled ``point`` at
     which every row is strictly positive (else RuntimeError), rays from it
     first certify some rows as facets (see ``_shot_facets``); such a row
@@ -334,7 +320,7 @@ def prune_rows(
             redundant = row[0] >= 0
         else:
             negated = (tuple(-k for k in row), "gt")
-            redundant = rows_point(kept[:i] + kept[i + 1 :] + [negated], order) is None
+            redundant = rows_scaled_point(kept[:i] + kept[i + 1 :] + [negated], order) is None
         if redundant:
             kept.pop(i)
         else:
@@ -359,10 +345,10 @@ def check_feasible(
     columns = sorted(names.union(variables))
     index = {name: k for k, name in enumerate(columns, 1)}
     order = [index[v] for v in [*variables, *sorted(names.difference(variables))]]
-    vals = rows_point(encode(constraints, index), order)
-    if vals is None:
+    found = _certified_point(encode(constraints, index), order)
+    if found is None:
         return Feasibility(False)
-    point = {columns[p - 1]: q for p, q in vals.items()}
+    point = {columns[p - 1]: Fraction(n, d) for p, (n, d) in found[0].items()}
     for expr, rel in constraints:
         if not _holds(expr.evaluate(point), rel):
             raise RuntimeError(f"witness reconstruction failed on {expr} {rel} 0")
@@ -374,15 +360,10 @@ def prune_redundant(constraints: list[Constraint]) -> list[Constraint]:
 
     Intended for non-strict systems describing closed cells; the result is
     the unique irredundant (facet-defining) description of a full-dimensional
-    polyhedron, up to positive scaling, which ``canonical_system`` fixes.
+    polyhedron, up to positive scaling.
     The system is encoded as integer rows once and pruned by ``prune_rows``;
     the constraints come back normalized, in their first order.
     """
     names = sorted({name for expr, _ in constraints for name in expr.variables})
     rows = encode(constraints, {name: k for k, name in enumerate(names, 1)})
     return [decode(row, names, rel) for row, rel in prune_rows(rows, list(range(1, len(names) + 1)))]
-
-
-def canonical_system(constraints: list[Constraint]) -> tuple[tuple, ...]:
-    """Deterministic hashable key for a pruned constraint system."""
-    return tuple(sorted((rel, expr.const, expr.terms) for expr, rel in map(normalize, constraints)))

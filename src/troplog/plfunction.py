@@ -85,6 +85,8 @@ class PLFunction:
             raise LengthMismatch("one slope per leg required")
         if self.basepoint not in self.tree.vertices:
             raise ParseError(f"basepoint {self.basepoint!r} is not a vertex")
+        if len({l.label for l in self.tree.legs}) < len(self.tree.legs):
+            _check_labels(self.tree)
 
     def slope(self, v: VertexId, w: VertexId, edge_index: int) -> int:
         a, b = self.tree.edges[edge_index].ends

@@ -29,7 +29,6 @@ from .feasibility import (
     decode,
     holds_at,
     prune_rows,
-    rows_point,
     rows_scaled_point,
 )
 from .moduli import Cone, ConeComplex, _lengths, _map_cones, _path_coefficients
@@ -232,7 +231,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
     problems = [
         f"intersection of cones {i} and {j} is not a face of both"
         for (i, fi), (j, fj) in itertools.combinations(enumerate(faces), 2)
-        if any(a != b and rows_point(sa + sb, order) is not None for a, sa in fi for b, sb in fj)
+        if any(a != b and rows_scaled_point(sa + sb, order) is not None for a, sa in fi for b, sb in fj)
     ]
     if fan.complete:
         problems.extend(_coverage_problems(fan))
@@ -419,8 +418,8 @@ def subdivide_cone(
     else:
         found = _ordered_cells(distinct, line, units, order)
 
-    # Each facet row is decoded once per cone: reduced, it is already
-    # ``canonical_system``'s.
+    # Each facet row is decoded once per cone: reduced, its coefficients are
+    # already coprime integers.
     decoded: dict[Row, tuple[str, AffineExpr]] = {}
 
     def halfspace(row: Row) -> tuple[str, AffineExpr]:

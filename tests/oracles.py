@@ -58,11 +58,9 @@ from troplog.errors import IncompleteFan, LengthMismatch
 from troplog.feasibility import (
     Constraint,
     Feasibility,
-    canonical_system,
     check_feasible,
-    normalize,
     prune_redundant,
-    rows_point,
+    rows_scaled_point,
 )
 from troplog.moduli import TRANSLATION_COORD, Cone
 from troplog.subdivision import Fan, SubdividedCell, System
@@ -442,6 +440,11 @@ def _fraction_key(c: Constraint):
     return (rel, expr.const, expr.terms)
 
 
+def canonical_system(constraints: list[Constraint]) -> tuple[tuple, ...]:
+    """Deterministic hashable key for a pruned constraint system."""
+    return tuple(sorted(_fraction_key(_fraction_normalize(c)) for c in constraints))
+
+
 def fraction_check_feasible(
     constraints: list[Constraint], variables: list[str] | None = None
 ) -> Feasibility:
@@ -642,14 +645,14 @@ def witness_face_census(
 def plain_search(slots: list[list], order: list[int]):
     """Yield (option indices, rows) for each feasible choice of one option
     (a list of integer rows, or None) per slot, depth first, dropping every
-    prefix that ``rows_point`` rejects; the kernel runs at every node."""
+    prefix that ``rows_scaled_point`` rejects; the kernel runs at every node."""
 
     def visit(depth: int, picks: tuple[int, ...], rows: list):
         if depth == len(slots):
             yield picks, rows
             return
         for i, option in enumerate(slots[depth]):
-            if option is not None and rows_point(rows + option, order) is not None:
+            if option is not None and rows_scaled_point(rows + option, order) is not None:
                 yield from visit(depth + 1, (*picks, i), rows + option)
 
     return visit(0, (), [])
@@ -662,7 +665,7 @@ def witness_prune_redundant(constraints: list[Constraint]) -> list[Constraint]:
     the unique irredundant (facet-defining) description of a full-dimensional
     polyhedron, up to positive scaling, which ``canonical_system`` fixes.
     """
-    kept = [normalize(c) for c in constraints]
+    kept = [_fraction_normalize(c) for c in constraints]
     # Dedupe first so identical copies do not shadow each other.
     seen: dict[tuple, Constraint] = {}
     for c in kept:
@@ -758,13 +761,13 @@ def wall_face_census(K: Cone, cells: list[SubdividedCell]) -> dict[int, int]:
     k_facets = {canonical_system([(f, "ge")])[0] for f in K.inequalities}
     funcs: dict[tuple, AffineExpr] = {}
     for f in K.inequalities:
-        funcs.setdefault(canonical_system([(f, "ge")])[0], normalize((f, "ge"))[0])
+        funcs.setdefault(canonical_system([(f, "ge")])[0], _fraction_normalize((f, "ge"))[0])
     for cell in cells:
         for h in cell.halfspaces:
             key = canonical_system([(h, "ge")])[0]
             neg = canonical_system([(-h, "ge")])[0]
             if neg not in funcs:
-                funcs.setdefault(key, normalize((h, "ge"))[0])
+                funcs.setdefault(key, _fraction_normalize((h, "ge"))[0])
     items = sorted(funcs.items())
     counts: dict[int, int] = {}
     domains = [

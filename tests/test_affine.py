@@ -49,6 +49,20 @@ def test_exponents_refused(text):
         AffineExpr.parse(text)
 
 
+@pytest.mark.parametrize("text", ["1_000", "1_0/3", "3 / 4", "3/ 4"])
+def test_rational_grammar_refuses_what_older_pythons_refuse(text):
+    # Later Pythons read these in Fraction; the grammar is the same on all.
+    with pytest.raises(ParseError, match="not a rational: "):
+        as_fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text, value", [(" 3/4 ", Fraction(3, 4)), ("+3", 3), (".5", Fraction(1, 2)), ("5.", 5)]
+)
+def test_rational_grammar_reads(text, value):
+    assert as_fraction(text) == value
+
+
 def test_plain_rationals_still_read():
     assert as_fraction("-7/21") == Fraction(-1, 3)
     assert as_fraction(" 12 ") == 12

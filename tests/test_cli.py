@@ -438,6 +438,13 @@ class TestSelfmap:
         code, env = capture(["selfmap", "--r", "1", "--compose", "x", "0"])
         assert code == 2 and env["status"] == "ParseError"
 
+    def test_digit_separators_parse_error(self, capture):
+        # '1_000' is 1000 to Fraction on newer Pythons only; it is refused
+        # on all of them.
+        code, env = capture(["selfmap", "--r", "2", "--a", "1_000"])
+        assert code == 2 and env["status"] == "ParseError"
+        assert env["payload"]["message"] == "not a rational: '1_000'"
+
 
 def _assert_output_limit(capsys, code):
     out, err = capsys.readouterr()

@@ -6,7 +6,9 @@ import pytest
 
 import troplog.feasibility
 from troplog import AffineExpr, ContactOrder, Fan, check_feasible, prune_redundant, subdivide_map_moduli
-from troplog.feasibility import canonical_system, encode, prune_rows, rows_point, rows_scaled_point
+from troplog.feasibility import encode, prune_rows, rows_scaled_point
+
+from oracles import canonical_system
 
 x = AffineExpr.symbol("x")
 y = AffineExpr.symbol("y")
@@ -98,39 +100,42 @@ def _encoded(constraints, variables):
 
 
 def test_row_path_verdicts():
-    assert rows_point(*_encoded([(x, "ge"), (-x, "ge")], [])) is not None
-    assert rows_point(*_encoded([(x - 1, "ge"), (-x, "ge")], [])) is None
-    assert rows_point(*_encoded([(x, "eq"), (x - 1, "eq")], [])) is None
-    assert rows_point(*_encoded([(x - y, "gt"), (y, "gt")], ["z"])) is not None
-    assert rows_point([], [1, 2]) is not None
+    assert rows_scaled_point(*_encoded([(x, "ge"), (-x, "ge")], [])) is not None
+    assert rows_scaled_point(*_encoded([(x - 1, "ge"), (-x, "ge")], [])) is None
+    assert rows_scaled_point(*_encoded([(x, "eq"), (x - 1, "eq")], [])) is None
+    assert rows_scaled_point(*_encoded([(x - y, "gt"), (y, "gt")], ["z"])) is not None
+    assert rows_scaled_point([], [1, 2]) is not None
 
 
-def test_rows_point_values():
+def test_kernel_point_values():
     # The empty system gets zeros over the order; otherwise the point is
-    # the one check_feasible reports, by column.
-    assert rows_point([], [2, 1]) == {1: 0, 2: 0}
-    assert rows_point(*_encoded([(x - 1, "ge"), (-x + 3, "ge"), (y - x, "eq")], [])) == {1: 2, 2: 2}
+    # the one check_feasible reports, by column and in the same key order.
+    kernel = troplog.feasibility._certified_point
+    assert kernel([], [2, 1]) == ({1: (0, 1), 2: (0, 1)}, [1, 0, 0])
+    assert kernel(*_encoded([(x - 1, "ge"), (-x + 3, "ge"), (y - x, "eq")], [])) == ({1: (2, 1), 2: (2, 1)}, [1, 2, 2])
     constraints = [(x * 2 - 1, "gt"), (-x + y, "ge"), (-y + 4, "gt")]
-    point = rows_point(*_encoded(constraints, []))
-    assert point == {2: Fraction(9, 4), 1: Fraction(11, 8)} and list(point) == [2, 1]
-    assert {"xy"[p - 1]: q for p, q in point.items()} == check_feasible(constraints).witness
-    assert all(type(q) is Fraction for q in point.values())
+    pairs, scaled = kernel(*_encoded(constraints, []))
+    assert pairs == {2: (9, 4), 1: (11, 8)} and list(pairs) == [2, 1] and scaled == [8, 11, 18]
+    witness = check_feasible(constraints).witness
+    assert witness == {"y": Fraction(9, 4), "x": Fraction(11, 8)} and list(witness) == ["y", "x"]
+    assert all(type(q) is Fraction for q in witness.values())
 
 
 def test_kernel_points_build_no_fraction(monkeypatch):
     # Elimination and back-substitution run in integers; of the kernel's
-    # results only rows_point's is made of Fractions.
-    rows, order = _encoded([(x * 2 - 1, "gt"), (-x + y, "ge"), (-y + 4, "gt")], [])
+    # users only check_feasible builds Fractions, for its witness.
+    constraints = [(x * 2 - 1, "gt"), (-x + y, "ge"), (-y + 4, "gt")]
+    rows, order = _encoded(constraints, [])
     monkeypatch.setattr(troplog.feasibility, "Fraction", None)
     assert rows_scaled_point(rows, order) == [8, 11, 18]
     with pytest.raises(TypeError):
-        rows_point(rows, order)
+        check_feasible(constraints)
 
 
 def test_row_path_certifies_its_witness(monkeypatch):
     # A wrong back-substituted point must raise, never pass as a verdict.
     rows, order = _encoded([(x, "ge"), (-x + 1, "ge"), (y - x, "gt")], [])
-    assert rows_point(rows, order) is not None
+    assert rows_scaled_point(rows, order) is not None
     # Each value is a reduced pair (numerator, denominator); add 5 to it.
     back = troplog.feasibility._back_substitute
     monkeypatch.setattr(
@@ -139,7 +144,7 @@ def test_row_path_certifies_its_witness(monkeypatch):
         lambda record: {p: (n + 5 * d, d) for p, (n, d) in back(record).items()},
     )
     with pytest.raises(RuntimeError):
-        rows_point(rows, order)
+        rows_scaled_point(rows, order)
     with pytest.raises(RuntimeError):
         check_feasible([(x, "ge"), (-x + 1, "ge"), (y - x, "gt")])
 
@@ -152,24 +157,25 @@ def test_row_path_certifies_its_witness(monkeypatch):
 def test_order_must_permute_the_columns(rows, order):
     # An order that misses a column, names one the rows lack or repeats
     # one is an error, raised without assert so that it holds under -O.
-    for kernel in (rows_point, rows_scaled_point):
+    for kernel in (troplog.feasibility._certified_point, rows_scaled_point):
         with pytest.raises(ValueError, match="not a permutation of the columns"):
             kernel(rows, order)
 
 
 def _same_as_fraction_oracle(rows, order) -> bool:
-    """Check both kernel entry points against the Fraction back-substitution
-    of the same elimination record; return the verdict."""
+    """Check the kernel's pairs and its scaled point against the Fraction
+    back-substitution of the same elimination record; return the verdict."""
     from oracles import fraction_back_substitute
 
-    got, scaled = rows_point(rows, order), rows_scaled_point(rows, order)
+    found, scaled = troplog.feasibility._certified_point(rows, order), rows_scaled_point(rows, order)
     record = troplog.feasibility._eliminate(list(rows), order)
     if record is None:
-        assert got is None and scaled is None, rows
+        assert found is None and scaled is None, rows
         return False
     want = fraction_back_substitute(record)
-    assert got == want and list(got) == list(want), (rows, order)
-    assert all(type(q) is Fraction for q in got.values())
+    pairs = found[0]
+    assert pairs == {p: (q.numerator, q.denominator) for p, q in want.items()}, (rows, order)
+    assert list(pairs) == list(want) and found[1] == scaled, (rows, order)
     den = lcm(*(q.denominator for q in want.values()))
     want_scaled = [den] + [0] * len(order)
     for p, q in want.items():
@@ -267,7 +273,7 @@ def test_fraction_oracle_agreement():
         got = check_feasible(constraints, variables)
         want = fraction_check_feasible(constraints, variables)
         assert got.feasible == want.feasible, constraints
-        assert (rows_point(*_encoded(constraints, variables)) is not None) == want.feasible, constraints
+        assert (rows_scaled_point(*_encoded(constraints, variables)) is not None) == want.feasible, constraints
         assert got.witness == want.witness, constraints
         if got.feasible:
             assert list(got.witness) == list(want.witness)
@@ -283,16 +289,16 @@ def test_unlisted_variables_are_eliminated_last():
     assert res.feasible and res.witness == {"y": 2, "x": 2}
 
 
-def _counted_rows_point(monkeypatch) -> list:
+def _counted_rows_scaled_point(monkeypatch) -> list:
     """Patch the kernel that ``prune_rows`` calls; return the call log."""
     calls = []
-    kernel = troplog.feasibility.rows_point
+    kernel = troplog.feasibility.rows_scaled_point
 
     def counted(rows, order):
         calls.append(rows)
         return kernel(rows, order)
 
-    monkeypatch.setattr(troplog.feasibility, "rows_point", counted)
+    monkeypatch.setattr(troplog.feasibility, "rows_scaled_point", counted)
     return calls
 
 
@@ -318,7 +324,7 @@ def _random_interior_system(rng: random.Random, m: int):
 def test_shooting_keeps_the_rows_of_the_kernel_loop(monkeypatch):
     # Rays from an interior point only skip kernel calls: the kept rows are
     # those of the plain loop, in the same order, on every system.
-    calls = _counted_rows_point(monkeypatch)
+    calls = _counted_rows_scaled_point(monkeypatch)
     rng = random.Random(15)
     plain = shot = 0
     for _ in range(300):
@@ -338,7 +344,7 @@ def test_shooting_ties_certify_nothing(monkeypatch):
     # x >= 0 twice over, once as 2x: every ray meets both at once, so both
     # go to the kernel (3 calls without rays, 2 with), and the loop keeps
     # the later one, as without rays.
-    calls = _counted_rows_point(monkeypatch)
+    calls = _counted_rows_scaled_point(monkeypatch)
     rows = [((0, 1, 0), "ge"), ((0, 0, 1), "ge"), ((0, 2, 0), "ge")]
     assert prune_rows(rows, [1, 2], [1, 1, 1]) == prune_rows(rows, [1, 2]) == rows[1:]
     assert len(calls) == 3 + 2
@@ -353,9 +359,32 @@ SIMPLEX = [((0, 1, 0), "ge"), ((0, 0, 1), "ge"), ((1, -1, -1), "ge")]
 def test_shooting_certifies_every_facet_of_a_simplex(monkeypatch):
     # x > 0, y > 0, 1 - x - y > 0 at (1/3, 1/3): the ray along each inward
     # normal meets its own facet first, so no row goes to the kernel.
-    calls = _counted_rows_point(monkeypatch)
+    calls = _counted_rows_scaled_point(monkeypatch)
     assert prune_rows(SIMPLEX, [1, 2], [3, 1, 1]) == SIMPLEX
     assert calls == []
+
+
+def test_kernel_verdicts_build_no_fraction(monkeypatch):
+    # prune_rows and the fan check read only the kernel's verdict, so they
+    # give the same results with Fraction gone from the module; only
+    # check_feasible, which builds the witness, needs it.
+    from troplog import validate_fan
+
+    rng = random.Random(22)
+    systems = [(SIMPLEX, [3, 1, 1], [1, 2])]
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        rows, point = _random_interior_system(rng, m)
+        systems.append((rows, point, rng.sample(range(1, m + 1), m)))
+    fans = [PLANE, Fan.of([[(1, 0), (0, 1)], [(1, 1), (-1, 1)], [], [(1, 0)], [(0, 1)], [(1, 1)], [(-1, 1)]], 2, complete=False)]
+    want = [(prune_rows(rows, order), prune_rows(rows, order, point)) for rows, point, order in systems]
+    reports = [validate_fan(fan) for fan in fans]
+    assert reports[0].ok and not reports[1].ok
+    monkeypatch.setattr(troplog.feasibility, "Fraction", None)
+    assert [(prune_rows(rows, order), prune_rows(rows, order, point)) for rows, point, order in systems] == want
+    assert [validate_fan(fan) for fan in fans] == reports
+    with pytest.raises(TypeError):
+        check_feasible([(x, "ge")])
 
 
 @pytest.mark.parametrize(

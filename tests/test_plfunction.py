@@ -214,3 +214,13 @@ class TestLegLookups:
         doc["legs"].append({"label": 1, "at": "v2"})
         with pytest.raises(ParseError, match="leg label 1 is repeated"):
             plfunction_from_json(doc)
+
+    def test_direct_construction_refuses_a_repeated_label(self):
+        # Built directly, a function on legs 1@a, 2@a, 3@b, 4@b, 1@b would
+        # read the first slope of label 1 for both of its legs (degree 2 at
+        # a); the constructor refuses it as extend does.
+        t = Tree.build(["a", "b"], [("a", "b")], [(1, "a"), (2, "a"), (3, "b"), (4, "b"), (1, "b")])
+        with pytest.raises(ParseError, match="leg label 1 is repeated"):
+            PLFunction(t, "a", AffineExpr.constant(0), (1,), (2, 0, -1, -1, 0))
+        distinct = Tree.build(["a", "b"], [("a", "b")], [(1, "a"), (2, "a"), (3, "b"), (4, "b"), (5, "b")])
+        assert multidegree(PLFunction(distinct, "a", AffineExpr.constant(0), (-2,), (2, 0, -1, -1, 0))).is_zero

@@ -16,11 +16,11 @@ from troplog import (
     validate_fan,
 )
 from troplog.errors import IncompleteFan, LengthMismatch, UnsupportedDimension
-from troplog.feasibility import canonical_system, prune_redundant
+from troplog.feasibility import prune_redundant
 from troplog.moduli import Cone, Coord
 from troplog.subdivision import cone_functionals
 
-from oracles import cell_key
+from oracles import canonical_system, cell_key
 
 P1 = Fan.projective_line()
 
@@ -426,7 +426,7 @@ def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
 
     monkeypatch.setattr(sd, "_search", checked)
     monkeypatch.setattr(sd, "rows_scaled_point", counted("carry", sd.rows_scaled_point))
-    monkeypatch.setattr(oracles, "rows_point", counted("plain", oracles.rows_point))
+    monkeypatch.setattr(oracles, "rows_scaled_point", counted("plain", oracles.rows_scaled_point))
     sub = subdivide_map_moduli(n, sigma, fan)
     sub.stats()
     assert nodes > 2 * len(sub.complex.cones)
@@ -458,7 +458,6 @@ def test_cell_witness_reuses_the_leaf_point(monkeypatch, fan, n, sigma, calls):
 
         return call
 
-    monkeypatch.setattr(sd, "rows_point", counted(sd.rows_point))
     monkeypatch.setattr(sd, "rows_scaled_point", counted(sd.rows_scaled_point))
     sub = subdivide_map_moduli(n, sigma, fan)
     assert (len(systems), repeats) == (calls, [])
@@ -483,7 +482,7 @@ def test_facets_shot_from_the_leaf_point(monkeypatch, fan, sigmas, calls):
     import troplog.subdivision as sd
 
     search_everywhere(monkeypatch)
-    kernel, shot, leaves = troplog.feasibility.rows_point, [], []
+    kernel, shot, leaves = troplog.feasibility.rows_scaled_point, [], []
 
     def counted(rows, order):
         shot.append(rows)
@@ -492,7 +491,7 @@ def test_facets_shot_from_the_leaf_point(monkeypatch, fan, sigmas, calls):
     def both(rows, order, point):
         leaves.append(rows)
         with monkeypatch.context() as m:
-            m.setattr(troplog.feasibility, "rows_point", counted)
+            m.setattr(troplog.feasibility, "rows_scaled_point", counted)
             got = troplog.feasibility.prune_rows(rows, order, point)
         assert got == troplog.feasibility.prune_rows(rows, order), (rows, point)
         return got
@@ -761,7 +760,7 @@ def test_slope_order_kernel_calls(monkeypatch, fan):
     import troplog.feasibility as fe
     import troplog.subdivision as sd
 
-    calls = {"kernel": 0, "rows_scaled_point": 0, "rows_point": 0, "prune_rows": 0}
+    calls = {"kernel": 0, "rows_scaled_point": 0, "prune_rows": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -771,12 +770,12 @@ def test_slope_order_kernel_calls(monkeypatch, fan):
         return call
 
     monkeypatch.setattr(fe, "_certified_point", counted("kernel", fe._certified_point))
-    for name in ("rows_scaled_point", "rows_point", "prune_rows"):
+    for name in ("rows_scaled_point", "prune_rows"):
         monkeypatch.setattr(sd, name, counted(name, getattr(sd, name)))
     sub = subdivide_map_moduli(6, ContactOrder.of([2, 0, -1, 1, -2, 0]), fan)
     cells = sub.stats()["total_max_cells"]
     assert cells == sum(map(len, sub.cells.values())) > 100
-    assert calls == {"kernel": cells, "rows_scaled_point": cells, "rows_point": 0, "prune_rows": 0}
+    assert calls == {"kernel": cells, "rows_scaled_point": cells, "prune_rows": 0}
 
 
 c, d = AffineExpr.symbol("c"), AffineExpr.symbol("d")
