@@ -26,8 +26,14 @@ arithmetic, over that denominator, and a failed check raises RuntimeError.
 ``prune_rows`` drops implied inequalities.  Given a point strictly inside
 every row, it first shoots a ray from the point against each row's normal,
 and the one row that a ray meets first is a facet with no kernel call (the
-ray-shooting step of Clarkson 1994); each other 'ge' row takes one
-``rows_scaled_point`` call.  ``check_feasible`` and ``prune_redundant`` wrap
+ray-shooting step of Clarkson 1994).  Each other 'ge' row is then tested
+against the facets found so far, not against every row (Clarkson's
+redundancy loop): the kernel either proves it implied or returns a point
+outside it, and the row that the segment to that point crosses first is
+one more facet.  Without a point, each 'ge' row takes one
+``rows_scaled_point`` call on all the other rows.  Phase 2 of the
+elimination keeps one table entry per row, with a strict flag that a 'gt'
+copy of the row sets.  ``check_feasible`` and ``prune_redundant`` wrap
 them for ``AffineExpr`` constraints; the witness of ``check_feasible`` is
 checked against the caller's constraints too.  An infeasible verdict is the one
 Fourier-Motzkin reaches: a combination of the rows that is a violated
@@ -98,36 +104,47 @@ def _eliminate(rows: list[tuple[Row, str]], order: list[int]):
             if b := row[p]:
                 rows[k] = (_reduced(tuple(m * x - sign * b * y for x, y in zip(row, pivot))), rel)
 
-    # Phase 2: combine each lower bound with each upper bound.  Reduced
-    # constant rows are zero or (+-1, 0, ..., 0): a violated one makes the
-    # system infeasible at once, a satisfied one (or a zero equality) is
-    # dropped, since it takes part in no later step.
-    def add(table: dict, rel: str, row: Row) -> bool:
-        if row == neg or (row == zero and rel == "gt"):
-            return False
-        if row != pos and row != zero:
-            table.setdefault((rel, row))
-        return True
-
-    ineqs: dict[tuple[str, Row], None] = {}
-    if not all(add(ineqs, rel, row) for row, rel in rows):
-        return None
+    # Phase 2: combine each lower bound with each upper bound.  The table
+    # maps each row to its strict flag: a 'gt' copy of a row replaces its
+    # 'ge' copy, since the bounds it gives are the same.  Reduced constant
+    # rows are zero or (+-1, 0, ..., 0): a violated one makes the system
+    # infeasible at once, a satisfied one (or a zero equality) is dropped,
+    # since it takes part in no later step.
+    table: dict[Row, bool] = {}
+    for row, rel in rows:
+        strict = rel == "gt"
+        if row == neg or (strict and row == zero):
+            return None
+        if row != pos and row != zero and (strict or row not in table):
+            table[row] = strict
     substituted = {p for p, _ in substitutions}
     stages = []
     for p in order:
         if p in substituted:
             continue
-        lowers = [(row, rel == "gt") for rel, row in ineqs if row[p] > 0]
-        uppers = [(row, rel == "gt") for rel, row in ineqs if row[p] < 0]
+        lowers, uppers, rest = [], [], {}
+        for row, strict in table.items():
+            a = row[p]
+            if a > 0:
+                lowers.append((row, strict))
+            elif a < 0:
+                uppers.append((row, strict))
+            else:
+                rest[row] = strict
         stages.append((p, lowers, uppers))
-        ineqs = {key: None for key in ineqs if not key[1][p]}
+        table = rest
         for lo, ls in lowers:
             al = lo[p]
             for up, us in uppers:
                 au = up[p]
-                row = _reduced(tuple(al * u - au * l for l, u in zip(lo, up)))
-                if not add(ineqs, "gt" if ls or us else "ge", row):
+                combined = [al * u - au * l for l, u in zip(lo, up)]
+                g = gcd(*combined)
+                row = tuple(combined) if g <= 1 else tuple([k // g for k in combined])
+                strict = ls or us
+                if row == neg or (strict and row == zero):
                     return None
+                if row != pos and row != zero and (strict or row not in table):
+                    table[row] = strict
     return substitutions, stages
 
 
@@ -268,7 +285,8 @@ def _shot_facets(rows: list[tuple[Row, str]], point: list[int]) -> set[tuple[Row
 
     ``point`` is a scaled point (see ``rows_scaled_point``), over a
     positive denominator, at which every row must be strictly positive,
-    else RuntimeError.  For each row a, a
+    else RuntimeError; an 'eq' row is never strictly positive where it
+    holds, so a row of that relation is RuntimeError too.  For each row a, a
     ray leaves the point along d = (0, -a_1, ..., -a_m); row s falls along
     it at the rate r_s = -s.d and reaches zero at t_s = (s.point) / r_s.
     When a single row has the smallest t_s, it is 0 at the hit point and
@@ -277,7 +295,7 @@ def _shot_facets(rows: list[tuple[Row, str]], point: list[int]) -> set[tuple[Row
     cross-multiplication.
     """
     values = [sum(map(mul, row, point)) for row, _ in rows]
-    if point[0] <= 0 or not all(v > 0 for v in values):
+    if point[0] <= 0 or not all(v > 0 for v in values) or any(rel == "eq" for _, rel in rows):
         raise RuntimeError("prune_rows: the point is not strictly inside every row")
     normals = [row[1:] for row, _ in rows]
     found = set()
@@ -296,6 +314,59 @@ def _shot_facets(rows: list[tuple[Row, str]], point: list[int]) -> set[tuple[Row
     return found
 
 
+def _first_crossing(rows: list[tuple[Row, str]], point: list[int], found: list[int]):
+    """The row of ``rows`` that the segment from ``point`` to ``found``
+    crosses first, or None when two rows tie for it.
+
+    Both are scaled points (see ``rows_scaled_point``) over positive
+    denominators p0 and x0, every row is positive at ``point``, and some
+    row is negative at ``found``.  A row with values vp at ``point`` and
+    vx < 0 at ``found`` reaches zero at the parameter
+    vp.x0 / (vp.x0 - vx.p0) of the segment; the parameters are compared
+    by cross-multiplication.  When one row reaches zero first, it is 0 at
+    that point and every other row is positive there.
+    """
+    p0, x0 = point[0], found[0]
+    hit, tie, num, den = None, False, 0, 1
+    for key in rows:
+        vx = sum(map(mul, key[0], found))
+        if vx >= 0:
+            continue
+        n = sum(map(mul, key[0], point)) * x0
+        d = n - vx * p0
+        if hit is None or n * den < num * d:
+            hit, tie, num, den = key, False, n, d
+        elif n * den == num * d:
+            tie = True
+    return None if tie else hit
+
+
+def _implied_by_facets(
+    key: tuple[Row, str], negated: tuple[Row, str], kept: list, known: list, point: list[int], order: list[int]
+) -> bool | None:
+    """Clarkson's redundancy test of the 'ge' row ``key`` of ``kept``
+    against the rows ``known`` so far (the facets found and the rows of
+    other relations), not against every other row.
+
+    If they and ``negated``, the strict negation of ``key``, have no common
+    point, ``key`` is implied.  Else the segment from ``point`` to the
+    kernel's point leaves the cell, and the row it crosses first (see
+    ``_first_crossing``) is a facet of ``kept``: it joins ``known``, and
+    the test repeats until that row is ``key`` itself (not implied).  A
+    tie decides nothing: None.
+    """
+    while True:
+        found = rows_scaled_point(known + [negated], order)
+        if found is None:
+            return True
+        hit = _first_crossing(kept, point, found)
+        if hit is None:
+            return None
+        known.append(hit)
+        if hit == key:
+            return False
+
+
 def prune_rows(
     rows: list[tuple[Row, str]], order: list[int], point: list[int] | None = None
 ) -> list[tuple[Row, str]]:
@@ -307,20 +378,30 @@ def prune_rows(
     which every row is strictly positive (else RuntimeError), rays from it
     first certify some rows as facets (see ``_shot_facets``); such a row
     is irredundant against every subset of the other rows, so it is kept
-    without a kernel call and the result is the same as without ``point``.
+    without a kernel call.  Every other 'ge' row is then tested against the
+    facets found so far and the rows of other relations only, by Clarkson's
+    loop (see ``_implied_by_facets``), and against the rest as above only
+    when that loop meets a tie.  The facets of a full-dimensional
+    polyhedron are unique, so the result is the same as without ``point``.
     """
     kept = list(dict.fromkeys(rows))
     facets = set() if point is None else _shot_facets(kept, point)
+    known = [key for key in kept if key[1] != "ge" or key in facets]
     i = 0
     while i < len(kept):
-        row, rel = kept[i]
-        if rel != "ge" or kept[i] in facets:
+        key = kept[i]
+        row, rel = key
+        if rel != "ge" or key in known:
             redundant = False
         elif not any(row[1:]):
             redundant = row[0] >= 0
         else:
             negated = (tuple(-k for k in row), "gt")
-            redundant = rows_scaled_point(kept[:i] + kept[i + 1 :] + [negated], order) is None
+            redundant = None if point is None else _implied_by_facets(key, negated, kept, known, point, order)
+            if redundant is None:
+                redundant = rows_scaled_point(kept[:i] + kept[i + 1 :] + [negated], order) is None
+                if not redundant:
+                    known.append(key)  # a facet, as is every row kept so far
         if redundant:
             kept.pop(i)
         else:

@@ -218,6 +218,45 @@ def test_integer_back_substitution_matches_fraction_oracle():
     assert 800 < feasible < 2300  # both verdicts are well represented
 
 
+def _doubled_rows(rng: random.Random, m: int) -> list:
+    """``_random_rows`` with one or two non-constant rows put in both as
+    'ge' and as 'gt', a few exact copies and one more constant row."""
+    rows = _random_rows(rng, m)
+    normal = [rng.choice([-2, -1, 1, 2])] + [rng.choice([-2, -1, 0, 1, 2]) for _ in range(m - 1)]
+    fresh = troplog.feasibility._reduced((rng.randint(-3, 3), *rng.sample(normal, m)))
+    candidates = [row for row, _ in rows if any(row[1:])] + [fresh]
+    for row in rng.sample(candidates, rng.randint(1, min(len(candidates), 2))):
+        rows += [(row, "ge"), (row, "gt")]
+    rows += rng.sample(rows, min(len(rows), rng.randint(0, 3)))
+    const, rel = rng.choice([(1, "ge"), (1, "gt"), (0, "ge"), (0, "eq"), (-1, "ge"), (0, "gt")])
+    rows.append(((const,) + (0,) * m, rel))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_merged_strict_copies_match_fraction_oracle():
+    # Phase 2 keeps one table entry per row, strict if a 'gt' copy of it
+    # turned up: on systems with a row both as 'ge' and as 'gt', exact
+    # copies and constant rows, the verdict and the witness are those of
+    # the Fraction kernel, value for value and in the same key order.
+    from oracles import fraction_check_feasible
+
+    rng = random.Random(23)
+    names = ["w", "x", "y", "z"]
+    feasible = 0
+    for _ in range(1500):
+        m = rng.randint(1, 4)
+        rows = _doubled_rows(rng, m)
+        assert any((row, "ge") in rows and (row, "gt") in rows for row, _ in rows)
+        constraints = [troplog.feasibility.decode(row, names[:m], rel) for row, rel in rows]
+        variables = rng.sample(names[:m], m)
+        got, want = check_feasible(constraints, variables), fraction_check_feasible(constraints, variables)
+        assert got == want and list(got.witness or ()) == list(want.witness or ()), rows
+        assert _same_as_fraction_oracle(rows, [names.index(v) + 1 for v in variables]) == got.feasible, rows
+        feasible += got.feasible
+    assert 450 < feasible < 1050  # both verdicts are well represented
+
+
 PLANE = Fan.of([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2)
 
 
@@ -340,14 +379,50 @@ def test_shooting_keeps_the_rows_of_the_kernel_loop(monkeypatch):
     assert 0 < shot < plain
 
 
+def test_clarkson_loop_keeps_the_rows_of_the_kernel_loop(monkeypatch):
+    # Given a point, each 'ge' row that the rays leave undecided is tested
+    # against the facets found so far, not against every other row: the
+    # kept rows are those of the plain loop, in the same order, systems get
+    # smaller than the plain loop's system for the same row, and a tie for
+    # the first crossing falls back to that system.
+    calls = _counted_rows_scaled_point(monkeypatch)
+    crossing, ties = troplog.feasibility._first_crossing, []
+
+    def recorded(rows, point, found):
+        hit = crossing(rows, point, found)
+        ties.append(hit is None)
+        return hit
+
+    monkeypatch.setattr(troplog.feasibility, "_first_crossing", recorded)
+    rng = random.Random(23)
+    smaller = larger = 0
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        rows, point = _random_interior_system(rng, m)
+        order = rng.sample(range(1, m + 1), m)
+        before = len(calls)
+        want = prune_rows(rows, order)
+        plain = {system[-1]: len(system) for system in calls[before:]}
+        before = len(calls)
+        assert prune_rows(rows, order, point) == want, (rows, point)
+        smaller += sum(len(system) < plain[system[-1]] for system in calls[before:])
+        larger += sum(len(system) > plain[system[-1]] for system in calls[before:])
+    # A smaller system is a subset of the plain one: the kept rows before
+    # each test are the same in both loops.
+    assert smaller > 0 and larger == 0 and any(ties)
+
+
 def test_shooting_ties_certify_nothing(monkeypatch):
     # x >= 0 twice over, once as 2x: every ray meets both at once, so both
-    # go to the kernel (3 calls without rays, 2 with), and the loop keeps
-    # the later one, as without rays.
+    # go to the kernel (3 calls without rays, 3 with), and the loop keeps
+    # the later one, as without rays.  With rays, x takes one LP against
+    # the facet y >= 0, whose segment crosses x and 2x at once: that tie
+    # falls back to the call on all the other rows.  2x then takes one LP
+    # and its segment crosses 2x alone.
     calls = _counted_rows_scaled_point(monkeypatch)
     rows = [((0, 1, 0), "ge"), ((0, 0, 1), "ge"), ((0, 2, 0), "ge")]
     assert prune_rows(rows, [1, 2], [1, 1, 1]) == prune_rows(rows, [1, 2]) == rows[1:]
-    assert len(calls) == 3 + 2
+    assert len(calls) == 3 + 3
     # A constant row has no direction to shoot along and falls along no
     # ray: alone, it is still dropped as a satisfied constant.
     assert prune_rows([((2, 0, 0), "ge")], [1, 2], [1, 1, 1]) == []
@@ -398,3 +473,14 @@ def test_shooting_needs_a_strictly_interior_point(rows, point):
     # an error, raised without assert so that it holds under python -O too.
     with pytest.raises(RuntimeError):
         prune_rows(rows, [1, 2], point)
+
+
+def test_shooting_refuses_equalities():
+    # An 'eq' row holds only where it is zero, so no point is strictly
+    # inside it.  Rays from (2, 1) would certify x - y >= 0 as a facet,
+    # but y = 0 makes it as redundant as x >= 0, and the plain loop keeps
+    # x >= 0: a point with an 'eq' row is an error.
+    rows = [((0, 1, -1), "ge"), ((0, 1, 0), "ge"), ((0, 0, 1), "eq")]
+    assert prune_rows(rows, [1, 2]) == rows[1:]
+    with pytest.raises(RuntimeError):
+        prune_rows(rows, [1, 2], [1, 2, 1])
