@@ -87,19 +87,20 @@ def _eliminate(rows: list[tuple[Row, str]], order: list[int]):
     zero = (0,) * len(rows[0][0]) if rows else ()
     pos, neg = (1, *zero[1:]), (-1, *zero[1:])
 
-    # Phase 1: substitute the equalities away, each on its first nonzero column.
+    # Phase 1: one pass over the rows.  A nonzero equality becomes the pivot
+    # when the pass reaches it and is substituted away, on its first nonzero
+    # column, from every row; the pivot itself becomes the zero row, which
+    # phase 2 drops.
     substitutions: list[tuple[int, Row]] = []
-    while True:
-        eqs = [row for row, rel in rows if rel == "eq" and row != zero]
-        if not eqs:
-            break
-        if pos in eqs or neg in eqs:
+    for i, (pivot, rel) in enumerate(rows):
+        if rel != "eq" or pivot == zero:
+            continue
+        if pivot == pos or pivot == neg:
             return None
-        pivot = eqs[0]
-        rows.remove((pivot, "eq"))
         p = next(k for k, a in enumerate(pivot) if k and a)
         m, sign = abs(pivot[p]), (1 if pivot[p] > 0 else -1)
         substitutions.append((p, pivot))
+        rows[i] = (zero, "eq")
         for k, (row, rel) in enumerate(rows):
             if b := row[p]:
                 rows[k] = (_reduced(tuple(m * x - sign * b * y for x, y in zip(row, pivot))), rel)

@@ -375,6 +375,21 @@ def _path_coefficients(
     return {names[j]: s for j, (split, s) in enumerate(zip(splits, slopes)) if s and split & legs == legs}
 
 
+def cone_functionals(cx: ConeComplex, key: str) -> dict[tuple[VertexId, int], AffineExpr]:
+    """Per-vertex value functionals of the symbolic function(s) on one cone:
+    the base value plus the vertex's ``_path_coefficients``, whose mask is
+    all legs at the root and ``splits[j]`` at the child of edge j."""
+    fs, ct, names = cx.functions[key], cx.types[key], _lengths(cx.n)[0]
+    masks = [(ct.tree.root, (1 << cx.n) - 1)] + [(e.ends[1], s) for e, s in zip(ct.tree.edges, ct.splits)]
+    out: dict[tuple[VertexId, int], AffineExpr] = {}
+    for j, f in enumerate(fs if isinstance(fs, tuple) else (fs,)):
+        base = dict(f.base_value.terms)  # names no length, so one ``make`` adds a path to it
+        for v, legs in masks:
+            path = _path_coefficients(names, ct.splits, f.edge_slopes, legs)
+            out[(v, j)] = AffineExpr.make(f.base_value.const, {**base, **path})
+    return out
+
+
 def _certified_map_moduli(
     n: int, sigma: ContactOrder, leg: int
 ) -> tuple[ConeComplex, IsomorphismReport]:
@@ -446,8 +461,8 @@ def _certified_map_moduli(
             if vi != vj:
                 witness = {
                     "cone": key,
-                    "lengths": {f"l_e{i}": "1" for i in range(len(mapc.types[key].tree.edges))},
-                    "c": "0",
+                    "lengths": {name: "1" for name in names[: len(mapc.types[key].tree.edges)]},
+                    TRANSLATION_COORD: "0",
                     f"splitting_{leg}": str(vi),
                     f"splitting_{other}": str(vj),
                 }

@@ -120,10 +120,11 @@ class PLFunction:
 
 
 def vertex_values(f: PLFunction) -> dict[VertexId, AffineExpr]:
-    """Propagate the basepoint value along the tree: value(w) = value(v) + slope * length."""
+    """Propagate the basepoint value along the tree: value(w) = value(v) +
+    slope * length.  A graph that ``checked_walk`` refuses is a ParseError."""
     t = f.tree
     values: dict[VertexId, AffineExpr] = {f.basepoint: f.base_value}
-    for v, w, i in t.walk(f.basepoint):
+    for v, w, i in checked_walk(t, f.basepoint, "vertex values are"):
         length = t.edges[i].length
         step = (
             AffineExpr.symbol(t.length_symbol(i))
@@ -131,8 +132,6 @@ def vertex_values(f: PLFunction) -> dict[VertexId, AffineExpr]:
             else AffineExpr.constant(length)
         )
         values[w] = values[v] + step * f.slope(v, w, i)
-    if len(values) != len(t.vertices):
-        raise ParseError("tree is disconnected; vertex values undefined")
     return values
 
 
@@ -174,8 +173,8 @@ def extend_from_leg_slopes(
 
     Exists iff the slopes sum to zero; the slope directed v -> w is the sum
     of the leg slopes in the component of w after cutting the edge.  A
-    graph that is disconnected or has a cycle, or a repeated leg label, is
-    a ParseError.
+    graph that is disconnected or has a cycle, an edge or leg at an unknown
+    vertex, or a repeated leg label, is a ParseError.
     """
     _check_labels(t)
     if sigma.n != t.n_legs:
@@ -187,13 +186,12 @@ def extend_from_leg_slopes(
     elif basepoint not in t.vertices:
         raise ParseError(f"basepoint {basepoint!r} is not a vertex")
 
+    # The cut rule needs a tree.
+    walk = checked_walk(t, basepoint, "the edge slopes are")
     position = t.leg_positions
     subtree = {v: 0 for v in t.vertices}  # leg slopes at v, then in v's subtree
     for l in t.legs:
         subtree[l.at] += sigma.slopes[position[l.label]]
-
-    # The cut rule needs a tree.
-    walk = checked_walk(t, basepoint, "the edge slopes are")
     edge_slope = [0] * len(t.edges)
     for parent, v, via in reversed(walk):
         subtree[parent] += subtree[v]

@@ -31,7 +31,7 @@ from .feasibility import (
     prune_rows,
     rows_scaled_point,
 )
-from .moduli import Cone, ConeComplex, _lengths, _map_cones, _path_coefficients
+from .moduli import Cone, ConeComplex, _map_cones, cone_functionals
 from .plfunction import ContactOrder
 from .tree import ValidationReport, VertexId
 
@@ -252,7 +252,7 @@ def _coverage_problems(fan: Fan) -> list[str]:
             probes = list(rays)
             for a, b in zip(rays, rays[1:] + rays[:1]):
                 cross = a[0] * b[1] - a[1] * b[0]
-                if a == b or cross > 0:
+                if cross > 0:
                     mid = (a[0] + b[0], a[1] + b[1])
                 elif cross == 0:
                     mid = (-a[1], a[0])  # opposite rays: probe one side of the gap
@@ -260,8 +260,6 @@ def _coverage_problems(fan: Fan) -> list[str]:
                     # gap wider than a half-plane: the antipode of the short
                     # bisector lies inside it
                     mid = (-a[0] - b[0], -a[1] - b[1])
-                    if mid == (0, 0):
-                        mid = (a[1], -a[0])
                 probes.append(mid)
     out = []
     for p in probes:
@@ -737,27 +735,11 @@ class SubdividedComplex:
         }
 
 
-def cone_functionals(cx: ConeComplex, key: str) -> dict[tuple[VertexId, int], AffineExpr]:
-    """Per-vertex value functionals of the symbolic function(s) on one cone:
-    the base value plus the vertex's ``_path_coefficients``, whose mask is
-    all legs at the root and ``splits[j]`` at the child of edge j."""
-    fs, ct, names = cx.functions[key], cx.types[key], _lengths(cx.n)[0]
-    masks = [(ct.tree.root, (1 << cx.n) - 1)] + [(e.ends[1], s) for e, s in zip(ct.tree.edges, ct.splits)]
-    out: dict[tuple[VertexId, int], AffineExpr] = {}
-    for j, f in enumerate(fs if isinstance(fs, tuple) else (fs,)):
-        base = dict(f.base_value.terms)  # names no length, so one ``make`` adds a path to it
-        for v, legs in masks:
-            path = _path_coefficients(names, ct.splits, f.edge_slopes, legs)
-            out[(v, j)] = AffineExpr.make(f.base_value.const, {**base, **path})
-    return out
-
-
 def subdivide_map_moduli(n: int, sigmas, fan: Fan) -> SubdividedComplex:
     """Subdivide every cone of the map moduli by the pullback of the fan.
 
     ``sigmas`` is one ContactOrder (target dimension 1) or a list of m of
-    them (target dimension m, desk scale m <= 2); the fan dimension must
-    match.
+    them (target dimension m ≤ 2); the fan dimension must match.
     """
     if isinstance(sigmas, ContactOrder):
         sigmas = [sigmas]

@@ -213,7 +213,7 @@ def check_incidence(t: Tree) -> None:
     """
     vs = set(t.vertices)
     for i, e in enumerate(t.edges):
-        if not set(e.ends) <= vs:
+        if not vs.issuperset(e.ends):
             raise ParseError(f"edge {i} has an endpoint not in the vertex set")
     for l in t.legs:
         if l.at not in vs:
@@ -221,9 +221,11 @@ def check_incidence(t: Tree) -> None:
 
 
 def checked_walk(t: Tree, root: VertexId, what: str) -> list[tuple[VertexId, VertexId, int]]:
-    """``t.walk(root)`` on a graph that is a tree: the walk reaches every
-    vertex and there is one edge fewer than vertices.  Any other graph is a
-    ParseError saying that ``what`` is not determined."""
+    """``t.walk(root)`` on a graph that is a tree: every edge and leg is at
+    a vertex of ``t`` (``check_incidence``), the walk reaches every vertex
+    and there is one edge fewer than vertices.  Any other graph is a
+    ParseError, which names ``what`` when the graph is not a tree."""
+    check_incidence(t)
     walk = t.walk(root)
     if len(walk) + 1 < len(t.vertices):
         raise ParseError(f"tree is disconnected; {what} not determined")
@@ -251,7 +253,7 @@ def canonicalize(t: Tree) -> CanonicalForm:
     ordered by their signature, so leg-label-preserving isomorphic trees
     get identical keys and canonical coordinate orders.  Vertices and edges
     are numbered in preorder, each edge oriented parent -> child.  A graph
-    that is disconnected or has a cycle is a ParseError.
+    that ``checked_walk`` refuses is a ParseError.
     """
     root = t.root
     walk = checked_walk(t, root, "the canonical form is")

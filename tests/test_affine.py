@@ -79,3 +79,14 @@ def test_spaces_around_operators_still_read():
     assert AffineExpr.parse(" c  +  2 * l_e0 -  1 / 2 ") == AffineExpr.parse("c + 2*l_e0 - 1/2")
     e = AffineExpr.symbol("c") - AffineExpr.symbol("d") * Fraction(3, 2) + 4
     assert AffineExpr.parse(str(e)) == e
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1/0"], ids=["bool", "float", "zero-denominator"])
+def test_as_fraction_refuses(bad):
+    with pytest.raises(ParseError, match="not a rational"):
+        as_fraction(bad)
+
+
+def test_dangling_sign():
+    with pytest.raises(ParseError, match="dangling sign in 'c \\+'"):
+        AffineExpr.parse("c +")

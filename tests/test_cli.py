@@ -86,6 +86,23 @@ class TestValidate:
         assert code == 0 and not env["payload"]["valid"]
         assert env["payload"]["problems"] == ["edge 1 has an endpoint not in the vertex set"]
 
+    @pytest.mark.parametrize(
+        "changes, problem",
+        [
+            ({"vertices": ["a", "b", "a"]}, "duplicate vertex identifiers"),
+            ({"vertices": [], "edges": []}, "tree has no vertices"),
+            ({"edges": [{"ends": ["a", "b"], "length": "1"}, {"ends": ["b", "b"], "length": "1"}]}, "edge 1 is a self-loop (cycle)"),
+            ({"legs": [{"label": 1, "at": "a"}, {"label": 2, "at": "zz"}]}, "leg 2 attached to unknown vertex 'zz'"),
+        ],
+        ids=["duplicate-ids", "no-vertices", "self-loop", "leg-at-unknown-vertex"],
+    )
+    def test_problem_reported(self, capture, tmp_path, changes, problem):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(_tree_doc(**changes)))
+        code, env = capture(["validate", str(p)])
+        assert code == 0 and not env["payload"]["valid"]
+        assert env["payload"]["problems"] == [problem]
+
     def test_parse_error_exit_code(self, capture, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{not json")

@@ -162,6 +162,11 @@ def test_order_must_permute_the_columns(rows, order):
             kernel(rows, order)
 
 
+def test_unknown_relation():
+    with pytest.raises(ValueError, match="unknown relation 'lt'"):
+        check_feasible([(AffineExpr.symbol("x"), "lt")])
+
+
 def _same_as_fraction_oracle(rows, order) -> bool:
     """Check the kernel's pairs and its scaled point against the Fraction
     back-substitution of the same elimination record; return the verdict."""

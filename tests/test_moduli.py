@@ -35,8 +35,8 @@ from troplog.moduli import (
     _map_cones_over,
     _map_parts,
     _path_coefficients,
+    cone_functionals,
 )
-from troplog.subdivision import cone_functionals
 from troplog.tree import canonicalize, contract_edge
 
 from oracles import (
@@ -328,6 +328,53 @@ class TestProductDecomposition:
         rep = product_decomposition(n, sigma, leg)
         assert not rep.certified
         assert rep.failures == [f"face map {fm.cone_key} -> {fm.face_key}: splitting not compatible"]
+
+    # One cone of n = 5 with two edges, leg 5 off its root (the splitting at
+    # leg 1 is c alone, so no corruption of the slopes could show there).
+    CORRUPTED = "(1,2;(3;(4,5;)))"
+
+    @pytest.mark.parametrize(
+        "corrupt, failures",
+        [
+            (lambda K, f: (K, dataclasses.replace(f, base_value=AffineExpr.parse("2*c"))), ["cone {key}: translation coefficient is not 1"]),
+            (
+                lambda K, f: (K, dataclasses.replace(f, edge_slopes=tuple(s + Fraction(1, 2) for s in f.edge_slopes))),
+                [
+                    "cone {key}: non-integer coefficient on l_e0",
+                    "cone {key}: non-integer coefficient on l_e1",
+                    "face map {key} -> (1,2,3;(4,5;)): splitting not compatible",
+                    "face map {key} -> (1,2;(3,4,5;)): splitting not compatible",
+                ],
+            ),
+            (lambda K, f: (dataclasses.replace(K, coords=K.coords[:-1]), f), ["cone {key}: coordinates do not match curve cone plus free line"]),
+            (
+                lambda K, f: (K, dataclasses.replace(f, edge_slopes=tuple(-s for s in f.edge_slopes))),
+                [
+                    "face map {key} -> (1,2,3;(4,5;)): splitting not compatible",
+                    "face map {key} -> (1,2;(3,4,5;)): splitting not compatible",
+                ],
+            ),
+        ],
+        ids=["translation", "half-slopes", "dropped-coordinate", "negated-slopes"],
+    )
+    def test_corrupted_cone_fails(self, monkeypatch, corrupt, failures):
+        # Each failure message of the certificate, from map parts with one
+        # cone corrupted.
+        key, real = self.CORRUPTED, troplog.moduli._map_parts
+
+        def corrupted(*args):
+            cones, functions = real(*args)
+            K, f = corrupt(dict(cones)[key], dict(functions)[key])
+            assert len(f.edge_slopes) == 2
+            return (
+                tuple((k, K if k == key else c) for k, c in cones),
+                tuple((k, f if k == key else g) for k, g in functions),
+            )
+
+        monkeypatch.setattr(troplog.moduli, "_map_parts", corrupted)
+        rep = product_decomposition(5, ContactOrder.of([1, 1, 1, 1, -4]), 5)
+        assert not rep.certified
+        assert rep.failures == [message.format(key=key) for message in failures]
 
     def test_splitting_expr_unimodular(self):
         sigma = ContactOrder.of([1, 2, -3, 0, 0])

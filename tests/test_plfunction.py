@@ -8,6 +8,7 @@ from troplog import (
     AffineExpr,
     ContactOrder,
     Tree,
+    canonicalize,
     extend_from_leg_slopes,
     is_balanced,
     multidegree,
@@ -45,6 +46,31 @@ class TestVertexValues:
         t = Tree.build(["v1", "v2"], [("v1", "v2", None)], [(1, "v1"), (2, "v1"), (3, "v2")])
         f = PLFunction(t, "v1", AffineExpr.symbol("c"), (2,), (0, -2, 2))
         assert vertex_values(f)["v2"] == AffineExpr.symbol("c") + AffineExpr.symbol("l_e0") * 2
+
+    def test_cycle_is_a_parse_error(self):
+        # The walk would read the triangle's b -> c edge as closing a cycle
+        # and take c = -5 from a, where b -> c gives 2.
+        t = Tree.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], [(1, "a"), (2, "b"), (3, "c")], 1)
+        f = PLFunction(t, "a", AffineExpr.constant(0), (1, 1, 5), (0, 0, 0))
+        with pytest.raises(ParseError, match="graph contains a cycle"):
+            vertex_values(f)
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (Tree.build(["a", "b"], [("a", "b"), ("b", "zz")], [(1, "a"), (2, "a"), (3, "b")]), "edge 1 has an endpoint not in the vertex set"),
+        (Tree.build(["a", "b"], [("a", "b")], [(1, "a"), (2, "a"), (3, "zz")]), "leg 3 attached to unknown vertex 'zz'"),
+    ],
+    ids=["edge", "leg"],
+)
+def test_unknown_vertex_is_a_parse_error(t, message):
+    # Each walk of a caller's graph checks incidence first, so the vertex
+    # that no walk can reach is named, not a bare KeyError.
+    f = PLFunction(t, "a", AffineExpr.constant(0), (0,) * len(t.edges), (1, 1, -2))
+    for call in (lambda: canonicalize(t), lambda: extend_from_leg_slopes(t, f.contact_order), lambda: vertex_values(f)):
+        with pytest.raises(ParseError, match=message):
+            call()
 
 
 class TestMultidegree:
@@ -171,6 +197,15 @@ def test_json_roundtrip():
     f = extend_from_leg_slopes(path3(), ContactOrder.of([2, -1, -1]), "v1", Fraction(1, 2))
     doc = plfunction_to_json(f)
     assert doc["base_value"] == "1/2"
+    assert plfunction_from_json(doc) == f
+
+
+def test_reversed_edge_slope_record():
+    # A record that runs to -> from, with the slope negated, is the same slope.
+    f = extend_from_leg_slopes(path3(), ContactOrder.of([2, -1, -1]), "v1", Fraction(1, 2))
+    doc = plfunction_to_json(f)
+    assert doc["edge_slopes"] == [{"from": "v1", "to": "v2", "slope": -1}]
+    doc["edge_slopes"] = [{"from": "v2", "to": "v1", "slope": 1}]
     assert plfunction_from_json(doc) == f
 
 

@@ -47,3 +47,26 @@ def test_no_unused_imports():
                     if name not in used and not re.search(r"# noqa: F401\s+\S", lines[alias.lineno - 1]):
                         found.append(f"{path.name}:{alias.lineno} {name}")
     assert SOURCES and not found
+
+
+# Each private name that one troplog module imports from another, as
+# (importing module, defining module, name).  A new one is a reviewed edit
+# of this list; the CLI's attribute reads (``moduli._check_contacts``) are
+# not imports and are not listed.
+PRIVATE_IMPORTS = {
+    ("subdivision", "feasibility", "_reduced"),
+    ("subdivision", "moduli", "_map_cones"),
+    ("plfunction", "tree", "_vertex_id"),
+}
+
+
+def test_cross_module_private_imports_are_listed():
+    found = {
+        (path.stem, (node.module or "").rpartition(".")[2], alias.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "troplog")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert SOURCES and found == PRIVATE_IMPORTS

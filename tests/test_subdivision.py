@@ -844,3 +844,33 @@ def test_other_functionals_keep_the_search(monkeypatch, fan, K, images):
     functionals = {(v, j): f for (v, _), f in functionals_of(images).items() for j in range(fan.dim)}
     assert subdivide_cone(K, functionals, fan) == assignment_subdivide_cone(K, functionals, fan)
     assert found == [None] and searched
+
+
+LENGTH_AND_C = Cone("K", (Coord("l_e0", "nonneg"), Coord("c", "free")))
+# A vertex with a constant image: its walls pull back to constant rows.  A
+# nonzero image fails such a row in some cone of P1 or of the plane, and
+# the search skips that option; the trivial fan has no walls.
+CONSTANT_IMAGES = [
+    *(
+        pytest.param(fan, LENGTH_AND_C, [("c",), (k,), ("c + l_e0",)], fan is P1 and k != "0", id=f"{name}-{k}")
+        for fan, name in [(P1, "p1"), (Fan.trivial(1), "trivial")]
+        for k in ("-1", "0", "2", "-3/2")
+    ),
+    *(
+        pytest.param(PLANE, HAND_BUILT, [("c1", "c2"), pair, ("l_e0 + c1", "c2")], pair != ("0", "0"), id=f"plane-{pair[0]},{pair[1]}")
+        for pair in [("-1", "-1"), ("0", "0"), ("1", "0"), ("0", "2")]
+    ),
+]
+
+
+@pytest.mark.parametrize("fan, K, images, skips", CONSTANT_IMAGES)
+def test_constant_walls_match_oracles(monkeypatch, fan, K, images, skips):
+    import troplog.subdivision as sd
+    from oracles import assignment_subdivide_cone, witness_face_census
+
+    walls, strict_walls = [], sd._strict_walls
+    monkeypatch.setattr(sd, "_strict_walls", lambda rows: walls.append(strict_walls(rows)) or walls[-1])
+    functionals = {(f"v{i}", j): AffineExpr.parse(x) for i, image in enumerate(images) for j, x in enumerate(image)}
+    assert subdivide_cone(K, functionals, fan) == assignment_subdivide_cone(K, functionals, fan)
+    assert face_census(K, functionals, fan) == witness_face_census(K, functionals, fan)
+    assert (None in walls) == skips
