@@ -153,18 +153,26 @@ def _curve_parts(n: int, enumerate_types) -> tuple[tuple, tuple, tuple]:
     """
     types = enumerate_types(n)
     names, coords = _lengths(n)
+    cone_coords = [coords[:k] for k in range(len(coords) + 1)]
+    zeroed = [(name,) for name in names]
+    # A face map's coordinate map depends only on the contracted edge and
+    # the facet's edge index map, so each pattern's is built once and shared.
+    coord_maps: dict[tuple[int, tuple[int, ...]], tuple[tuple[str, str], ...]] = {}
     cones = []
     face_maps = []
     for ct in types:
         edges = range(len(ct.tree.edges))
-        cones.append((ct.key, Cone(ct.key, coords[: len(edges)])))
+        cones.append((ct.key, Cone(ct.key, cone_coords[len(edges)])))
         # Types come sorted by key, so sorting each cone's face maps by
         # their zeroed coordinate sorts them all by (cone, zeroed).
         for i in sorted(edges, key=names.__getitem__):
             face_key, face_index = ct.facets[i]
-            others = (j for j in edges if j != i)
-            coord_map = tuple(sorted((names[k], names[j]) for j, k in zip(others, face_index)))
-            face_maps.append(FaceMap(face_key, ct.key, coord_map, (names[i],)))
+            coord_map = coord_maps.get((i, face_index))
+            if coord_map is None:
+                others = (j for j in edges if j != i)
+                coord_map = tuple(sorted((names[k], names[j]) for j, k in zip(others, face_index)))
+                coord_maps[i, face_index] = coord_map
+            face_maps.append(FaceMap(face_key, ct.key, coord_map, zeroed[i]))
     return tuple(cones), tuple((ct.key, ct) for ct in types), tuple(face_maps)
 
 
@@ -236,6 +244,7 @@ def _map_parts(
     bases = [AffineExpr.symbol(cn) for cn in c_names]
     sums = [_leg_sums(s.slopes) for s in sigmas]
     coords = _lengths(n)[1]
+    cone_coords = [coords[:k] + free for k in range(len(coords) + 1)]
     cones, functions = [], []
     for ct in types:
         t = ct.tree
@@ -243,7 +252,7 @@ def _map_parts(
             PLFunction(t, t.root, base, tuple(leg_sums[s] for s in ct.splits), s.slopes)
             for s, base, leg_sums in zip(sigmas, bases, sums)
         )
-        cones.append((ct.key, Cone(ct.key, coords[: len(ct.splits)] + free)))
+        cones.append((ct.key, Cone(ct.key, cone_coords[len(ct.splits)])))
         functions.append((ct.key, fs[0] if m == 1 else fs))
     return tuple(cones), tuple(functions)
 
@@ -416,7 +425,8 @@ def _certified_map_moduli(
     at_leg: dict[str, dict[str, int]] = {}  # cone -> path coefficients of ``leg``
     for key, f in mapc.functions.items():
         at_leg[key] = path(key, leg)
-        s = f.base_value + AffineExpr.make(0, at_leg[key])
+        # The base value names no length, so one ``make`` adds the path to it.
+        s = AffineExpr.make(f.base_value.const, {**dict(f.base_value.terms), **at_leg[key]})
         cone_maps[key] = str(s)
         if s.coeff(TRANSLATION_COORD) != 1:
             failures.append(f"cone {key}: translation coefficient is not 1")
@@ -432,10 +442,14 @@ def _certified_map_moduli(
     # Face-map compatibility: restricting the splitting to a facet agrees
     # with the splitting computed on the contracted type.  The restriction
     # drops the zeroed terms and renames the rest to face coordinates.
+    # Face maps share their coordinate maps, and so their rename dicts.
     face_checks = 0
+    renames: dict[tuple[tuple[str, str], ...], dict[str, str]] = {}
     for fm in mapc.face_maps:
         face_checks += 1
-        rename = {cone_coord: face_coord for face_coord, cone_coord in fm.coord_map}
+        rename = renames.get(fm.coord_map)
+        if rename is None:
+            rename = renames[fm.coord_map] = {cone_coord: face_coord for face_coord, cone_coord in fm.coord_map}
         coeffs: dict[str, int] = {}
         for name, coeff in at_leg[fm.cone_key].items():
             if name not in fm.zeroed:

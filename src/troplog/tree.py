@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .affine import Rat, as_fraction, as_integer, fraction_str
 from .errors import NoSuchEdge, NoSuchLeg, ParseError, UnstableRange
@@ -28,6 +28,31 @@ class Edge:
 class Leg:
     label: int
     at: VertexId
+
+
+# Canonical trees and split trees are built from few distinct edges, legs
+# and vertex-name tuples, so each comes from a bounded intern table and is
+# shared.  ``typed`` keeps ``True`` and ``1`` apart: they are equal, but
+# print differently.
+_INTERN_SIZE = 4096
+
+
+@lru_cache(maxsize=_INTERN_SIZE, typed=True)
+def _edge(a: VertexId, b: VertexId) -> Edge:
+    """The shared symbolic edge a -> b."""
+    return Edge((a, b))
+
+
+@lru_cache(maxsize=_INTERN_SIZE, typed=True)
+def _leg(label: int, at: VertexId) -> Leg:
+    """The shared leg ``label`` at ``at``."""
+    return Leg(label, at)
+
+
+@lru_cache(maxsize=64)
+def _vertex_names(k: int) -> tuple[str, ...]:
+    """The canonical vertex names v0, ..., v{k-1}, one tuple per k."""
+    return tuple(f"v{i}" for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -83,8 +108,13 @@ class Tree:
     @property
     def root(self) -> VertexId:
         """The attachment vertex of the smallest leg label, or else the first
-        vertex: the root of the canonical form and the default basepoint."""
-        return min(self.legs, key=lambda l: l.label).at if self.legs else self.vertices[0]
+        vertex: the root of the canonical form and the default basepoint.  A
+        tree with neither has no root, which is a ParseError."""
+        if self.legs:
+            return min(self.legs, key=lambda l: l.label).at
+        if not self.vertices:
+            raise ParseError("tree has no vertices")
+        return self.vertices[0]
 
     def leg(self, label: int) -> Leg:
         for l in self.legs:
@@ -253,7 +283,8 @@ def canonicalize(t: Tree) -> CanonicalForm:
     ordered by their signature, so leg-label-preserving isomorphic trees
     get identical keys and canonical coordinate orders.  Vertices and edges
     are numbered in preorder, each edge oriented parent -> child.  A graph
-    that ``checked_walk`` refuses is a ParseError.
+    that ``checked_walk`` refuses is a ParseError.  The result's vertex
+    names, edges and legs are shared with other canonical trees.
     """
     root = t.root
     walk = checked_walk(t, root, "the canonical form is")
@@ -270,21 +301,22 @@ def canonicalize(t: Tree) -> CanonicalForm:
         own = ",".join(str(x) for x in sorted(legs_at[v]))
         sig[v] = f"({own};{''.join(sig[w] for w, _ in children[v])})"
 
+    names = _vertex_names(len(t.vertices))
     vertex_map: dict[VertexId, str] = {}
     edge_map: dict[int, int] = {}
     canon_edges: list[Edge] = []
     stack: list[tuple[VertexId, VertexId | None, int | None]] = [(root, None, None)]
     while stack:
         v, parent, via = stack.pop()
-        vertex_map[v] = f"v{len(vertex_map)}"
+        vertex_map[v] = names[len(vertex_map)]
         if via is not None:
             edge_map[via] = len(canon_edges)
-            canon_edges.append(Edge((vertex_map[parent], vertex_map[v])))
+            canon_edges.append(_edge(vertex_map[parent], vertex_map[v]))
         stack.extend((w, v, i) for w, i in reversed(children[v]))
     canon_tree = Tree(
-        tuple(f"v{i}" for i in range(len(t.vertices))),
+        names,
         tuple(canon_edges),
-        tuple(sorted((Leg(l.label, vertex_map[l.at]) for l in t.legs), key=lambda x: x.label)),
+        tuple(sorted((_leg(l.label, vertex_map[l.at]) for l in t.legs), key=lambda x: x.label)),
     )
     return CanonicalForm(
         key=sig[root],
@@ -393,8 +425,8 @@ def _split_tree(n: int, splits: tuple[int, ...], parents: tuple[int, ...]) -> Tr
             legs ^= low
     return Tree(
         tuple(range(len(splits) + 1)),
-        tuple(Edge((parent, j + 1)) for j, parent in enumerate(parents)),
-        tuple(Leg(i + 1, v) for i, v in enumerate(home)),
+        tuple(_edge(parent, j + 1) for j, parent in enumerate(parents)),
+        tuple(_leg(i + 1, v) for i, v in enumerate(home)),
     )
 
 

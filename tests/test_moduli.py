@@ -205,6 +205,23 @@ class TestSharedBuild:
         assert again.to_json() == expected and len(again.types) == 26
         assert len(made) == 26
 
+    def test_types_share_equal_edges_legs_and_vertices(self):
+        shared = {}
+        for ct in build_moduli_complex(6).types.values():
+            t = ct.tree
+            for part in (t.vertices, *t.edges, *t.legs):
+                assert shared.setdefault(part, part) is part
+
+    def test_face_maps_share_coordinate_maps(self):
+        # A face map's coordinates are fixed by its contracted edge and the
+        # facet's edge index map, so equal ones are one object.
+        face_maps = build_moduli_complex(6).face_maps
+        coord_maps, zeroed = {}, {}
+        for fm in face_maps:
+            assert coord_maps.setdefault(fm.coord_map, fm.coord_map) is fm.coord_map
+            assert zeroed.setdefault(fm.zeroed, fm.zeroed) is fm.zeroed
+        assert len(coord_maps) < len(face_maps) and len(zeroed) == 3
+
     def test_built_once_per_n(self, monkeypatch):
         _curve_parts.cache_clear()
         calls = count_calls(monkeypatch, enumerate_tree_types)

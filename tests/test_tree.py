@@ -18,7 +18,7 @@ from troplog import (
     vertex_values,
 )
 from troplog.errors import NoSuchEdge, ParseError, UnstableRange
-from troplog.tree import _split_sets, _split_tree
+from troplog.tree import _edge, _leg, _split_sets, _split_tree, _vertex_names
 
 from oracles import (
     _insert_leg,
@@ -222,6 +222,25 @@ class TestCanonical:
         t = Tree.build(["a", "b"], [], [(1, "a"), (2, "b")])
         with pytest.raises(ParseError, match="tree is disconnected"):
             canonicalize(t)
+
+    def test_empty_tree_is_a_parse_error(self):
+        empty = Tree((), (), ())
+        with pytest.raises(ParseError, match="tree has no vertices"):
+            canonicalize(empty)
+        with pytest.raises(ParseError, match="tree has no vertices"):
+            extend_from_leg_slopes(empty, ContactOrder(()))
+
+    def test_intern_tables_stay_bounded(self):
+        # Trees of 150 legs name thousands of distinct legs, far more than
+        # the moduli builds do; the tables keep to their fixed bounds, and
+        # the forms built from them still equal the oracle's.
+        rng = random.Random(31)
+        for _ in range(30):
+            t = random_stable_tree(rng, 150, concrete=False)
+            assert canonicalize(t) == recursive_canonicalize(t)
+            for table in (_edge, _leg, _vertex_names):
+                info = table.cache_info()
+                assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_deep_caterpillar(self):
         # A path of 1 500 vertices is deeper than Python's recursion limit.
