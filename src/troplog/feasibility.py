@@ -293,17 +293,22 @@ def _shot_facets(rows: list[tuple[Row, str]], point: list[int]) -> set[tuple[Row
     When a single row has the smallest t_s, it is 0 at the hit point and
     every other row is positive there, so that row is a facet of the
     system.  A tie certifies nothing.  The t_s are compared by
-    cross-multiplication.
+    cross-multiplication.  The rate s.a is symmetric in the two rows, so
+    each pair's rate is computed once.
     """
     values = [sum(map(mul, row, point)) for row, _ in rows]
     if point[0] <= 0 or not all(v > 0 for v in values) or any(rel == "eq" for _, rel in rows):
         raise RuntimeError("prune_rows: the point is not strictly inside every row")
     normals = [row[1:] for row, _ in rows]
+    rates = [[0] * len(normals) for _ in normals]
+    for i, a in enumerate(normals):
+        across = rates[i]
+        for j in range(i, len(normals)):
+            across[j] = rates[j][i] = sum(map(mul, a, normals[j]))
     found = set()
-    for a in normals:
+    for across in rates:
         hit, tie, value, rate = None, False, 0, 0
-        for j, s in enumerate(normals):
-            r = sum(map(mul, s, a))
+        for j, r in enumerate(across):
             if r <= 0:
                 continue
             if hit is None or values[j] * rate < value * r:

@@ -5,11 +5,15 @@ per-vertex value functionals of the symbolic balanced function (on a map
 cone, read from its type's splits), to a subdivision of every moduli cone:
 one maximal cell per feasible full-dimensional assignment of vertex images
 to fan cones.  A cone's images are encoded as integer rows for its cells,
-and again by ``stats()``.  On the fan of P^1, when the images are tree
-potentials (as on every map cone), the cells and the interior face counts
-are read from the order that the slopes put on the vertices, with one
-kernel call per cell, for its witness, and none for the counts.
-Everything else runs through the exact feasibility kernel.
+and again by ``stats()``.  Apart from the cone's name and the vertex names
+of its assignments, the cells and the interior face counts of a cone are a
+function of that encoding and the fan, and many map cones share one
+encoding: each is computed once per distinct encoding and shared.  On the
+fan of P^1, when the images are tree potentials (as on every map cone),
+the cells and the interior face counts are read from the order that the
+slopes put on the vertices, with one kernel call per cell of a distinct
+encoding, for its witness, and none for the counts.  Everything else runs
+through the exact feasibility kernel.
 """
 
 from __future__ import annotations
@@ -306,19 +310,20 @@ def _encoded(K: Cone, functionals: dict[tuple[VertexId, int], AffineExpr], dim: 
 
     Column k of a row is K's coordinate ``names[k - 1]`` (sorted), column
     0 the constant; ``order`` eliminates the columns in K's coordinate
-    order, and ``units`` maps the column of each nonnegative coordinate,
-    in K's order, to its unit row.  An image is ``dim`` integer rows, one
-    per fan coordinate; ``distinct`` lists the distinct images in sorted
-    vertex order, and ``image_of`` maps each vertex to its image's index
-    there.  Every image of K is scaled by one positive integer, the lcm of
-    the denominators of all the functionals: so equal rows are equal
-    images, and no image has its coordinates scaled apart (which would
-    tilt a 2-D pullback).
+    order, and ``units`` pairs the column of each nonnegative coordinate,
+    in K's order, with its unit row.  An image is ``dim`` integer rows,
+    one per fan coordinate; ``distinct`` lists the distinct images in
+    sorted vertex order, and ``image_of`` maps each vertex to its image's
+    index there.  Every image of K is scaled by one positive integer, the
+    lcm of the denominators of all the functionals: so equal rows are
+    equal images, and no image has its coordinates scaled apart (which
+    would tilt a 2-D pullback).  The first four are tuples, the encoding
+    that the cells and the interior census are computed once for.
     """
-    names = sorted(c.name for c in K.coords)
+    names = tuple(sorted(c.name for c in K.coords))
     index = {name: k for k, name in enumerate(names, 1)}
     nonneg = [index[c.name] for c in K.coords if c.sign == "nonneg"]
-    units = {col: tuple(int(k == col) for k in range(len(names) + 1)) for col in nonneg}
+    units = tuple((col, tuple(int(k == col) for k in range(len(names) + 1))) for col in nonneg)
     for v, j in functionals:
         if j not in range(dim):
             raise LengthMismatch(f"functional for vertex {v!r}, coordinate {j}, in a fan of dimension {dim}")
@@ -338,7 +343,7 @@ def _encoded(K: Cone, functionals: dict[tuple[VertexId, int], AffineExpr], dim: 
                 row[index[name]] = q.numerator * (den // q.denominator)
             rows.append(tuple(row))
         image_of[v] = distinct.setdefault(tuple(rows), len(distinct))
-    return names, [index[c.name] for c in K.coords], units, list(distinct), image_of
+    return names, tuple(index[c.name] for c in K.coords), units, tuple(distinct), image_of
 
 
 def _pullbacks(image: Image, systems: tuple[System, ...]) -> list[list[tuple[Row, str]]]:
@@ -351,7 +356,7 @@ def _pullbacks(image: Image, systems: tuple[System, ...]) -> list[list[tuple[Row
     ]
 
 
-def _search(slots: list[list], order: list[int]):
+def _search(slots: list[list], order: tuple[int, ...]):
     """Yield (option indices, rows, point, fresh) for each feasible choice
     of one option (a list of rows, or None) per slot, depth first, dropping
     every prefix the kernel rejects.
@@ -406,18 +411,42 @@ def subdivide_cone(
     otherwise a search finds them (``_searched_cells``).  Either way a
     cell's witness is the kernel's point of the leaf's rows: K's strict
     rows, then one strict wall row per distinct image, in image order.
+    The cells are computed once per distinct encoding of the images (see
+    ``_encoded``) and fan, and shared (``_encoded_cells``): each cone
+    takes the halfspaces and witnesses of its encoding as they are and
+    adds its own name, dimension and vertices.
     """
     if not fan.complete:
         raise IncompleteFan("subdivision requires a complete target fan")
     names, order, units, distinct, image_of = _encoded(K, vertex_functionals, fan.dim)
+    vertex_slots = [(str(v), i) for v, i in image_of.items()]
+    return [
+        SubdividedCell(K.name, tuple((v, picks[i]) for v, i in vertex_slots), halfspaces, witness, K.dim)
+        for picks, halfspaces, witness in _encoded_cells(names, order, units, distinct, fan)
+    ]
+
+
+# Distinct encodings held at once; P^1 at n = 8 with σ = (1, ..., 1, -7)
+# has 461 of them over its 39 208 map cones.
+_CELLS_CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=_CELLS_CACHE_SIZE)
+def _encoded_cells(names: tuple, order: tuple, units: tuple, distinct: tuple, fan: Fan) -> tuple:
+    """The cells of every cone with this encoding (see ``_encoded``) under
+    the fan, in key order, as (fan cone per distinct image, halfspaces,
+    witness) tuples; see ``subdivide_cone``.
+
+    The fan is compared by its rays: its cones' halfspaces are derived from
+    them.  Each facet row is decoded once per encoding: reduced, its
+    coefficients are already coprime integers.
+    """
+    units = dict(units)
     line = _slope_order(distinct, units, fan)
     if line is None:
         found = _searched_cells(distinct, fan, units, order)
     else:
         found = _ordered_cells(distinct, line, units, order)
-
-    # Each facet row is decoded once per cone: reduced, its coefficients are
-    # already coprime integers.
     decoded: dict[Row, tuple[str, AffineExpr]] = {}
 
     def halfspace(row: Row) -> tuple[str, AffineExpr]:
@@ -426,23 +455,17 @@ def subdivide_cone(
             decoded[row] = (str(h), h)
         return decoded[row]
 
-    vertex_slots = [(str(v), i) for v, i in image_of.items()]
-    cells: dict[tuple, SubdividedCell] = {}
+    cells: dict[tuple, tuple] = {}
     for picks, facets, point in found:
         key = tuple(sorted((row[0], tuple((k, x) for k, x in enumerate(row) if k and x)) for row in facets))
         if key not in cells:
             hs = sorted(map(halfspace, facets), key=lambda entry: entry[0])
-            cells[key] = SubdividedCell(
-                parent=K.name,
-                assignment=tuple((v, picks[i]) for v, i in vertex_slots),
-                halfspaces=tuple(h for _, h in hs),
-                witness=tuple((c, Fraction(point[k], point[0])) for k, c in enumerate(names, 1)),
-                dim=K.dim,
-            )
-    return [cells[key] for key in sorted(cells)]
+            witness = tuple((c, Fraction(point[k], point[0])) for k, c in enumerate(names, 1))
+            cells[key] = (tuple(picks), tuple(h for _, h in hs), witness)
+    return tuple(cells[key] for key in sorted(cells))
 
 
-def _searched_cells(distinct: list[Image], fan: Fan, units: dict[int, Row], order: list[int]):
+def _searched_cells(distinct: tuple[Image, ...], fan: Fan, units: dict[int, Row], order: tuple[int, ...]):
     """Yield (fan cone per distinct image, facet rows, witness) per leaf of
     the search over one slot per nonnegative coordinate, its strict unit
     row, then one slot per distinct image, with one option per maximal fan
@@ -474,7 +497,7 @@ def _searched_cells(distinct: list[Image], fan: Fan, units: dict[int, Row], orde
 # this order alone (Stanley, Enumerative Combinatorics I, section 3.4).
 
 
-def _slope_order(distinct: list[Image], units: dict[int, Row], fan: Fan):
+def _slope_order(distinct: tuple[Image, ...], units: dict[int, Row], fan: Fan):
     """``(up, down, edges)`` when the fan is P^1 and the distinct images
     are tree potentials, else None.
 
@@ -532,7 +555,7 @@ def _up_sets(above: list[list[int]], below: list[list[int]]) -> list[int]:
     return sets
 
 
-def _ordered_cells(distinct: list[Image], line, units: dict[int, Row], order: list[int]):
+def _ordered_cells(distinct: tuple[Image, ...], line, units: dict[int, Row], order: tuple[int, ...]):
     """Yield (fan cone per distinct image, facet rows, witness) per up-set
     U of the slope order: the classes in U go to the ray (1), the rest to
     (-1).  The facets are l >= 0 for each nonnegative coordinate that is
@@ -637,18 +660,26 @@ def _census(
 ) -> dict[int, int]:
     """Faces of the pullback subdivision of K along the fan, by dimension,
     inside the faces of K on which each nonnegative coordinate has one of
-    the relations ``rels`` to zero.
+    the relations ``rels`` to zero (see ``_encoded_census``)."""
+    return _encoded_census(*_encoded(K, functionals, fan.dim)[:4], fan, rels)
+
+
+def _encoded_census(
+    names: tuple, order: tuple, units: tuple, distinct: tuple, fan: Fan, rels: tuple[str, ...]
+) -> dict[int, int]:
+    """The census of ``_census`` for every cone with this encoding (see
+    ``_encoded``).
 
     The faces are the leaves of the search over one slot per nonnegative
-    coordinate of K (an option per relation), then one per distinct image
-    vector (an option per relatively open fan face), each choice pulled
-    back once to integer rows over K's columns (see ``_encoded``).  A face
-    has dimension #coords - rank of its equalities.  The faces in the
-    relative interior of K (``rels`` is ("gt",)) on P^1 with tree
-    potentials for images are counted from the slope order instead, with
-    no kernel call (``_ordered_census``).
+    coordinate of the cone (an option per relation), then one per distinct
+    image vector (an option per relatively open fan face), each choice
+    pulled back once to integer rows over the cone's columns.  A face has
+    dimension #coords - rank of its equalities.  The faces in the relative
+    interior of the cone (``rels`` is ("gt",)) on P^1 with tree potentials
+    for images are counted from the slope order instead, with no kernel
+    call (``_ordered_census``).
     """
-    names, order, units, distinct, _ = _encoded(K, functionals, fan.dim)
+    units = dict(units)
     if rels == ("gt",) and (line := _slope_order(distinct, units, fan)) is not None:
         return _ordered_census(len(names), len(distinct), line[2])
     slots = [[[(row, rel)] for rel in rels] for row in units.values()]
@@ -692,12 +723,17 @@ class SubdividedComplex:
         each counted once; distinct contracted split sets are distinct keys.
         On P^1 each count comes from the slope order of the cone's vertex
         values, one dynamic program over the tree with no kernel call;
-        other fans search the cone's interior faces.
+        other fans search the cone's interior faces.  Each count is made
+        once per distinct encoding of the vertex images (see ``_encoded``)
+        and the fan, and shared by the cones of that encoding, within this
+        call.
         """
+        interior = functools.cache(_encoded_census)
 
         @functools.cache
         def census(key: str) -> dict[int, int]:
-            return _census(self.complex.cones[key], self.functionals[key], self.fan, ("gt",))
+            encoding = _encoded(self.complex.cones[key], self.functionals[key], self.fan.dim)[:4]
+            return interior(*encoding, self.fan, ("gt",))
 
         @functools.cache
         def closure(key: str) -> frozenset[str]:

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Fifteen former library functions are the exception, kept
+grid search.  Sixteen former library functions are the exception, kept
 so that their replacements can be required to give the same results:
 ``recursive_canonicalize``, the canonical form computed by recursion,
 ``home_scan_split_tree``, the tree of a split set that finds each
@@ -28,7 +28,9 @@ instead of carrying points, ``walk_path_coefficients``, the splitting's
 integer path coefficients summed over a walk of the tree,
 ``index_multidegree``, the multidegree that looked up each leg's slope
 with ``list.index``, and ``backward_split_masks``, the splits of a
-canonical tree's edges from one backward pass over them.  The oracles
+canonical tree's edges from one backward pass over them, and
+``pairwise_shot_facets``, the ray-shooting facet test that computed the
+rate of each ordered pair of rows.  The oracles
 pull fans back through their own ``AffineExpr`` arithmetic, not the
 library's integer rows.
 """
@@ -39,6 +41,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from troplog import (
     AffineExpr,
@@ -656,6 +659,31 @@ def plain_search(slots: list[list], order: list[int]):
                 yield from visit(depth + 1, (*picks, i), rows + option)
 
     return visit(0, (), [])
+
+
+def pairwise_shot_facets(rows: list[tuple[tuple[int, ...], str]], point: list[int]) -> set:
+    """The rows that a ray from ``point`` certifies as facets, as the
+    library's ``_shot_facets`` once found them: for each shooting row a,
+    the rate s.a of every row s is computed again, so each unordered pair's
+    rate is computed twice."""
+    values = [sum(map(mul, row, point)) for row, _ in rows]
+    if point[0] <= 0 or not all(v > 0 for v in values) or any(rel == "eq" for _, rel in rows):
+        raise RuntimeError("prune_rows: the point is not strictly inside every row")
+    normals = [row[1:] for row, _ in rows]
+    found = set()
+    for a in normals:
+        hit, tie, value, rate = None, False, 0, 0
+        for j, s in enumerate(normals):
+            r = sum(map(mul, s, a))
+            if r <= 0:
+                continue
+            if hit is None or values[j] * rate < value * r:
+                hit, tie, value, rate = j, False, values[j], r
+            elif values[j] * rate == value * r:
+                tie = True
+        if hit is not None and not tie:
+            found.add(rows[hit])
+    return found
 
 
 def witness_prune_redundant(constraints: list[Constraint]) -> list[Constraint]:

@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 
 import troplog.feasibility
+import troplog.subdivision
 from troplog import AffineExpr, ContactOrder, Fan, check_feasible, prune_redundant, subdivide_map_moduli
 from troplog.feasibility import encode, prune_rows, rows_scaled_point
 
@@ -276,7 +277,9 @@ PLANE = Fan.of([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2)
 )
 def test_subdivision_kernel_calls_match_fraction_oracle(monkeypatch, sigma, fan):
     # Every kernel call that a subdivision and its statistics make at n = 5
-    # gives the point of the Fraction back-substitution.
+    # gives the point of the Fraction back-substitution.  Each cone
+    # computes its cells alone, not once per distinct encoding, so that
+    # the systems of every cone are checked.
     calls, kernel = [], troplog.feasibility._certified_point
 
     def recorded(rows, order):
@@ -286,6 +289,7 @@ def test_subdivision_kernel_calls_match_fraction_oracle(monkeypatch, sigma, fan)
     contact = [ContactOrder.of(s) for s in sigma] if fan is PLANE else ContactOrder.of(sigma)
     with monkeypatch.context() as m:
         m.setattr(troplog.feasibility, "_certified_point", recorded)
+        m.setattr(troplog.subdivision, "_encoded_cells", troplog.subdivision._encoded_cells.__wrapped__)
         subdivide_map_moduli(5, contact, fan).stats()
     feasible = sum(_same_as_fraction_oracle(rows, order) for rows, order in calls)
     # On P1 every call is a cell's witness; on the plane most calls of the
@@ -415,6 +419,23 @@ def test_clarkson_loop_keeps_the_rows_of_the_kernel_loop(monkeypatch):
     # A smaller system is a subset of the plain one: the kept rows before
     # each test are the same in both loops.
     assert smaller > 0 and larger == 0 and any(ties)
+
+
+def test_shot_facets_match_pairwise_oracle():
+    # Each unordered pair's rate, computed once, certifies the facets that
+    # the rates of both ordered pairs did, on the random interior systems
+    # of the tests above.
+    from oracles import pairwise_shot_facets
+
+    certified = 0
+    for seed in (15, 22, 23):
+        rng = random.Random(seed)
+        for _ in range(300):
+            rows, point = _random_interior_system(rng, rng.randint(1, 3))
+            got = troplog.feasibility._shot_facets(rows, point)
+            assert got == pairwise_shot_facets(rows, point), (rows, point)
+            certified += len(got)
+    assert certified > 300
 
 
 def test_shooting_ties_certify_nothing(monkeypatch):

@@ -25,6 +25,15 @@ from oracles import canonical_system, cell_key
 P1 = Fan.projective_line()
 
 
+@pytest.fixture(autouse=True)
+def cold_cells_cache():
+    """Start each test with no cells shared from another test's cones, so
+    that what a test counts or spies on is computed in that test."""
+    import troplog.subdivision as sd
+
+    sd._encoded_cells.cache_clear()
+
+
 class TestFan:
     def test_p1_valid_complete(self):
         report = validate_fan(P1)
@@ -376,10 +385,15 @@ def _holds(row, rel, point):
 
 def search_everywhere(monkeypatch):
     """Make the cells and the census search on P1 too, where they would
-    read the slope order instead."""
+    read the slope order instead.  The searched cells go to a cache of
+    their own, which starts empty and goes with the patch."""
+    import functools
+
     import troplog.subdivision as sd
 
     monkeypatch.setattr(sd, "_slope_order", lambda *args: None)
+    fresh = functools.lru_cache(maxsize=sd._CELLS_CACHE_SIZE)(sd._encoded_cells.__wrapped__)
+    monkeypatch.setattr(sd, "_encoded_cells", fresh)
 
 
 @pytest.mark.parametrize(
@@ -435,15 +449,16 @@ def test_carried_points_satisfy_their_rows(monkeypatch, fan, n, sigma):
 
 @pytest.mark.parametrize(
     "fan, n, sigma, calls",
-    [(P1, 5, ContactOrder.of([1, 1, 1, 1, -4]), 187), (PLANE, 5, plane_sigmas(5), 489), (QUADRANTS, 5, plane_sigmas(5), 959)],
+    [(P1, 5, ContactOrder.of([1, 1, 1, 1, -4]), 67), (PLANE, 5, plane_sigmas(5), 306), (QUADRANTS, 5, plane_sigmas(5), 596)],
     ids=["p1", "plane", "quadrants"],
 )
 def test_cell_witness_reuses_the_leaf_point(monkeypatch, fan, n, sigma, calls):
     # A leaf whose point the kernel found for the leaf's own rows takes its
     # witness from that point: no system goes to the kernel twice, the cell
-    # search makes the counted number of calls, and the cells are those of
-    # the brute force over all assignments.  On P1 this is the search that
-    # the slope order replaces.
+    # search makes the counted number of calls, once per distinct encoding
+    # of a cone's images (187, 489 and 959 when every cone searched), and
+    # the cells are those of the brute force over all assignments.  On P1
+    # this is the search that the slope order replaces.
     import troplog.subdivision as sd
     from oracles import assignment_subdivide_cone
 
@@ -466,18 +481,20 @@ def test_cell_witness_reuses_the_leaf_point(monkeypatch, fan, n, sigma, calls):
 
 
 @pytest.mark.parametrize(
-    "fan, sigmas, calls",
+    "fan, sigmas, leaf_count, calls",
     [
-        (P1, [ContactOrder.of([1, 1, 1, 1, -4]), ContactOrder.of([2, -1, 1, -3, 1])], 280),
-        (PLANE, [plane_sigmas(5)], 722),
+        (P1, [ContactOrder.of([1, 1, 1, 1, -4]), ContactOrder.of([2, -1, 1, -3, 1])], 80, 126),
+        (PLANE, [plane_sigmas(5)], 126, 444),
     ],
     ids=["p1", "plane"],
 )
-def test_facets_shot_from_the_leaf_point(monkeypatch, fan, sigmas, calls):
+def test_facets_shot_from_the_leaf_point(monkeypatch, fan, sigmas, leaf_count, calls):
     # The cell search hands prune_rows each leaf's point; the facets it
     # keeps are those of the plain kernel loop on every leaf, and the
-    # kernel runs the counted number of times (746 and 1 364 without rays).
-    # On P1 this is the search that the slope order replaces.
+    # kernel runs the counted number of times (335 and 839 without rays).
+    # Cones with equal encodings share one search, so the leaves are those
+    # of the distinct encodings.  On P1 this is the search that the slope
+    # order replaces.
     import troplog.feasibility
     import troplog.subdivision as sd
 
@@ -499,7 +516,7 @@ def test_facets_shot_from_the_leaf_point(monkeypatch, fan, sigmas, calls):
     monkeypatch.setattr(sd, "prune_rows", both)
     for sigma in sigmas:
         subdivide_map_moduli(5, sigma, fan)
-    assert len(leaves) > 100 and len(shot) == calls
+    assert (len(leaves), len(shot)) == (leaf_count, calls)
 
 
 @pytest.mark.parametrize(
@@ -755,8 +772,9 @@ def test_slope_order_matches_search_and_oracle(monkeypatch, fan):
 
 @pytest.mark.parametrize("fan", P1_FANS)
 def test_slope_order_kernel_calls(monkeypatch, fan):
-    # On P1 each cell takes one kernel call, rows_scaled_point for its
-    # witness; prune_rows never runs, and stats() calls no kernel.
+    # On P1 each cell of a distinct encoding takes one kernel call,
+    # rows_scaled_point for its witness, and the cones of that encoding
+    # share it; prune_rows never runs, and stats() calls no kernel.
     import troplog.feasibility as fe
     import troplog.subdivision as sd
 
@@ -774,8 +792,12 @@ def test_slope_order_kernel_calls(monkeypatch, fan):
         monkeypatch.setattr(sd, name, counted(name, getattr(sd, name)))
     sub = subdivide_map_moduli(6, ContactOrder.of([2, 0, -1, 1, -2, 0]), fan)
     cells = sub.stats()["total_max_cells"]
-    assert cells == sum(map(len, sub.cells.values())) > 100
-    assert calls == {"kernel": cells, "rows_scaled_point": cells, "prune_rows": 0}
+    assert cells == sum(map(len, sub.cells.values())) == 970
+    shared = {}
+    for key, K in sub.complex.cones.items():
+        shared.setdefault(sd._encoded(K, sub.functionals[key], fan.dim)[:4], len(sub.cells[key]))
+    assert sum(shared.values()) == 449
+    assert calls == {"kernel": 449, "rows_scaled_point": 449, "prune_rows": 0}
 
 
 c, d = AffineExpr.symbol("c"), AffineExpr.symbol("d")
@@ -874,3 +896,68 @@ def test_constant_walls_match_oracles(monkeypatch, fan, K, images, skips):
     assert subdivide_cone(K, functionals, fan) == assignment_subdivide_cone(K, functionals, fan)
     assert face_census(K, functionals, fan) == witness_face_census(K, functionals, fan)
     assert (None in walls) == skips
+
+
+# Cones whose images have equal encodings share one computation of their
+# cells and of their interior census; each must still get what it gets
+# alone.  P1 at n = 3..6 with σ = (1, ..., 1, -(n - 1)) and a generic σ,
+# and the plane at n = 3..5.
+GENERIC_SIGMAS = {3: (1, 2, -3), 4: (1, 2, -3, 0), 5: (1, 2, -3, 4, -4), 6: (1, 2, -3, 4, -5, 1)}
+GROUP_CASES = (
+    [pytest.param(P1, n, ContactOrder.of((1,) * (n - 1) + (1 - n,)), id=f"p1-n{n}") for n in range(3, 7)]
+    + [pytest.param(P1, n, ContactOrder.of(s), id=f"p1-generic-n{n}") for n, s in GENERIC_SIGMAS.items()]
+    + [pytest.param(PLANE, n, plane_sigmas(n), id=f"plane-n{n}") for n in range(3, 6)]
+)
+
+
+@pytest.mark.parametrize("fan, n, sigma", GROUP_CASES)
+def test_shared_cells_match_each_cone_alone(fan, n, sigma):
+    import functools
+
+    import troplog.subdivision as sd
+
+    sub = subdivide_map_moduli(n, sigma, fan)
+    info = sd._encoded_cells.cache_info()
+    encodings = {sd._encoded(K, sub.functionals[key], fan.dim)[:4] for key, K in sub.complex.cones.items()}
+    assert (info.misses, info.hits) == (len(encodings), len(sub.complex.cones) - len(encodings))
+    for key, K in sub.complex.cones.items():
+        sd._encoded_cells.cache_clear()
+        # Equal cells have equal parent, assignment, halfspaces, witness and dim.
+        assert sub.cells[key] == subdivide_cone(K, sub.functionals[key], fan), key
+
+    @functools.cache
+    def closure(key):
+        return frozenset({key}).union(*(closure(face) for face, _ in sub.complex.types[key].facets))
+
+    interior = {
+        key: sd._census(K, sub.functionals[key], fan, ("gt",)) for key, K in sub.complex.cones.items()
+    }
+    for key, entry in sub.stats()["per_cone"].items():
+        counts = {}
+        for face in closure(key):
+            for d, c in interior[face].items():
+                counts[d] = counts.get(d, 0) + c
+        assert entry["f_vector"] == dict(sorted(counts.items())), key
+        assert entry["max_cells"] == len(sub.cells[key])
+
+
+@pytest.mark.parametrize("first, second", [(P1, Fan.trivial(1)), (Fan.trivial(1), P1)], ids=["p1-first", "trivial-first"])
+def test_shared_cells_are_kept_per_fan(first, second):
+    # One encoding under two fans: the fan is part of what the cells are
+    # shared by, so each fan gets its own cells in either order.
+    import troplog.subdivision as sd
+    from oracles import assignment_subdivide_cone
+
+    functionals = {("v0", 0): c, ("v1", 0): c + AffineExpr.symbol("l_e0")}
+    got = [subdivide_cone(LENGTH_AND_C, functionals, fan) for fan in (first, second)]
+    assert sd._encoded_cells.cache_info().currsize == 2
+    for fan, cells in zip((first, second), got):
+        assert cells == assignment_subdivide_cone(LENGTH_AND_C, functionals, fan)
+    assert len(got[0]) != len(got[1])
+
+
+def test_shared_cells_cache_is_bounded():
+    import troplog.subdivision as sd
+
+    size = sd._encoded_cells.cache_info().maxsize
+    assert isinstance(size, int) and 0 < size == sd._CELLS_CACHE_SIZE
