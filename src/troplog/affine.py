@@ -20,6 +20,9 @@ Rat = int | str | Fraction
 # The string syntax that ``Fraction`` reads on every supported Python
 # (3.10's, less exponents): later versions also read '1_000' and '3 / 4'.
 _RATIONAL_RE = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|\.\d*)?\s*")
+# Its integer form: surrounding whitespace, a sign, digits.  ``int`` alone
+# would also read '1_0'.
+_INTEGER_RE = re.compile(r"\s*[-+]?\d+\s*")
 
 
 def as_fraction(x: Rat) -> Fraction:

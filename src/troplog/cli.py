@@ -53,11 +53,30 @@ def _check_size(n: int) -> None:
         raise errors.SizeLimit(f"n = {n} is above the limit n <= {MAX_N}")
 
 
-def _sigma(text: str) -> plfunction.ContactOrder:
+def _integer(text: str) -> int:
+    """An integer argument, read by the integer form of the rational grammar
+    (``affine._INTEGER_RE``): surrounding whitespace, a sign, digits.
+    Anything else raises ``ArgumentTypeError``, which argparse reports with
+    the argument's name."""
+    if affine._INTEGER_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _integer_in(what: str, text: str) -> int:
+    """``_integer`` for a value inside the argument ``what``, which argparse
+    does not convert."""
     try:
-        return plfunction.ContactOrder.of(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise errors.ParseError(f"bad contact order {text!r}: {exc}") from exc
+        return _integer(text)
+    except argparse.ArgumentTypeError as exc:
+        raise errors.ParseError(f"argument {what}: {exc}") from exc
+
+
+def _sigma(text: str) -> plfunction.ContactOrder:
+    return plfunction.ContactOrder.of([_integer_in("--sigma", x) for x in text.split(",")])
 
 
 def cmd_validate(args) -> dict:
@@ -92,7 +111,7 @@ def cmd_multidegree(args) -> dict:
     }
 
 
-def cmd_moduli(args) -> dict:
+def cmd_moduli(args) -> list[str]:
     # Every cheap check runs before the first build, which is exponential in n.
     sigma = None if args.sigma is None else _sigma(args.sigma)
     if sigma is None and args.certify_product is not None:
@@ -109,10 +128,13 @@ def cmd_moduli(args) -> dict:
         cx = moduli.build_map_moduli(args.n, sigma)
     else:
         cx = moduli.build_moduli_complex(args.n)
-    payload = {"complex": cx.to_json(), "empty": cx.is_empty}
+    # The payload {"complex", "empty", "product_decomposition"} as JSON
+    # text in pieces: no dict of the complex is built.
+    pieces = ['{"complex": ', *moduli._json_pieces(cx), f', "empty": {json.dumps(cx.is_empty)}']
     if report is not None:
-        payload["product_decomposition"] = report.to_json()
-    return payload
+        pieces += [', "product_decomposition": ', *moduli._json_pieces(report)]
+    pieces.append("}")
+    return pieces
 
 
 def cmd_subdivide(args) -> dict:
@@ -135,11 +157,7 @@ def cmd_selfmap(args) -> dict:
     nf = selfmap.classify_self_map(args.r, args.a)
     if args.compose:
         r2, a2 = args.compose
-        try:
-            r2 = int(r2)
-        except ValueError as exc:
-            raise errors.ParseError(f"bad --compose degree {r2!r}: {exc}") from exc
-        nf = nf.compose(selfmap.classify_self_map(r2, a2))
+        nf = nf.compose(selfmap.classify_self_map(_integer_in("--compose", r2), a2))
     return nf.to_json()
 
 
@@ -170,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_multidegree)
 
     q = sub.add_parser("moduli", help="moduli cone complex (curves, or maps with --sigma)")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_integer, required=True)
     q.add_argument("--sigma", default=None)
-    q.add_argument("--certify-product", type=int, default=None, metavar="LEG")
+    q.add_argument("--certify-product", type=_integer, default=None, metavar="LEG")
     q.set_defaults(fn=cmd_moduli)
 
     q = sub.add_parser("subdivide", help="fan-pullback subdivision of map moduli")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_integer, required=True)
     q.add_argument("--sigma", required=True, help="contact orders; ';' separates target coordinates")
     q.add_argument("--fan", required=True)
     q.set_defaults(fn=cmd_subdivide)
@@ -186,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_validate_fan)
 
     q = sub.add_parser("selfmap", help="normal form of a log-torus self-map")
-    q.add_argument("--r", type=int, required=True)
+    q.add_argument("--r", type=_integer, required=True)
     q.add_argument("--a", default="0")
     q.add_argument("--compose", nargs=2, metavar=("R2", "A2"), default=None)
     q.set_defaults(fn=cmd_selfmap)
@@ -211,11 +229,10 @@ def _output_limit(exc: ValueError) -> errors.SizeLimit:
     return errors.SizeLimit(f"a result integer has more than {limit} digits, above the output limit")
 
 
-def _envelope_line(status: str, payload: dict, elapsed: int) -> str:
-    envelope = {"status": status, "payload": payload, "timing_ms": elapsed}
-    # One json.dumps (the C encoder) gives the bytes that json.dump would
-    # stream through the pure-Python encoder.
-    return json.dumps(envelope, sort_keys=True) + "\n"
+def _payload_pieces(payload: dict | list[str]) -> list[str]:
+    """A payload's JSON text with sorted keys: a command's pieces as they
+    are, a dict as one ``json.dumps``."""
+    return payload if isinstance(payload, list) else [json.dumps(payload, sort_keys=True)]
 
 
 def main(argv=None) -> int:
@@ -232,13 +249,17 @@ def main(argv=None) -> int:
         status, payload = _error(exc)
     elapsed = int((time.monotonic() - start) * 1000)
     try:
-        line = _envelope_line(status, payload, elapsed)
+        pieces = _payload_pieces(payload)
     except ValueError as exc:
         status, payload = _error(_output_limit(exc))
-        line = _envelope_line(status, payload, elapsed)
+        pieces = _payload_pieces(payload)
     code = EXIT_CODES.get(status, 1)
+    # The bytes of json.dumps({"status", "payload", "timing_ms"},
+    # sort_keys=True) + "\n", written piece by piece.
     try:
-        sys.stdout.write(line)
+        sys.stdout.write('{"payload": ')
+        sys.stdout.writelines(pieces)
+        sys.stdout.write(f', "status": {json.dumps(status)}, "timing_ms": {elapsed}}}\n')
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (e.g. `| head`).  Point stdout at

@@ -10,6 +10,8 @@ per-cone by an explicit unimodular affine change of coordinates.
 from __future__ import annotations
 
 import functools
+import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, UnstableRange
 from .plfunction import (
     ContactOrder,
     PLFunction,
+    _edge_slope_json,
+    _leg_slopes_json,
     extend_from_leg_slopes,
     is_balanced,
     vertex_values,
@@ -28,6 +32,8 @@ from .tree import (
     Leg,
     Tree,
     VertexId,
+    _edge_json,
+    _leg_json,
     canonicalize,  # noqa: F401  (perfbench/test_perfbench.py traces it through this module)
     enumerate_tree_types,
     validate_tree,
@@ -98,6 +104,10 @@ class FaceMap:
         }
 
 
+# The order of a complex's face maps in its JSON.
+_FACE_MAP_ORDER = operator.attrgetter("cone_key", "zeroed", "face_key")
+
+
 @dataclass
 class ConeComplex:
     n: int
@@ -120,7 +130,7 @@ class ConeComplex:
         doc = {
             "n": self.n,
             "cones": [self.cones[k].to_json() for k in sorted(self.cones)],
-            "face_maps": [fm.to_json() for fm in sorted(self.face_maps, key=lambda f: (f.cone_key, f.zeroed, f.face_key))],
+            "face_maps": [fm.to_json() for fm in sorted(self.face_maps, key=_FACE_MAP_ORDER)],
         }
         if self.sigma is not None:
             doc["sigma"] = list(self.sigma.slopes)
@@ -351,6 +361,104 @@ class IsomorphismReport:
             "failures": list(self.failures),
             "distinct_splittings": {str(j): w for j, w in sorted(self.distinct_splittings.items())},
         }
+
+
+class _Memo(dict):
+    """``memo[x]`` is ``text(x)``, computed on the first lookup of x."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, x):
+        value = self[x] = self.text(x)
+        return value
+
+
+def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
+    """The JSON text of a complex or of a certificate report, in pieces:
+    their concatenation is ``json.dumps(x.to_json(), sort_keys=True)``.
+
+    There is one piece per cone, face map, function and cone map, and no
+    payload dict.  Each part that entries share is encoded once: a cone's
+    ``coords``, ``dim`` and ``facets`` per coordinate tuple, a face map's
+    ``coord_map`` per tuple, and a function's edges, legs, vertex list,
+    edge-slope records, leg slopes and base value per value.  Each entry
+    writes only its own keys, in sorted order, around these fragments.
+    """
+    dumps = functools.partial(json.dumps, sort_keys=True)
+    quoted = _Memo(json.dumps)
+    if isinstance(x, IsomorphismReport):
+        out = [f'{{"certified": {dumps(x.certified)}, "cone_maps": {{']
+        sep = ""
+        for key, value in sorted(x.cone_maps.items()):
+            out.append(f"{sep}{quoted[key]}: {quoted[value]}")
+            sep = ", "
+        # The keys after "cone_maps" in sorted order.
+        rest = {
+            "cones_checked": x.cones_checked,
+            "distinct_splittings": {str(j): w for j, w in sorted(x.distinct_splittings.items())},
+            "face_checks": x.face_checks,
+            "failures": list(x.failures),
+            "leg": x.leg,
+            "n": x.n,
+            "sigma": list(x.sigma.slopes),
+        }
+        out.append("}, " + dumps(rest)[1:])
+        return out
+
+    def cone_head(coords: tuple[Coord, ...]) -> str:
+        doc = Cone("", coords).to_json()
+        del doc["type_key"]  # the last key in sorted order
+        return dumps(doc)[:-1] + ', "type_key": '
+
+    heads = _Memo(cone_head)
+    coord_maps = _Memo(lambda coord_map: dumps(dict(coord_map)))
+    zeroed = _Memo(lambda names: dumps(list(names)))
+    values = _Memo(lambda value: dumps(value.to_json()))
+    vertices = _Memo(lambda names: dumps(list(names)))
+    edges = _Memo(lambda e: dumps(_edge_json(e)))
+    legs = _Memo(lambda leg: dumps(_leg_json(leg)))
+    edge_slopes = _Memo(lambda pair: dumps(_edge_slope_json(*pair)))
+    leg_slopes = _Memo(lambda pair: dumps(_leg_slopes_json(*pair)))
+
+    def function(f: PLFunction) -> str:
+        t = f.tree
+        return (
+            f'{{"base_value": {values[f.base_value]}, "basepoint": {quoted[f.basepoint]}, '
+            f'"edge_slopes": [{", ".join([edge_slopes[pair] for pair in zip(t.edges, f.edge_slopes)])}], '
+            f'"edges": [{", ".join([edges[e] for e in t.edges])}], '
+            f'"leg_slopes": {leg_slopes[t.leg_labels, f.leg_slopes]}, '
+            f'"legs": [{", ".join([legs[leg] for leg in t.legs])}], "vertices": {vertices[t.vertices]}}}'
+        )
+
+    out = ['{"cones": [']
+    sep = ""
+    for key in sorted(x.cones):
+        out.append(f"{sep}{heads[x.cones[key].coords]}{quoted[key]}}}")
+        sep = ", "
+    out.append('], "face_maps": [')
+    sep = ""
+    for fm in sorted(x.face_maps, key=_FACE_MAP_ORDER):
+        out.append(
+            f'{sep}{{"cone": {quoted[fm.cone_key]}, "coord_map": {coord_maps[fm.coord_map]}, '
+            f'"face": {quoted[fm.face_key]}, "zeroed": {zeroed[fm.zeroed]}}}'
+        )
+        sep = ", "
+    out.append("], ")
+    if x.functions:
+        out.append('"functions": {')
+        sep = ""
+        for key, fs in sorted(x.functions.items()):
+            text = f"[{', '.join([function(f) for f in fs])}]" if isinstance(fs, tuple) else function(fs)
+            out.append(f"{sep}{quoted[key]}: {text}")
+            sep = ", "
+        out.append("}, ")
+    out.append(f'"n": {dumps(x.n)}')
+    if x.sigma is not None:
+        out.append(f', "sigma": {dumps(list(x.sigma.slopes))}')
+    out.append("}")
+    return out
 
 
 def product_decomposition(n: int, sigma: ContactOrder, leg: int) -> IsomorphismReport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .affine import AffineExpr, Rat, as_integer
 from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError
-from .tree import Tree, VertexId, _vertex_id, check_incidence, checked_walk, tree_from_json, tree_to_json
+from .tree import Edge, Tree, VertexId, _vertex_id, check_incidence, checked_walk, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -210,19 +210,26 @@ def extend_from_leg_slopes(
 
 def plfunction_to_json(f: PLFunction) -> dict:
     doc = tree_to_json(f.tree)
-    labels = f.tree.leg_labels
     doc.update(
         {
             "basepoint": f.basepoint,
             "base_value": f.base_value.to_json(),
-            "edge_slopes": [
-                {"from": e.ends[0], "to": e.ends[1], "slope": s}
-                for e, s in zip(f.tree.edges, f.edge_slopes)
-            ],
-            "leg_slopes": {str(lbl): s for lbl, s in zip(labels, f.leg_slopes)},
+            "edge_slopes": [_edge_slope_json(e, s) for e, s in zip(f.tree.edges, f.edge_slopes)],
+            "leg_slopes": _leg_slopes_json(f.tree.leg_labels, f.leg_slopes),
         }
     )
     return doc
+
+
+def _edge_slope_json(e: Edge, slope: int) -> dict:
+    """One entry of a PL function document's ``edge_slopes``."""
+    return {"from": e.ends[0], "to": e.ends[1], "slope": slope}
+
+
+def _leg_slopes_json(labels: tuple[int, ...], slopes: tuple[int, ...]) -> dict:
+    """A PL function document's ``leg_slopes``: each sorted leg label, as a
+    string, to its slope."""
+    return {str(lbl): s for lbl, s in zip(labels, slopes)}
 
 
 def plfunction_from_json(doc: dict) -> PLFunction:

@@ -467,12 +467,19 @@ def enumerate_tree_types(n: int) -> list[CombinatorialType]:
 def tree_to_json(t: Tree) -> dict:
     return {
         "vertices": list(t.vertices),
-        "edges": [
-            {"ends": list(e.ends), "length": None if e.length is None else fraction_str(e.length)}
-            for e in t.edges
-        ],
-        "legs": [{"label": l.label, "at": l.at} for l in t.legs],
+        "edges": [_edge_json(e) for e in t.edges],
+        "legs": [_leg_json(l) for l in t.legs],
     }
+
+
+def _edge_json(e: Edge) -> dict:
+    """One entry of a tree document's ``edges``."""
+    return {"ends": list(e.ends), "length": None if e.length is None else fraction_str(e.length)}
+
+
+def _leg_json(l: Leg) -> dict:
+    """One entry of a tree document's ``legs``."""
+    return {"label": l.label, "at": l.at}
 
 
 def _json_list(x, what: str) -> list:

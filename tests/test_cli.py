@@ -14,8 +14,17 @@ from hypothesis import strategies as st
 
 import troplog.cli
 import troplog.moduli
-from troplog import plfunction_from_json, tree_from_json
-from troplog.cli import main
+from troplog import (
+    ContactOrder,
+    build_map_moduli,
+    build_moduli_complex,
+    classify_self_map,
+    plfunction_from_json,
+    product_decomposition,
+    tree_from_json,
+)
+from troplog.cli import build_parser, main
+from troplog.errors import ParseError
 
 
 @pytest.fixture
@@ -477,6 +486,14 @@ def test_selfmap_result_over_digit_limit(capsys):
     _assert_output_limit(capsys, main(["selfmap", "--r", big, "--a", "0", "--compose", "1", big]))
 
 
+@pytest.mark.parametrize("extra", [[], ["--certify-product", "1"]], ids=["maps", "certificate"])
+def test_moduli_result_over_digit_limit(capsys, extra):
+    # Each leg slope has 4 300 digits, as many as an input may have; the
+    # edge slope -2A has 4 301.  No part of the envelope is printed first.
+    a = "9" * 4300
+    _assert_output_limit(capsys, main(["moduli", "--n", "4", "--sigma", f"{a},{a},-{a},-{a}", *extra]))
+
+
 def _integer_vertex_pl_doc(**changes):
     doc = {
         "vertices": [1, 2],
@@ -578,6 +595,28 @@ def test_argument_errors_give_envelope(capsys, argv, fragment):
     assert fragment in env["payload"]["message"]
 
 
+@pytest.mark.parametrize(
+    "flag, argv, accepted",
+    [
+        ("--n", ["moduli", "--n", "{}"], " +3 "),
+        ("--certify-product", ["moduli", "--n", "4", "--sigma", "1,1,1,-3", "--certify-product", "{}"], " +1 "),
+        ("--sigma", ["moduli", "--n", "3", "--sigma", "{},-5,-5"], " +10 "),
+        ("--r", ["selfmap", "--r", "{}"], " +2 "),
+        ("--compose", ["selfmap", "--r", "2", "--a", "1", "--compose", "{}", "2"], " +1 "),
+    ],
+    ids=["n", "certify-product", "sigma", "r", "compose"],
+)
+def test_integer_arguments_share_one_grammar(capture, flag, argv, accepted):
+    # int() alone reads '1_0' as 10. Integer arguments are read as
+    # rationals are, without the fraction: whitespace, a sign, digits.
+    for refused in ("1_0", "0x1", "1.0", ""):
+        code, env = capture([a.format(refused) for a in argv])
+        assert (code, env["status"]) == (2, "ParseError"), refused
+        assert f"argument {flag}: invalid int value: {refused!r}" in env["payload"]["message"]
+    code, env = capture([a.format(accepted) for a in argv])
+    assert (code, env["status"]) == (0, "ok"), env
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["moduli", "--help"])
@@ -604,28 +643,64 @@ def test_closed_stdout_gives_no_traceback():
     assert head.startswith(b'{"payload": ') and err == b""
 
 
+def _moduli_payload(n, sigma=None, leg=None) -> dict:
+    """The `moduli` payload as the library's dicts."""
+    cx = build_moduli_complex(n) if sigma is None else build_map_moduli(n, ContactOrder.of(sigma))
+    payload = {"complex": cx.to_json(), "empty": cx.is_empty}
+    if leg is not None:
+        payload["product_decomposition"] = product_decomposition(n, ContactOrder.of(sigma), leg).to_json()
+    return payload
+
+
+def _argument_error(argv) -> dict:
+    with pytest.raises(ParseError) as exc:
+        build_parser().parse_args(argv)
+    return {"error": exc.value.code, "message": str(exc.value)}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["moduli", "--n", "5", "--sigma", "1,1,1,1,-4"], ["selfmap", "--r", "2", "--a", "1/2"], ["moduli", "--n", "x"]],
-    ids=["moduli", "selfmap", "parse-error"],
+    "argv, status, payload",
+    [
+        (["moduli", "--n", "5", "--sigma", "1,1,1,1,-4"], "ok", lambda: _moduli_payload(5, (1, 1, 1, 1, -4))),
+        (["selfmap", "--r", "2", "--a", "1/2"], "ok", lambda: classify_self_map(2, "1/2").to_json()),
+        (["moduli", "--n", "x"], "ParseError", lambda: _argument_error(["moduli", "--n", "x"])),
+        (["moduli", "--n", "6"], "ok", lambda: _moduli_payload(6)),
+        (
+            ["moduli", "--n", "6", "--sigma", "1,2,-3,4,-5,1", "--certify-product", "2"],
+            "ok",
+            lambda: _moduli_payload(6, (1, 2, -3, 4, -5, 1), 2),
+        ),
+    ],
+    ids=["moduli", "selfmap", "parse-error", "moduli-curves", "moduli-certificate"],
 )
-def test_envelope_bytes_equal_json_dump(capsys, monkeypatch, argv):
-    # main writes json.dumps in one piece; the bytes must be those that
-    # json.dump streams for the same envelope.
-    envelopes = []
-    dumps = json.dumps
-
-    def recording(obj, **kwargs):
-        envelopes.append(obj)
-        return dumps(obj, **kwargs)
-
-    monkeypatch.setattr(json, "dumps", recording)
+def test_envelope_bytes_equal_json_dump(capsys, argv, status, payload):
+    # main writes the envelope in pieces; the bytes must be those that
+    # json.dump streams for the envelope of the library's dicts and the
+    # printed timing.
     main(argv)
     out = capsys.readouterr().out
-    (envelope,) = envelopes
+    envelope = {"status": status, "payload": payload(), "timing_ms": json.loads(out)["timing_ms"]}
     expected = io.StringIO()
     json.dump(envelope, expected, sort_keys=True)
     assert out == expected.getvalue() + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "6"], ["--n", "6", "--sigma", "1,1,1,1,1,-5"], ["--n", "6", "--sigma", "1,1,1,1,1,-5", "--certify-product", "1"]],
+    ids=["curves", "maps", "certificate"],
+)
+def test_moduli_builds_no_payload_dict(capture, monkeypatch, argv):
+    # `moduli` writes its payload from shared JSON fragments; the dict
+    # form stays the library's and the tests' oracle.
+    def no_dict(self):
+        raise AssertionError("moduli built its payload as a dict")
+
+    monkeypatch.setattr(troplog.moduli.ConeComplex, "to_json", no_dict)
+    monkeypatch.setattr(troplog.moduli.IsomorphismReport, "to_json", no_dict)
+    code, env = capture(["moduli", *argv])
+    assert (code, env["status"]) == (0, "ok")
+    assert env["payload"]["complex"]["n"] == 6
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import sys
 from fractions import Fraction
@@ -29,7 +30,11 @@ from troplog import (
 from troplog.errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError, UnstableRange
 from troplog.moduli import (
     TRANSLATION_COORD,
+    Cone,
+    Coord,
+    IsomorphismReport,
     _curve_parts,
+    _json_pieces,
     _lengths,
     _map_cones,
     _map_cones_over,
@@ -497,6 +502,73 @@ class TestIntegerCertificate:
             splitting_expr(cx, key, n)
         assert product_decomposition(n, sigma, 1).certified
         assert calls == []
+
+
+# Generic contact orders with a zero slope on some leg or edge.
+GENERIC_SIGMAS = {3: (2, -2, 0), 4: (1, -1, 2, -2), 5: (1, 2, -3, 4, -4), 6: (1, 2, -3, 4, -5, 1), 7: (1, 2, -3, 4, -5, 6, -5)}
+
+
+class TestJsonPieces:
+    """The CLI prints complexes and certificate reports from ``_json_pieces``;
+    joined, its pieces must be what ``json.dumps`` makes of ``to_json``."""
+
+    @staticmethod
+    def assert_pieces_are_the_dump(x):
+        pieces = _json_pieces(x)
+        assert all(type(p) is str for p in pieces)
+        assert "".join(pieces) == json.dumps(x.to_json(), sort_keys=True)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_curve_complexes(self, n):
+        self.assert_pieces_are_the_dump(build_moduli_complex(n))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_map_complexes(self, n):
+        generic = build_map_moduli(n, ContactOrder.of(GENERIC_SIGMAS[n]))
+        assert 0 in GENERIC_SIGMAS[n] or any(0 in f.edge_slopes for f in generic.functions.values())
+        self.assert_pieces_are_the_dump(build_map_moduli(n, ContactOrder.of((1,) * (n - 1) + (1 - n,))))
+        self.assert_pieces_are_the_dump(generic)
+
+    def test_two_targets(self):
+        sigmas = [ContactOrder.of((1, 1, 1, 1, -4)), ContactOrder.of(GENERIC_SIGMAS[5])]
+        cx = _map_cones(5, sigmas)
+        assert cx.sigma is None and all(isinstance(fs, tuple) for fs in cx.functions.values())
+        self.assert_pieces_are_the_dump(cx)
+
+    @pytest.mark.parametrize("sigmas", [[()], [(0,)], [(0,), (0,)]], ids=["n0", "n1", "n1-two-targets"])
+    def test_empty_map_complexes(self, sigmas):
+        cx = _map_cones(len(sigmas[0]), [ContactOrder.of(s) for s in sigmas])
+        assert cx.is_empty
+        self.assert_pieces_are_the_dump(cx)
+
+    def test_concrete_function_and_quoted_names(self):
+        # Fraction lengths, integer vertex ids, a rational base value and
+        # names that JSON must escape: nothing here comes from a build.
+        t = Tree.build([1, "b\"q"], [(1, "b\"q", "3/2")], [(1, 1), (2, 1), (3, "b\"q")])
+        f = extend_from_leg_slopes(t, ContactOrder.of((2, -1, -1)), 1, AffineExpr.parse("1/2 + c"))
+        cone = Cone("k\u00e9\n", (Coord("x", "nonneg"), Coord("c", "free")))
+        cx = ConeComplex(3, {cone.name: cone}, {}, [], ContactOrder.of((2, -1, -1)), {cone.name: f})
+        self.assert_pieces_are_the_dump(cx)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_certificate_reports(self, n):
+        sigma = ContactOrder.of((1,) * (n - 1) + (1 - n,))
+        for leg in sorted({1, 2, n}):
+            self.assert_pieces_are_the_dump(product_decomposition(n, sigma, leg))
+
+    def test_failed_report(self):
+        report = IsomorphismReport(
+            certified=False,
+            n=4,
+            sigma=ContactOrder.of((1, 1, 1, -3)),
+            leg=1,
+            cones_checked=2,
+            cone_maps={"b": "c + l_e0", "a": "c"},
+            face_checks=1,
+            failures=['cone "a": translation coefficient is not 1'],
+            distinct_splittings={3: None, 2: {"cone": "b", "c": "0"}},
+        )
+        self.assert_pieces_are_the_dump(report)
 
 
 class TestStabilize:

@@ -57,6 +57,12 @@ PRIVATE_IMPORTS = {
     ("subdivision", "feasibility", "_reduced"),
     ("subdivision", "moduli", "_map_cones"),
     ("plfunction", "tree", "_vertex_id"),
+    # The JSON of one edge, leg, edge slope and leg-slope map, which
+    # ``moduli._json_pieces`` encodes once per distinct value.
+    ("moduli", "tree", "_edge_json"),
+    ("moduli", "tree", "_leg_json"),
+    ("moduli", "plfunction", "_edge_slope_json"),
+    ("moduli", "plfunction", "_leg_slopes_json"),
 }
 
 
