@@ -79,6 +79,11 @@ def _sigma(text: str) -> plfunction.ContactOrder:
     return plfunction.ContactOrder.of([_integer_in("--sigma", x) for x in text.split(",")])
 
 
+def _sigmas(text: str) -> list[plfunction.ContactOrder]:
+    """One contact order per target coordinate, separated by ``;``."""
+    return [_sigma(s) for s in text.split(";")]
+
+
 def cmd_validate(args) -> dict:
     doc = _read_json(args.tree)
     return tree.validate_tree(tree.tree_from_json(doc)).to_json()
@@ -113,19 +118,21 @@ def cmd_multidegree(args) -> dict:
 
 def cmd_moduli(args) -> list[str]:
     # Every cheap check runs before the first build, which is exponential in n.
-    sigma = None if args.sigma is None else _sigma(args.sigma)
-    if sigma is None and args.certify_product is not None:
-        raise errors.ParseError("--certify-product requires --sigma")
+    sigmas = None if args.sigma is None else _sigmas(args.sigma)
     if args.certify_product is not None:
-        moduli._check_product_args(args.n, sigma, args.certify_product)
-    elif sigma is not None:
-        moduli._check_contacts(args.n, [sigma])
+        if sigmas is None:
+            raise errors.ParseError("--certify-product requires --sigma")
+        if len(sigmas) > 1:
+            raise errors.ParseError("--certify-product takes one contact order, not one per target coordinate")
+        moduli._check_product_args(args.n, sigmas[0], args.certify_product)
+    elif sigmas is not None:
+        moduli._check_contacts(args.n, sigmas)
     _check_size(args.n)
     report = None
     if args.certify_product is not None:
-        cx, report = moduli._certified_map_moduli(args.n, sigma, args.certify_product)
-    elif sigma is not None:
-        cx = moduli.build_map_moduli(args.n, sigma)
+        cx, report = moduli._certified_map_moduli(args.n, sigmas[0], args.certify_product)
+    elif sigmas is not None:
+        cx = moduli._map_cones(args.n, sigmas)
     else:
         cx = moduli.build_moduli_complex(args.n)
     # The payload {"complex", "empty", "product_decomposition"} as JSON
@@ -137,15 +144,16 @@ def cmd_moduli(args) -> list[str]:
     return pieces
 
 
-def cmd_subdivide(args) -> dict:
+def cmd_subdivide(args) -> list[str]:
     # Cheap checks first, as in cmd_moduli: the fan check is quadratic in its cones.
-    sigmas = [_sigma(s) for s in args.sigma.split(";")]
+    sigmas = _sigmas(args.sigma)
     moduli._check_contacts(args.n, sigmas)
     _check_size(args.n)
     fan = subdivision.Fan.from_json(_read_json(args.fan))
+    subdivision._check_target(fan, len(sigmas))
     if problems := subdivision.validate_fan(fan).problems:
         raise errors.IncompleteFan("; ".join(problems))
-    return subdivision.subdivide_map_moduli(args.n, sigmas, fan).to_json()
+    return subdivision._json_pieces(subdivision.subdivide_map_moduli(args.n, sigmas, fan))
 
 
 def cmd_validate_fan(args) -> dict:
@@ -189,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("moduli", help="moduli cone complex (curves, or maps with --sigma)")
     q.add_argument("--n", type=_integer, required=True)
-    q.add_argument("--sigma", default=None)
+    q.add_argument("--sigma", default=None, help="contact orders; ';' separates target coordinates")
     q.add_argument("--certify-product", type=_integer, default=None, metavar="LEG")
     q.set_defaults(fn=cmd_moduli)
 

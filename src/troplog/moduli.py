@@ -104,10 +104,6 @@ class FaceMap:
         }
 
 
-# The order of a complex's face maps in its JSON.
-_FACE_MAP_ORDER = operator.attrgetter("cone_key", "zeroed", "face_key")
-
-
 @dataclass
 class ConeComplex:
     n: int
@@ -127,21 +123,7 @@ class ConeComplex:
         return sorted(k for k in self.cones if k not in faces)
 
     def to_json(self) -> dict:
-        doc = {
-            "n": self.n,
-            "cones": [self.cones[k].to_json() for k in sorted(self.cones)],
-            "face_maps": [fm.to_json() for fm in sorted(self.face_maps, key=_FACE_MAP_ORDER)],
-        }
-        if self.sigma is not None:
-            doc["sigma"] = list(self.sigma.slopes)
-        if self.functions:
-            from .plfunction import plfunction_to_json
-
-            doc["functions"] = {
-                k: [plfunction_to_json(f) for f in fs] if isinstance(fs, tuple) else plfunction_to_json(fs)
-                for k, fs in sorted(self.functions.items())
-            }
-        return doc
+        return json.loads("".join(_json_pieces(self)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,34 +332,13 @@ class IsomorphismReport:
     distinct_splittings: dict[int, dict | None]
 
     def to_json(self) -> dict:
-        return {
-            "certified": self.certified,
-            "n": self.n,
-            "sigma": list(self.sigma.slopes),
-            "leg": self.leg,
-            "cones_checked": self.cones_checked,
-            "cone_maps": dict(sorted(self.cone_maps.items())),
-            "face_checks": self.face_checks,
-            "failures": list(self.failures),
-            "distinct_splittings": {str(j): w for j, w in sorted(self.distinct_splittings.items())},
-        }
-
-
-class _Memo(dict):
-    """``memo[x]`` is ``text(x)``, computed on the first lookup of x."""
-
-    def __init__(self, text):
-        super().__init__()
-        self.text = text
-
-    def __missing__(self, x):
-        value = self[x] = self.text(x)
-        return value
+        return json.loads("".join(_json_pieces(self)))
 
 
 def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
-    """The JSON text of a complex or of a certificate report, in pieces:
-    their concatenation is ``json.dumps(x.to_json(), sort_keys=True)``.
+    """The JSON text of a complex or of a certificate report, in pieces,
+    with sorted keys: the one writer of both layouts, which ``to_json``
+    parses and the CLI prints.
 
     There is one piece per cone, face map, function and cone map, and no
     payload dict.  Each part that entries share is encoded once: a cone's
@@ -387,12 +348,12 @@ def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
     writes only its own keys, in sorted order, around these fragments.
     """
     dumps = functools.partial(json.dumps, sort_keys=True)
-    quoted = _Memo(json.dumps)
+    quoted = functools.cache(json.dumps)
     if isinstance(x, IsomorphismReport):
         out = [f'{{"certified": {dumps(x.certified)}, "cone_maps": {{']
         sep = ""
         for key, value in sorted(x.cone_maps.items()):
-            out.append(f"{sep}{quoted[key]}: {quoted[value]}")
+            out.append(f"{sep}{quoted(key)}: {quoted(value)}")
             sep = ", "
         # The keys after "cone_maps" in sorted order.
         rest = {
@@ -412,37 +373,37 @@ def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
         del doc["type_key"]  # the last key in sorted order
         return dumps(doc)[:-1] + ', "type_key": '
 
-    heads = _Memo(cone_head)
-    coord_maps = _Memo(lambda coord_map: dumps(dict(coord_map)))
-    zeroed = _Memo(lambda names: dumps(list(names)))
-    values = _Memo(lambda value: dumps(value.to_json()))
-    vertices = _Memo(lambda names: dumps(list(names)))
-    edges = _Memo(lambda e: dumps(_edge_json(e)))
-    legs = _Memo(lambda leg: dumps(_leg_json(leg)))
-    edge_slopes = _Memo(lambda pair: dumps(_edge_slope_json(*pair)))
-    leg_slopes = _Memo(lambda pair: dumps(_leg_slopes_json(*pair)))
+    heads = functools.cache(cone_head)
+    coord_maps = functools.cache(lambda coord_map: dumps(dict(coord_map)))
+    zeroed = functools.cache(lambda names: dumps(list(names)))
+    values = functools.cache(lambda value: dumps(value.to_json()))
+    vertices = functools.cache(lambda names: dumps(list(names)))
+    edges = functools.cache(lambda e: dumps(_edge_json(e)))
+    legs = functools.cache(lambda leg: dumps(_leg_json(leg)))
+    edge_slopes = functools.cache(lambda e, s: dumps(_edge_slope_json(e, s)))
+    leg_slopes = functools.cache(lambda labels, slopes: dumps(_leg_slopes_json(labels, slopes)))
 
     def function(f: PLFunction) -> str:
         t = f.tree
         return (
-            f'{{"base_value": {values[f.base_value]}, "basepoint": {quoted[f.basepoint]}, '
-            f'"edge_slopes": [{", ".join([edge_slopes[pair] for pair in zip(t.edges, f.edge_slopes)])}], '
-            f'"edges": [{", ".join([edges[e] for e in t.edges])}], '
-            f'"leg_slopes": {leg_slopes[t.leg_labels, f.leg_slopes]}, '
-            f'"legs": [{", ".join([legs[leg] for leg in t.legs])}], "vertices": {vertices[t.vertices]}}}'
+            f'{{"base_value": {values(f.base_value)}, "basepoint": {quoted(f.basepoint)}, '
+            f'"edge_slopes": [{", ".join([edge_slopes(e, s) for e, s in zip(t.edges, f.edge_slopes)])}], '
+            f'"edges": [{", ".join([edges(e) for e in t.edges])}], '
+            f'"leg_slopes": {leg_slopes(t.leg_labels, f.leg_slopes)}, '
+            f'"legs": [{", ".join([legs(leg) for leg in t.legs])}], "vertices": {vertices(t.vertices)}}}'
         )
 
     out = ['{"cones": [']
     sep = ""
     for key in sorted(x.cones):
-        out.append(f"{sep}{heads[x.cones[key].coords]}{quoted[key]}}}")
+        out.append(f"{sep}{heads(x.cones[key].coords)}{quoted(key)}}}")
         sep = ", "
     out.append('], "face_maps": [')
     sep = ""
-    for fm in sorted(x.face_maps, key=_FACE_MAP_ORDER):
+    for fm in sorted(x.face_maps, key=operator.attrgetter("cone_key", "zeroed", "face_key")):
         out.append(
-            f'{sep}{{"cone": {quoted[fm.cone_key]}, "coord_map": {coord_maps[fm.coord_map]}, '
-            f'"face": {quoted[fm.face_key]}, "zeroed": {zeroed[fm.zeroed]}}}'
+            f'{sep}{{"cone": {quoted(fm.cone_key)}, "coord_map": {coord_maps(fm.coord_map)}, '
+            f'"face": {quoted(fm.face_key)}, "zeroed": {zeroed(fm.zeroed)}}}'
         )
         sep = ", "
     out.append("], ")
@@ -451,7 +412,7 @@ def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
         sep = ""
         for key, fs in sorted(x.functions.items()):
             text = f"[{', '.join([function(f) for f in fs])}]" if isinstance(fs, tuple) else function(fs)
-            out.append(f"{sep}{quoted[key]}: {text}")
+            out.append(f"{sep}{quoted(key)}: {text}")
             sep = ", "
         out.append("}, ")
     out.append(f'"n": {dumps(x.n)}')

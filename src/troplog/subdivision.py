@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -35,7 +36,7 @@ from .feasibility import (
     prune_rows,
     rows_scaled_point,
 )
-from .moduli import Cone, ConeComplex, _map_cones, cone_functionals
+from .moduli import Cone, ConeComplex, _json_pieces as _complex_pieces, _map_cones, cone_functionals
 from .plfunction import ContactOrder
 from .tree import ValidationReport, VertexId
 
@@ -756,19 +757,51 @@ class SubdividedComplex:
         }
 
     def to_json(self) -> dict:
-        stats = self.stats()
-        stats["per_cone"] = {
-            k: {**v, "f_vector": {str(d): c for d, c in v["f_vector"].items()}}
-            for k, v in stats["per_cone"].items()
-        }
-        return {
-            "complex": self.complex.to_json(),
-            "fan": self.fan.to_json(),
-            "cells": {
-                key: [c.to_json() for c in cs] for key, cs in sorted(self.cells.items())
-            },
-            "statistics": stats,
-        }
+        return json.loads("".join(_json_pieces(self)))
+
+
+def _json_pieces(sub: SubdividedComplex) -> list[str]:
+    """The JSON text of a subdivided complex, in pieces, with sorted keys:
+    the one writer of its layout, which ``to_json`` parses and the CLI
+    prints; the ``complex`` is ``moduli._json_pieces``'s.  The cones of one
+    encoding share their cells' halfspace and witness tuples (see
+    ``_encoded_cells``), so each tuple's text is rendered once, keyed by its
+    identity: the cells keep the tuples alive until the write is done."""
+    dumps = functools.partial(json.dumps, sort_keys=True)
+    quoted = functools.cache(json.dumps)  # names and dimensions
+    assignments = functools.cache(lambda assignment: dumps(dict(assignment)))
+    halfspaces, witnesses = {}, {}  # text by the id of a shared tuple
+
+    def cell(c: SubdividedCell) -> str:
+        if id(c.halfspaces) not in halfspaces:
+            halfspaces[id(c.halfspaces)] = dumps([str(h) for h in c.halfspaces])
+        if id(c.witness) not in witnesses:
+            witnesses[id(c.witness)] = dumps({k: fraction_str(v) for k, v in c.witness})
+        return (
+            f'{{"assignment": {assignments(c.assignment)}, "dim": {quoted(c.dim)}, "halfspaces": '
+            f'{halfspaces[id(c.halfspaces)]}, "parent": {quoted(c.parent)}, "witness": {witnesses[id(c.witness)]}}}'
+        )
+
+    out = ['{"cells": {']
+    for i, (key, cells) in enumerate(sorted(sub.cells.items())):
+        out.append(f"{', ' if i else ''}{quoted(key)}: [{', '.join([cell(c) for c in cells])}]")
+    out += ['}, "complex": ', *_complex_pieces(sub.complex), f', "fan": {dumps(sub.fan.to_json())}']
+    stats = sub.stats()
+    out.append(', "statistics": {"per_cone": {')
+    for i, (key, entry) in enumerate(stats["per_cone"].items()):
+        f_vector = {str(d): c for d, c in entry["f_vector"].items()}
+        out.append(f"{', ' if i else ''}{quoted(key)}: {dumps({**entry, 'f_vector': f_vector})}")
+    out.append(f'}}, "total_max_cells": {dumps(stats["total_max_cells"])}}}}}')
+    return out
+
+
+def _check_target(fan: Fan, m: int) -> None:
+    """The fan checks that cost nothing: its dimension is the number m of
+    contact orders, and it claims to be complete."""
+    if fan.dim != m:
+        raise LengthMismatch(f"fan dimension {fan.dim} does not match {m} contact orders")
+    if not fan.complete:
+        raise IncompleteFan("subdivision requires a complete target fan")
 
 
 def subdivide_map_moduli(n: int, sigmas, fan: Fan) -> SubdividedComplex:
@@ -779,12 +812,7 @@ def subdivide_map_moduli(n: int, sigmas, fan: Fan) -> SubdividedComplex:
     """
     if isinstance(sigmas, ContactOrder):
         sigmas = [sigmas]
-    if fan.dim != len(sigmas):
-        raise LengthMismatch(
-            f"fan dimension {fan.dim} does not match {len(sigmas)} contact orders"
-        )
-    if not fan.complete:
-        raise IncompleteFan("subdivision requires a complete target fan")
+    _check_target(fan, len(sigmas))
     cx = _map_cones(n, list(sigmas))
     functionals = {key: cone_functionals(cx, key) for key in cx.cones}
     cells = {key: subdivide_cone(cx.cones[key], functionals[key], fan) for key in cx.cones}

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own algorithms: slopes
 come from solving the vertex balancing equations by Gaussian elimination,
 trivalent counts from compatible-split enumeration, and feasibility from
-grid search.  Sixteen former library functions are the exception, kept
+grid search.  Nineteen former library functions are the exception, kept
 so that their replacements can be required to give the same results:
 ``recursive_canonicalize``, the canonical form computed by recursion,
 ``home_scan_split_tree``, the tree of a split set that finds each
@@ -30,7 +30,10 @@ integer path coefficients summed over a walk of the tree,
 with ``list.index``, and ``backward_split_masks``, the splits of a
 canonical tree's edges from one backward pass over them, and
 ``pairwise_shot_facets``, the ray-shooting facet test that computed the
-rate of each ordered pair of rows.  The oracles
+rate of each ordered pair of rows.  ``cone_complex_json``,
+``isomorphism_report_json`` and ``subdivided_complex_json`` are the
+payload dicts that the ``to_json`` methods built before the JSON text
+writers became the only encoders of these payloads.  The oracles
 pull fans back through their own ``AffineExpr`` arithmetic, not the
 library's integer rows.
 """
@@ -46,14 +49,17 @@ from operator import mul
 from troplog import (
     AffineExpr,
     CombinatorialType,
+    ConeComplex,
     ContactOrder,
     IsomorphismReport,
+    SubdividedComplex,
     Tree,
     TropicalMapPoint,
     build_map_moduli,
     build_moduli_complex,
     contract_edge,
     extend_from_leg_slopes,
+    plfunction_to_json,
     splitting_at_leg,
     vertex_values,
 )
@@ -937,3 +943,52 @@ def affine_product_decomposition(n: int, sigma: ContactOrder, leg: int) -> Isomo
         failures=failures,
         distinct_splittings=distinct,
     )
+
+
+def cone_complex_json(cx: ConeComplex) -> dict:
+    """A complex's payload dict, from its entries' own ``to_json``."""
+    doc = {
+        "n": cx.n,
+        "cones": [cx.cones[k].to_json() for k in sorted(cx.cones)],
+        "face_maps": [
+            fm.to_json() for fm in sorted(cx.face_maps, key=lambda fm: (fm.cone_key, fm.zeroed, fm.face_key))
+        ],
+    }
+    if cx.sigma is not None:
+        doc["sigma"] = list(cx.sigma.slopes)
+    if cx.functions:
+        doc["functions"] = {
+            k: [plfunction_to_json(f) for f in fs] if isinstance(fs, tuple) else plfunction_to_json(fs)
+            for k, fs in sorted(cx.functions.items())
+        }
+    return doc
+
+
+def isomorphism_report_json(report: IsomorphismReport) -> dict:
+    """A product certificate's payload dict."""
+    return {
+        "certified": report.certified,
+        "n": report.n,
+        "sigma": list(report.sigma.slopes),
+        "leg": report.leg,
+        "cones_checked": report.cones_checked,
+        "cone_maps": dict(sorted(report.cone_maps.items())),
+        "face_checks": report.face_checks,
+        "failures": list(report.failures),
+        "distinct_splittings": {str(j): w for j, w in sorted(report.distinct_splittings.items())},
+    }
+
+
+def subdivided_complex_json(sub: SubdividedComplex) -> dict:
+    """A subdivided complex's payload dict: ``stats()`` with string
+    f-vector keys, and each cell's own ``to_json``."""
+    stats = sub.stats()
+    stats["per_cone"] = {
+        k: {**v, "f_vector": {str(d): c for d, c in v["f_vector"].items()}} for k, v in stats["per_cone"].items()
+    }
+    return {
+        "complex": cone_complex_json(sub.complex),
+        "fan": sub.fan.to_json(),
+        "cells": {key: [c.to_json() for c in cs] for key, cs in sorted(sub.cells.items())},
+        "statistics": stats,
+    }

@@ -263,8 +263,20 @@ class TestModuli:
             (["--n", "8", "--certify-product", "1"], "ParseError"),
             (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8", "--certify-product", "0"], "NoSuchLeg"),
             (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-7", "--certify-product", "1"], "NonZeroSum"),
+            (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8;1,1,1,1,1,1,1,1,-8", "--certify-product", "1"], "ParseError"),
+            (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8;1,x"], "ParseError"),
+            (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8;1,1,-2"], "LengthMismatch"),
+            (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8;1,1,1,1,1,1,1,1,-7"], "NonZeroSum"),
         ],
-        ids=["certify-without-sigma", "leg-0", "nonzero-sum"],
+        ids=[
+            "certify-without-sigma",
+            "leg-0",
+            "nonzero-sum",
+            "certify-two-targets",
+            "two-targets-bad-sigma",
+            "two-targets-length",
+            "two-targets-nonzero-sum",
+        ],
     )
     def test_cheap_checks_before_build(self, capture, monkeypatch, argv, status):
         def no_build(n):
@@ -280,9 +292,10 @@ class TestModuli:
             ["moduli", "--n", "9"],
             ["moduli", "--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8"],
             ["moduli", "--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8", "--certify-product", "1"],
+            ["moduli", "--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8;1,1,1,1,1,1,1,1,-8"],
             ["subdivide", "--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8", "--fan", "P1"],
         ],
-        ids=["curves", "maps", "certify", "subdivide"],
+        ids=["curves", "maps", "certify", "maps-two-targets", "subdivide"],
     )
     def test_size_limit_before_build(self, capture, monkeypatch, p1_fan, argv):
         def no_build(n):
@@ -292,6 +305,17 @@ class TestModuli:
         code, env = capture([p1_fan if a == "P1" else a for a in argv])
         assert code == 7 and env["status"] == "SizeLimit"
         assert env["payload"]["message"] == f"n = 9 is above the limit n <= {troplog.cli.MAX_N}"
+
+    def test_two_targets_print_the_subdivided_complex(self, capture, plane_fan):
+        # `moduli` reads contact orders as `subdivide` does, and prints the
+        # same complex.
+        sigmas = "1,1,1,-3;1,-3,1,1"
+        code, env = capture(["moduli", "--n", "4", "--sigma", sigmas])
+        assert code == 0 and env["payload"]["empty"] is False
+        cx = env["payload"]["complex"]
+        assert "sigma" not in cx and all(len(fs) == 2 for fs in cx["functions"].values())
+        code, sub = capture(["subdivide", "--n", "4", "--sigma", sigmas, "--fan", plane_fan])
+        assert code == 0 and json.dumps(cx) == json.dumps(sub["payload"]["complex"])
 
     def test_subdivide_flag_is_gone(self, capture, p1_fan):
         # A subdivision is reached only through `subdivide`, which validates the fan.
@@ -326,15 +350,21 @@ class TestSubdivide:
             (["--n", "9", "--sigma", "1,x"], "ParseError"),
             (["--n", "9", "--sigma", "1,1,1,1,1,1,1,1,-8"], "SizeLimit"),
             (["--n", "4", "--sigma", "1,1,1,-2"], "NonZeroSum"),
+            (["--n", "3", "--sigma", "1,1,-2", "--fan", "PLANE"], "LengthMismatch"),
+            (["--n", "3", "--sigma", "1,1,-2", "--fan", "NOT-COMPLETE"], "IncompleteFan"),
         ],
-        ids=["bad-sigma", "n-9", "nonzero-sum"],
+        ids=["bad-sigma", "n-9", "nonzero-sum", "fan-dimension", "fan-not-complete"],
     )
-    def test_cheap_checks_before_fan_check(self, capture, monkeypatch, p1_fan, argv, status):
+    def test_cheap_checks_before_fan_check(self, capture, monkeypatch, tmp_path, p1_fan, plane_fan, argv, status):
         def no_check(fan):
             raise AssertionError("checked the fan before the arguments")
 
         monkeypatch.setattr(troplog.subdivision, "validate_fan", no_check)
-        code, env = capture(["subdivide", *argv, "--fan", p1_fan])
+        not_complete = tmp_path / "not-complete.fan"
+        not_complete.write_text(json.dumps({"dim": 1, "cones": [{"gens": [[1]]}, {"gens": [[-1]]}], "complete": False}))
+        fans = {"PLANE": plane_fan, "NOT-COMPLETE": str(not_complete)}
+        argv = [fans.get(a, a) for a in argv]
+        code, env = capture(["subdivide", *argv] + ([] if "--fan" in argv else ["--fan", p1_fan]))
         assert env["status"] == status and code == troplog.cli.EXIT_CODES[status]
 
     def test_validate_fan(self, capture, p1_fan):
@@ -691,8 +721,8 @@ def test_envelope_bytes_equal_json_dump(capsys, argv, status, payload):
     ids=["curves", "maps", "certificate"],
 )
 def test_moduli_builds_no_payload_dict(capture, monkeypatch, argv):
-    # `moduli` writes its payload from shared JSON fragments; the dict
-    # form stays the library's and the tests' oracle.
+    # `moduli` writes its payload from shared JSON fragments; `to_json`
+    # parses that text, and the dict builders are the tests' oracles.
     def no_dict(self):
         raise AssertionError("moduli built its payload as a dict")
 
@@ -701,6 +731,27 @@ def test_moduli_builds_no_payload_dict(capture, monkeypatch, argv):
     code, env = capture(["moduli", *argv])
     assert (code, env["status"]) == (0, "ok")
     assert env["payload"]["complex"]["n"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "5", "--sigma", "2,-1,1,-3,1", "--fan", "P1"],
+        ["--n", "4", "--sigma", "1,1,1,-3;1,-3,1,1", "--fan", "PLANE"],
+    ],
+    ids=["p1", "plane"],
+)
+def test_subdivide_builds_no_payload_dict(capture, monkeypatch, p1_fan, plane_fan, argv):
+    # `subdivide` writes its payload as `moduli` does, and each cell from
+    # the text of its shared halfspace and witness tuples.
+    def no_dict(self):
+        raise AssertionError("subdivide built its payload as a dict")
+
+    for cls in (troplog.subdivision.SubdividedComplex, troplog.subdivision.SubdividedCell, troplog.moduli.ConeComplex):
+        monkeypatch.setattr(cls, "to_json", no_dict)
+    code, env = capture(["subdivide", *[{"P1": p1_fan, "PLANE": plane_fan}.get(a, a) for a in argv]])
+    assert (code, env["status"]) == (0, "ok")
+    assert env["payload"]["statistics"]["total_max_cells"] > 1
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

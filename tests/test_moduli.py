@@ -42,12 +42,17 @@ from troplog.moduli import (
     _path_coefficients,
     cone_functionals,
 )
+from troplog.subdivision import SubdividedCell, SubdividedComplex
+from troplog.subdivision import _json_pieces as subdivision_pieces
 from troplog.tree import canonicalize, contract_edge
 
 from oracles import (
     affine_product_decomposition,
+    cone_complex_json,
+    isomorphism_report_json,
     random_stable_tree,
     random_zero_sum,
+    subdivided_complex_json,
     walk_path_coefficients,
 )
 
@@ -508,53 +513,68 @@ class TestIntegerCertificate:
 GENERIC_SIGMAS = {3: (2, -2, 0), 4: (1, -1, 2, -2), 5: (1, 2, -3, 4, -4), 6: (1, 2, -3, 4, -5, 1), 7: (1, 2, -3, 4, -5, 6, -5)}
 
 
+PLANE = Fan.of([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2)
+
+
 class TestJsonPieces:
-    """The CLI prints complexes and certificate reports from ``_json_pieces``;
-    joined, its pieces must be what ``json.dumps`` makes of ``to_json``."""
+    """The three large payloads have one encoder each, their JSON text in
+    pieces: ``moduli._json_pieces`` for complexes and certificate reports,
+    ``subdivision._json_pieces`` for subdivided complexes.  Joined, the
+    pieces must be ``json.dumps`` of the oracle's payload dict, and
+    ``to_json``, which parses them, must equal that dict."""
 
     @staticmethod
-    def assert_pieces_are_the_dump(x):
-        pieces = _json_pieces(x)
+    def assert_pieces_are_the_oracle(x):
+        if isinstance(x, SubdividedComplex):
+            pieces, oracle = subdivision_pieces(x), subdivided_complex_json(x)
+        elif isinstance(x, IsomorphismReport):
+            pieces, oracle = _json_pieces(x), isomorphism_report_json(x)
+        else:
+            pieces, oracle = _json_pieces(x), cone_complex_json(x)
         assert all(type(p) is str for p in pieces)
-        assert "".join(pieces) == json.dumps(x.to_json(), sort_keys=True)
+        assert "".join(pieces) == json.dumps(oracle, sort_keys=True)
+        assert x.to_json() == oracle
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_curve_complexes(self, n):
-        self.assert_pieces_are_the_dump(build_moduli_complex(n))
+        self.assert_pieces_are_the_oracle(build_moduli_complex(n))
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_map_complexes(self, n):
         generic = build_map_moduli(n, ContactOrder.of(GENERIC_SIGMAS[n]))
         assert 0 in GENERIC_SIGMAS[n] or any(0 in f.edge_slopes for f in generic.functions.values())
-        self.assert_pieces_are_the_dump(build_map_moduli(n, ContactOrder.of((1,) * (n - 1) + (1 - n,))))
-        self.assert_pieces_are_the_dump(generic)
+        self.assert_pieces_are_the_oracle(build_map_moduli(n, ContactOrder.of((1,) * (n - 1) + (1 - n,))))
+        self.assert_pieces_are_the_oracle(generic)
 
     def test_two_targets(self):
         sigmas = [ContactOrder.of((1, 1, 1, 1, -4)), ContactOrder.of(GENERIC_SIGMAS[5])]
         cx = _map_cones(5, sigmas)
         assert cx.sigma is None and all(isinstance(fs, tuple) for fs in cx.functions.values())
-        self.assert_pieces_are_the_dump(cx)
+        self.assert_pieces_are_the_oracle(cx)
 
     @pytest.mark.parametrize("sigmas", [[()], [(0,)], [(0,), (0,)]], ids=["n0", "n1", "n1-two-targets"])
     def test_empty_map_complexes(self, sigmas):
         cx = _map_cones(len(sigmas[0]), [ContactOrder.of(s) for s in sigmas])
         assert cx.is_empty
-        self.assert_pieces_are_the_dump(cx)
+        self.assert_pieces_are_the_oracle(cx)
 
-    def test_concrete_function_and_quoted_names(self):
+    @staticmethod
+    def quoted_names_complex() -> ConeComplex:
         # Fraction lengths, integer vertex ids, a rational base value and
         # names that JSON must escape: nothing here comes from a build.
         t = Tree.build([1, "b\"q"], [(1, "b\"q", "3/2")], [(1, 1), (2, 1), (3, "b\"q")])
         f = extend_from_leg_slopes(t, ContactOrder.of((2, -1, -1)), 1, AffineExpr.parse("1/2 + c"))
         cone = Cone("k\u00e9\n", (Coord("x", "nonneg"), Coord("c", "free")))
-        cx = ConeComplex(3, {cone.name: cone}, {}, [], ContactOrder.of((2, -1, -1)), {cone.name: f})
-        self.assert_pieces_are_the_dump(cx)
+        return ConeComplex(3, {cone.name: cone}, {}, [], ContactOrder.of((2, -1, -1)), {cone.name: f})
+
+    def test_concrete_function_and_quoted_names(self):
+        self.assert_pieces_are_the_oracle(self.quoted_names_complex())
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_certificate_reports(self, n):
         sigma = ContactOrder.of((1,) * (n - 1) + (1 - n,))
         for leg in sorted({1, 2, n}):
-            self.assert_pieces_are_the_dump(product_decomposition(n, sigma, leg))
+            self.assert_pieces_are_the_oracle(product_decomposition(n, sigma, leg))
 
     def test_failed_report(self):
         report = IsomorphismReport(
@@ -568,7 +588,50 @@ class TestJsonPieces:
             failures=['cone "a": translation coefficient is not 1'],
             distinct_splittings={3: None, 2: {"cone": "b", "c": "0"}},
         )
-        self.assert_pieces_are_the_dump(report)
+        self.assert_pieces_are_the_oracle(report)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_p1_subdivisions(self, n):
+        for sigma in ((1,) * (n - 1) + (1 - n,), GENERIC_SIGMAS[n]):
+            self.assert_pieces_are_the_oracle(subdivide_map_moduli(n, ContactOrder.of(sigma), Fan.projective_line()))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_plane_subdivisions(self, n):
+        sigmas = [ContactOrder.of((1,) * (n - 1) + (1 - n,)), ContactOrder.of((1, 1 - n) + (1,) * (n - 2))]
+        self.assert_pieces_are_the_oracle(subdivide_map_moduli(n, sigmas, PLANE))
+
+    def test_empty_subdivision(self):
+        sub = subdivide_map_moduli(1, ContactOrder.of((0,)), Fan.projective_line())
+        assert sub.complex.is_empty and not sub.cells
+        self.assert_pieces_are_the_oracle(sub)
+
+    def test_hand_built_subdivision_with_quoted_names(self):
+        # A cone, cells, vertices and coordinates whose names JSON must
+        # escape, on the one type at n = 3.  Two cells share one halfspace
+        # tuple and one witness tuple, and a third has an equal copy of
+        # each, as the cones of one encoding do; a fourth has the empty
+        # tuple for both, which the writer must not confuse.
+        built = subdivide_map_moduli(3, ContactOrder.of((1, 1, -2)), Fan.projective_line())
+        (old,) = built.cells
+        key = 'k\u00e9\n"'
+        cx = ConeComplex(
+            3,
+            {key: Cone(key, built.complex.cones[old].coords)},
+            {key: built.complex.types[old]},
+            [],
+            ContactOrder.of((1, 1, -2)),
+            {key: built.complex.functions[old]},
+        )
+        halfspaces = (AffineExpr.parse("3/2 + c"), AffineExpr.symbol('x"\\'))
+        witness = (('x"\\', Fraction(-7, 3)), ("c", Fraction(2)))
+        cells = [
+            SubdividedCell(key, (('v"0', 0), ("w\u00e9", 1)), halfspaces, witness, 1),
+            SubdividedCell(key, (("w\u00e9", 0), ('v"0', 1)), halfspaces, witness, 1),
+            SubdividedCell("other\t", (('v"0', 1),), tuple(list(halfspaces)), tuple(list(witness)), 1),
+            SubdividedCell(key, (), (), (), 0),
+        ]
+        sub = SubdividedComplex(cx, Fan.projective_line(), {key: cells}, {key: built.functionals[old]})
+        self.assert_pieces_are_the_oracle(sub)
 
 
 class TestStabilize:

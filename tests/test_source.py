@@ -63,6 +63,8 @@ PRIVATE_IMPORTS = {
     ("moduli", "tree", "_leg_json"),
     ("moduli", "plfunction", "_edge_slope_json"),
     ("moduli", "plfunction", "_leg_slopes_json"),
+    # The subdivision writer prints its ``complex`` with the complex writer.
+    ("subdivision", "moduli", "_json_pieces"),
 }
 
 
