@@ -766,7 +766,8 @@ def _json_pieces(sub: SubdividedComplex) -> list[str]:
     prints; the ``complex`` is ``moduli._json_pieces``'s.  The cones of one
     encoding share their cells' halfspace and witness tuples (see
     ``_encoded_cells``), so each tuple's text is rendered once, keyed by its
-    identity: the cells keep the tuples alive until the write is done."""
+    identity, since hashing every cell's tuples by value doubles the write
+    on P¹ at n = 7; the cells keep the tuples alive until it is done."""
     dumps = functools.partial(json.dumps, sort_keys=True)
     quoted = functools.cache(json.dumps)  # names and dimensions
     assignments = functools.cache(lambda assignment: dumps(dict(assignment)))

@@ -633,6 +633,16 @@ class TestJsonPieces:
         sub = SubdividedComplex(cx, Fan.projective_line(), {key: cells}, {key: built.functionals[old]})
         self.assert_pieces_are_the_oracle(sub)
 
+    def test_to_json_over_digit_limit(self):
+        # to_json parses the writer's text, and Python writes no integer
+        # over its digit limit: each leg slope has 4 300 digits, the edge
+        # slope -2A has 4 301.  The complex itself is built.
+        a = int("9" * 4300)
+        cx = build_map_moduli(4, ContactOrder.of((a, a, -a, -a)))
+        assert cx.functions["(1,2;(3,4;))"].edge_slopes == (-2 * a,)
+        with pytest.raises(ValueError, match=rf"Exceeds the limit \({sys.get_int_max_str_digits()} digits\)"):
+            cx.to_json()
+
 
 class TestStabilize:
     def test_two_valent_merge(self):
