@@ -96,11 +96,12 @@ def cmd_extend(args) -> dict:
     base_value = affine.AffineExpr.parse(args.base_value)
     basepoint = args.basepoint
     if basepoint is not None and basepoint not in t.vertices:
-        # JSON vertex ids may be ints; retry the numeric reading.
+        # JSON vertex ids may be ints; retry the numeric reading, in the
+        # grammar of every other integer argument.
         try:
-            if int(basepoint) in t.vertices:
-                basepoint = int(basepoint)
-        except ValueError:
+            if _integer(basepoint) in t.vertices:
+                basepoint = _integer(basepoint)
+        except argparse.ArgumentTypeError:
             pass
     f = plfunction.extend_from_leg_slopes(t, sigma, basepoint, base_value)
     return plfunction.plfunction_to_json(f)
@@ -139,7 +140,7 @@ def cmd_moduli(args) -> list[str]:
     # text in pieces: no dict of the complex is built.
     pieces = ['{"complex": ', *moduli._json_pieces(cx), f', "empty": {json.dumps(cx.is_empty)}']
     if report is not None:
-        pieces += [', "product_decomposition": ', *moduli._json_pieces(report)]
+        pieces += [', "product_decomposition": ', moduli._report_json(report)]
     pieces.append("}")
     return pieces
 
@@ -219,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _error(exc: errors.TroplogError) -> tuple[str, dict]:
-    return exc.code, {"error": exc.code, "message": str(exc)}
-
-
 def _output_limit(exc: ValueError) -> errors.SizeLimit:
     """The ``SizeLimit`` for a result integer too long to print; any other
     ``ValueError`` is raised again.
@@ -237,30 +234,23 @@ def _output_limit(exc: ValueError) -> errors.SizeLimit:
     return errors.SizeLimit(f"a result integer has more than {limit} digits, above the output limit")
 
 
-def _payload_pieces(payload: dict | list[str]) -> list[str]:
-    """A payload's JSON text with sorted keys: a command's pieces as they
-    are, a dict as one ``json.dumps``."""
-    return payload if isinstance(payload, list) else [json.dumps(payload, sort_keys=True)]
-
-
 def main(argv=None) -> int:
     start = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
-        start = time.monotonic()  # timing_ms covers the command, not the parsing
+        start = time.monotonic()  # timing_ms covers the command and its payload's text, not the parsing
         try:
+            # A command's payload is its JSON text in pieces, or a dict
+            # written here as one json.dumps.
             payload = args.fn(args)
+            pieces = payload if isinstance(payload, list) else [json.dumps(payload, sort_keys=True)]
         except ValueError as exc:
             raise _output_limit(exc) from exc
         status = "ok"
     except errors.TroplogError as exc:
-        status, payload = _error(exc)
+        status = exc.code
+        pieces = [json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True)]
     elapsed = int((time.monotonic() - start) * 1000)
-    try:
-        pieces = _payload_pieces(payload)
-    except ValueError as exc:
-        status, payload = _error(_output_limit(exc))
-        pieces = _payload_pieces(payload)
     code = EXIT_CODES.get(status, 1)
     # The bytes of json.dumps({"status", "payload", "timing_ms"},
     # sort_keys=True) + "\n", written piece by piece.

@@ -319,7 +319,9 @@ def splitting_expr(complex_: ConeComplex, key: str, label: int) -> AffineExpr:
 
 @dataclass
 class IsomorphismReport:
-    """Constructive certificate that map moduli = curve moduli x free line."""
+    """Constructive certificate that map moduli = curve moduli x free line.
+
+    The fields are the payload's keys (see ``_report_json``)."""
 
     certified: bool
     n: int
@@ -332,16 +334,25 @@ class IsomorphismReport:
     distinct_splittings: dict[int, dict | None]
 
     def to_json(self) -> dict:
-        return json.loads("".join(_json_pieces(self)))
+        return json.loads(_report_json(self))
 
 
-def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
-    """The JSON text of a complex or of a certificate report, in pieces,
-    with sorted keys: the one writer of both layouts, which ``to_json``
-    parses and the CLI prints.
+def _report_json(report: IsomorphismReport) -> str:
+    """The JSON text of a certificate report, which ``to_json`` parses and
+    the CLI prints: one ``json.dumps`` of its fields with sorted keys,
+    ``sigma`` as its list of slopes and ``distinct_splittings`` keyed by
+    ``str(j)``."""
+    distinct = {str(j): w for j, w in report.distinct_splittings.items()}
+    doc = {**vars(report), "sigma": list(report.sigma.slopes), "distinct_splittings": distinct}
+    return json.dumps(doc, sort_keys=True)
 
-    There is one piece per cone, face map, function and cone map, and no
-    payload dict.  Each part that entries share is encoded once: a cone's
+
+def _json_pieces(x: ConeComplex) -> list[str]:
+    """The JSON text of a complex, in pieces, with sorted keys: the one
+    writer of its layout, which ``to_json`` parses and the CLI prints.
+
+    There is one piece per cone, face map and function, and no payload
+    dict.  Each part that entries share is encoded once: a cone's
     ``coords``, ``dim`` and ``facets`` per coordinate tuple, a face map's
     ``coord_map`` per tuple, and a function's edges, legs, vertex list,
     edge-slope records, leg slopes and base value per value.  Each entry
@@ -349,24 +360,6 @@ def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
     """
     dumps = functools.partial(json.dumps, sort_keys=True)
     quoted = functools.cache(json.dumps)
-    if isinstance(x, IsomorphismReport):
-        out = [f'{{"certified": {dumps(x.certified)}, "cone_maps": {{']
-        sep = ""
-        for key, value in sorted(x.cone_maps.items()):
-            out.append(f"{sep}{quoted(key)}: {quoted(value)}")
-            sep = ", "
-        # The keys after "cone_maps" in sorted order.
-        rest = {
-            "cones_checked": x.cones_checked,
-            "distinct_splittings": {str(j): w for j, w in sorted(x.distinct_splittings.items())},
-            "face_checks": x.face_checks,
-            "failures": list(x.failures),
-            "leg": x.leg,
-            "n": x.n,
-            "sigma": list(x.sigma.slopes),
-        }
-        out.append("}, " + dumps(rest)[1:])
-        return out
 
     def cone_head(coords: tuple[Coord, ...]) -> str:
         doc = Cone("", coords).to_json()
@@ -375,9 +368,8 @@ def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
 
     heads = functools.cache(cone_head)
     coord_maps = functools.cache(lambda coord_map: dumps(dict(coord_map)))
-    zeroed = functools.cache(lambda names: dumps(list(names)))
+    name_list = functools.cache(lambda names: dumps(list(names)))  # a face map's zeroed, a tree's vertices
     values = functools.cache(lambda value: dumps(value.to_json()))
-    vertices = functools.cache(lambda names: dumps(list(names)))
     edges = functools.cache(lambda e: dumps(_edge_json(e)))
     legs = functools.cache(lambda leg: dumps(_leg_json(leg)))
     edge_slopes = functools.cache(lambda e, s: dumps(_edge_slope_json(e, s)))
@@ -390,7 +382,7 @@ def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
             f'"edge_slopes": [{", ".join([edge_slopes(e, s) for e, s in zip(t.edges, f.edge_slopes)])}], '
             f'"edges": [{", ".join([edges(e) for e in t.edges])}], '
             f'"leg_slopes": {leg_slopes(t.leg_labels, f.leg_slopes)}, '
-            f'"legs": [{", ".join([legs(leg) for leg in t.legs])}], "vertices": {vertices(t.vertices)}}}'
+            f'"legs": [{", ".join([legs(leg) for leg in t.legs])}], "vertices": {name_list(t.vertices)}}}'
         )
 
     out = ['{"cones": [']
@@ -403,7 +395,7 @@ def _json_pieces(x: ConeComplex | IsomorphismReport) -> list[str]:
     for fm in sorted(x.face_maps, key=operator.attrgetter("cone_key", "zeroed", "face_key")):
         out.append(
             f'{sep}{{"cone": {quoted(fm.cone_key)}, "coord_map": {coord_maps(fm.coord_map)}, '
-            f'"face": {quoted(fm.face_key)}, "zeroed": {zeroed(fm.zeroed)}}}'
+            f'"face": {quoted(fm.face_key)}, "zeroed": {name_list(fm.zeroed)}}}'
         )
         sep = ", "
     out.append("], ")

@@ -233,6 +233,11 @@ def _leg_slopes_json(labels: tuple[int, ...], slopes: tuple[int, ...]) -> dict:
 
 
 def plfunction_from_json(doc: dict) -> PLFunction:
+    """The PL function of a document.  Its slope records match its edges
+    one to one, a record read in either direction and parallel edges
+    taking their records in order: an edge without a record, a second
+    record for an edge, a record that joins no edge and a leg slope for a
+    label that has no leg are ParseErrors."""
     t = tree_from_json(doc)
     check_incidence(t)
     _check_labels(t)
@@ -241,19 +246,30 @@ def plfunction_from_json(doc: dict) -> PLFunction:
         # would both match the vertex ``1``.
         basepoint = _vertex_id(doc["basepoint"])
         base_value = AffineExpr.parse(str(doc["base_value"]))
-        slopes_by_pair = {}
+        records: dict[frozenset, list[tuple[VertexId, VertexId, int]]] = {}  # by the pair of ends
         for rec in doc["edge_slopes"]:
-            slopes_by_pair[(_vertex_id(rec["from"]), _vertex_id(rec["to"]))] = as_integer(rec["slope"], "slope")
+            a, b = _vertex_id(rec["from"]), _vertex_id(rec["to"])
+            records.setdefault(frozenset((a, b)), []).append((a, b, as_integer(rec["slope"], "slope")))
         edge_slopes = []
         for e in t.edges:
             a, b = e.ends
-            if (a, b) in slopes_by_pair:
-                edge_slopes.append(slopes_by_pair[(a, b)])
-            elif (b, a) in slopes_by_pair:
-                edge_slopes.append(-slopes_by_pair[(b, a)])
-            else:
+            pending = records.get(frozenset(e.ends))
+            if not pending:
                 raise ParseError(f"missing slope for edge {a!r}-{b!r}")
+            start, _, slope = pending.pop(0)
+            edge_slopes.append(slope if start == a else -slope)
+        edges = {frozenset(e.ends) for e in t.edges}
+        for pair, left in records.items():
+            if left:
+                a, b, _ = left[0]
+                raise ParseError(
+                    f"edge {a!r}-{b!r} has more than one slope record"
+                    if pair in edges
+                    else f"slope record {a!r}->{b!r} joins no edge"
+                )
         leg_slopes = [as_integer(doc["leg_slopes"][str(lbl)], "slope") for lbl in t.leg_labels]
+        if unknown := sorted(set(doc["leg_slopes"]) - {str(lbl) for lbl in t.leg_labels}):
+            raise ParseError(f"leg_slopes names label {unknown[0]!r}, which has no leg")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed PL function document: {exc}") from exc
     return PLFunction(t, basepoint, base_value, tuple(edge_slopes), tuple(leg_slopes))

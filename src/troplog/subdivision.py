@@ -763,7 +763,8 @@ class SubdividedComplex:
 def _json_pieces(sub: SubdividedComplex) -> list[str]:
     """The JSON text of a subdivided complex, in pieces, with sorted keys:
     the one writer of its layout, which ``to_json`` parses and the CLI
-    prints; the ``complex`` is ``moduli._json_pieces``'s.  The cones of one
+    prints; the ``complex`` is ``moduli._json_pieces``'s, and the
+    ``statistics`` are one ``json.dumps`` of ``stats()``.  The cones of one
     encoding share their cells' halfspace and witness tuples (see
     ``_encoded_cells``), so each tuple's text is rendered once, keyed by its
     identity, since hashing every cell's tuples by value doubles the write
@@ -788,11 +789,9 @@ def _json_pieces(sub: SubdividedComplex) -> list[str]:
         out.append(f"{', ' if i else ''}{quoted(key)}: [{', '.join([cell(c) for c in cells])}]")
     out += ['}, "complex": ', *_complex_pieces(sub.complex), f', "fan": {dumps(sub.fan.to_json())}']
     stats = sub.stats()
-    out.append(', "statistics": {"per_cone": {')
-    for i, (key, entry) in enumerate(stats["per_cone"].items()):
-        f_vector = {str(d): c for d, c in entry["f_vector"].items()}
-        out.append(f"{', ' if i else ''}{quoted(key)}: {dumps({**entry, 'f_vector': f_vector})}")
-    out.append(f'}}, "total_max_cells": {dumps(stats["total_max_cells"])}}}}}')
+    for entry in stats["per_cone"].values():
+        entry["f_vector"] = {str(d): c for d, c in entry["f_vector"].items()}
+    out.append(f', "statistics": {dumps(stats)}}}')
     return out
 
 

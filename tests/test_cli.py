@@ -79,6 +79,18 @@ def _tree_doc(**changes):
 EDGE_TO_NOWHERE = [{"ends": ["a", "b"], "length": "1"}, {"ends": ["a", "nowhere"], "length": "1"}]
 
 
+def _pl_doc(**changes):
+    """A PL function document on ``_tree_doc()``'s tree, all slopes 0."""
+    doc = _tree_doc(
+        basepoint="a",
+        base_value="0",
+        edge_slopes=[{"from": "a", "to": "b", "slope": 0}],
+        leg_slopes={"1": 0, "2": 0, "3": 0, "4": 0},
+    )
+    doc.update(changes)
+    return doc
+
+
 class TestValidate:
     def test_valid(self, capture, path_tree):
         code, env = capture(["validate", path_tree])
@@ -173,6 +185,19 @@ class TestExtend:
     def test_unknown_basepoint(self, capture, path_tree):
         code, env = capture(["extend", path_tree, "--sigma", "2,-1,-1", "--basepoint", "zz"])
         assert code == 2 and env["payload"]["message"] == "basepoint 'zz' is not a vertex"
+
+    def test_integer_basepoint_shares_the_integer_grammar(self, capture, tmp_path):
+        # JSON vertex ids may be integers. --basepoint retries its text as
+        # one in the grammar of every integer argument, where int() alone
+        # would read '1_0' as the vertex 10.
+        p = tmp_path / "tree.json"
+        legs = [{"label": 1, "at": 10}, {"label": 2, "at": 10}, {"label": 3, "at": 2}]
+        p.write_text(json.dumps({"vertices": [10, 2], "edges": [{"ends": [10, 2], "length": "1"}], "legs": legs}))
+        code, env = capture(["extend", str(p), "--sigma", "2,-1,-1", "--basepoint", " +10 "])
+        assert (code, env["payload"]["basepoint"]) == (0, 10)
+        code, env = capture(["extend", str(p), "--sigma", "2,-1,-1", "--basepoint", "1_0"])
+        assert (code, env["status"]) == (2, "ParseError")
+        assert env["payload"]["message"] == "basepoint '1_0' is not a vertex"
 
     @pytest.mark.parametrize(
         "edges, legs, sigma, message",
@@ -428,6 +453,10 @@ class TestSubdivide:
                 leg_slopes={"1": "0", "2": 0, "3": 0, "4": 0},
             ),
         ),
+        ("multidegree", _pl_doc(edge_slopes=[{"from": "a", "to": "b", "slope": 2}, {"from": "b", "to": "a", "slope": 5}])),
+        ("multidegree", _pl_doc(edge_slopes=[{"from": "a", "to": "b", "slope": 0}, {"from": "a", "to": "zz", "slope": 0}])),
+        ("multidegree", _pl_doc(leg_slopes={"1": 0, "2": 0, "3": 0, "4": 0, "5": 0})),
+        ("multidegree", _pl_doc(edges=[{"ends": ["a", "b"], "length": "1"}] * 2)),
         ("extend", _tree_doc(edges=[{"ends": ["a", "b"], "length": "1e5000"}])),
         ("validate", _tree_doc(vertices="ab")),
         ("validate", _tree_doc(vertices={"a": 1, "b": 2})),
@@ -451,6 +480,10 @@ class TestSubdivide:
         "leg-label-true",
         "edge-slope-2.5",
         "leg-slope-string",
+        "two-slope-records-one-edge",
+        "slope-record-for-no-edge",
+        "leg-slope-for-no-leg",
+        "parallel-edges-one-record",
         "edge-length-1e5000",
         "vertices-string",
         "vertices-object",

@@ -40,6 +40,7 @@ from troplog.moduli import (
     _map_cones_over,
     _map_parts,
     _path_coefficients,
+    _report_json,
     cone_functionals,
 )
 from troplog.subdivision import SubdividedCell, SubdividedComplex
@@ -517,9 +518,10 @@ PLANE = Fan.of([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2)
 
 
 class TestJsonPieces:
-    """The three large payloads have one encoder each, their JSON text in
-    pieces: ``moduli._json_pieces`` for complexes and certificate reports,
-    ``subdivision._json_pieces`` for subdivided complexes.  Joined, the
+    """The three large payloads have one encoder each: their JSON text in
+    pieces from ``moduli._json_pieces`` for complexes and
+    ``subdivision._json_pieces`` for subdivided complexes, and in one piece
+    from ``moduli._report_json`` for certificate reports.  Joined, the
     pieces must be ``json.dumps`` of the oracle's payload dict, and
     ``to_json``, which parses them, must equal that dict."""
 
@@ -528,7 +530,7 @@ class TestJsonPieces:
         if isinstance(x, SubdividedComplex):
             pieces, oracle = subdivision_pieces(x), subdivided_complex_json(x)
         elif isinstance(x, IsomorphismReport):
-            pieces, oracle = _json_pieces(x), isomorphism_report_json(x)
+            pieces, oracle = [_report_json(x)], isomorphism_report_json(x)
         else:
             pieces, oracle = _json_pieces(x), cone_complex_json(x)
         assert all(type(p) is str for p in pieces)
@@ -575,6 +577,14 @@ class TestJsonPieces:
         sigma = ContactOrder.of((1,) * (n - 1) + (1 - n,))
         for leg in sorted({1, 2, n}):
             self.assert_pieces_are_the_oracle(product_decomposition(n, sigma, leg))
+
+    @pytest.mark.parametrize("n", range(5, 8))
+    def test_generic_certificate_reports(self, n):
+        # At leg 1 of a symmetric σ every cone map is "c"; at leg 3 of a
+        # generic σ they vary (407 distinct maps over 2 752 cones at n = 7).
+        report = product_decomposition(n, ContactOrder.of(GENERIC_SIGMAS[n]), 3)
+        assert len(set(report.cone_maps.values())) > n
+        self.assert_pieces_are_the_oracle(report)
 
     def test_failed_report(self):
         report = IsomorphismReport(

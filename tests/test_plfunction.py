@@ -209,6 +209,42 @@ def test_reversed_edge_slope_record():
     assert plfunction_from_json(doc) == f
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"edge_slopes": [{"from": "v1", "to": "v2", "slope": 2}, {"from": "v2", "to": "v1", "slope": 5}]},
+         "edge 'v2'-'v1' has more than one slope record"),
+        ({"edge_slopes": [{"from": "v1", "to": "v2", "slope": -1}, {"from": "v1", "to": "zz", "slope": 0}]},
+         "slope record 'v1'->'zz' joins no edge"),
+        ({"leg_slopes": {"1": 2, "2": -1, "3": -1, "5": 0}}, "leg_slopes names label '5', which has no leg"),
+        ({"edges": [{"ends": ["v1", "v2"], "length": "3"}] * 2}, "missing slope for edge 'v1'-'v2'"),
+    ],
+    ids=["two-records-one-edge", "record-for-no-edge", "leg-slope-for-no-leg", "parallel-edges-one-record"],
+)
+def test_slope_records_match_edges_one_to_one(change, message):
+    # Records are looked up by their pair of ends; without the one-to-one
+    # check one of two disagreeing records, and a record or leg slope for
+    # no edge or leg, would be dropped without a word.
+    doc = plfunction_to_json(extend_from_leg_slopes(path3(), ContactOrder.of([2, -1, -1]), "v1", 0))
+    with pytest.raises(ParseError, match=message):
+        plfunction_from_json({**doc, **change})
+
+
+def test_parallel_edges_take_their_records_in_order():
+    # multidegree reads a graph that is not a tree; its records go to the
+    # parallel edges in document order, each read in its own direction.
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"ends": ["a", "b"], "length": "1"}, {"ends": ["b", "a"], "length": "1"}],
+        "legs": [{"label": 1, "at": "a"}, {"label": 2, "at": "b"}],
+        "basepoint": "a",
+        "base_value": "0",
+        "edge_slopes": [{"from": "a", "to": "b", "slope": 2}, {"from": "a", "to": "b", "slope": -1}],
+        "leg_slopes": {"1": -1, "2": 1},
+    }
+    assert plfunction_from_json(doc).edge_slopes == (2, 1)
+
+
 class TestLegLookups:
     """Each tree maps labels to positions once; the former code called
     ``labels.index`` once per leg, then sorted the labels on every call."""
