@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .affine import AffineExpr
+from .affine import AffineExpr, as_integer
 from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, UnstableRange
 from .plfunction import (
     ContactOrder,
@@ -173,8 +173,10 @@ def build_moduli_complex(n: int) -> ConeComplex:
 
     The face maps come from the facets that type enumeration records.  The
     complex is built once per n; each call returns its own containers, so
-    changing one complex changes no other.
+    changing one complex changes no other.  ``n`` must be an int: the
+    build cache would take a float or a bool equal to n for n.
     """
+    n = as_integer(n, "n")
     if n < 3:
         raise UnstableRange(f"curve moduli need n >= 3, got {n}")
     cones, types, face_maps = _curve_parts(n, enumerate_tree_types)
@@ -190,24 +192,22 @@ def _check_contacts(n: int, sigmas: list[ContactOrder]) -> None:
 
 
 def _map_cones(n: int, sigmas: list[ContactOrder]) -> ConeComplex:
+    """Map cones over the curve complex: each cone gains one free
+    translation coordinate and one symbolic function per target coordinate
+    (a single PLFunction for m = 1, else a tuple of m)."""
+    n = as_integer(n, "n")
     _check_contacts(n, sigmas)
+    sigma = sigmas[0] if len(sigmas) == 1 else None
     if n <= 1:
         # No nonconstant balanced functions, and constant maps are unstable.
-        return ConeComplex(n, {}, {}, [], sigma=sigmas[0] if len(sigmas) == 1 else None)
+        return ConeComplex(n, {}, {}, [], sigma=sigma)
     if n == 2:
         raise UnstableRange(
             "n = 2 maps are nonseparated as stable maps; use classify_self_map"
         )
-    return _map_cones_over(build_moduli_complex(n), sigmas)
-
-
-def _map_cones_over(curve: ConeComplex, sigmas: list[ContactOrder]) -> ConeComplex:
-    """Map cones over an already built curve complex: each cone gains one
-    free translation coordinate and one symbolic function per target
-    coordinate (a single PLFunction for m = 1, else a tuple of m)."""
-    cones, functions = _map_parts(curve.n, tuple(curve.types.values()), tuple(sigmas))
-    sigma = sigmas[0] if len(sigmas) == 1 else None
-    return ConeComplex(curve.n, dict(cones), curve.types, curve.face_maps, sigma, dict(functions))
+    curve = build_moduli_complex(n)
+    cones, functions = _map_parts(n, tuple(curve.types.values()), tuple(sigmas))
+    return ConeComplex(n, dict(cones), curve.types, curve.face_maps, sigma, dict(functions))
 
 
 def _leg_sums(slopes: tuple[int, ...]) -> list[int]:
@@ -427,10 +427,10 @@ def product_decomposition(n: int, sigma: ContactOrder, leg: int) -> IsomorphismR
 
 
 def _check_product_args(n: int, sigma: ContactOrder, leg: int) -> None:
-    if n < 3:
+    if as_integer(n, "n") < 3:
         raise UnstableRange(f"product decomposition needs n >= 3, got {n}")
     _check_contacts(n, [sigma])
-    if leg not in range(1, n + 1):
+    if as_integer(leg, "leg") not in range(1, n + 1):
         raise NoSuchLeg(f"no leg labeled {leg}")
 
 

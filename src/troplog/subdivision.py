@@ -69,7 +69,7 @@ class FanCone:
 
     @staticmethod
     def of(gens, ambient: int) -> "FanCone":
-        _check_dim(ambient)
+        _check_dim(as_integer(ambient, "dim"))
         rays = []
         for g in _items(gens, "generators"):
             v = tuple(as_integer(x, "coordinate") for x in _items(g, "generator"))
@@ -138,7 +138,7 @@ class Fan:
 
     @staticmethod
     def of(gens_list, dim: int, complete: bool = True) -> "Fan":
-        _check_dim(dim)
+        _check_dim(as_integer(dim, "dim"))
         return Fan(dim, tuple(FanCone.of(g, dim) for g in gens_list), complete)
 
     @staticmethod
@@ -369,21 +369,25 @@ def _search(slots: list[list], order: tuple[int, ...]):
     coordinate 1.  ``fresh`` says that the kernel found the point for the
     leaf's own rows, so that it is their ``rows_scaled_point``.
     """
+    return _visit(slots, order, 0, (), [], [1] * (len(order) + 1), False)
 
-    def visit(depth: int, picks: tuple[int, ...], rows: list, point: list[int], fresh: bool):
-        if depth == len(slots):
-            yield picks, rows, point, fresh
-            return
-        for i, option in enumerate(slots[depth]):
-            if option is None:
-                continue
-            extended = rows + option
-            kept = holds_at(option, point)
-            child = point if kept else rows_scaled_point(extended, order)
-            if child is not None:
-                yield from visit(depth + 1, (*picks, i), extended, child, not kept)
 
-    return visit(0, (), [], [1] * (len(order) + 1), False)
+def _visit(
+    slots: list[list], order: tuple[int, ...], depth: int, picks: tuple[int, ...], rows: list, point: list[int], fresh: bool
+):
+    """The leaves of ``_search`` below the node that ``picks`` chose in
+    the first ``depth`` slots, whose ``rows`` hold at ``point``."""
+    if depth == len(slots):
+        yield picks, rows, point, fresh
+        return
+    for i, option in enumerate(slots[depth]):
+        if option is None:
+            continue
+        extended = rows + option
+        kept = holds_at(option, point)
+        child = point if kept else rows_scaled_point(extended, order)
+        if child is not None:
+            yield from _visit(slots, order, depth + 1, (*picks, i), extended, child, not kept)
 
 
 def _strict_walls(rows: list) -> list | None:
@@ -653,23 +657,13 @@ def _rank(rows: list[tuple[int, ...]]) -> int:
     return rank
 
 
-def _census(
-    K: Cone,
-    functionals: dict[tuple[VertexId, int], AffineExpr],
-    fan: Fan,
-    rels: tuple[str, ...],
-) -> dict[int, int]:
-    """Faces of the pullback subdivision of K along the fan, by dimension,
-    inside the faces of K on which each nonnegative coordinate has one of
-    the relations ``rels`` to zero (see ``_encoded_census``)."""
-    return _encoded_census(*_encoded(K, functionals, fan.dim)[:4], fan, rels)
-
-
 def _encoded_census(
     names: tuple, order: tuple, units: tuple, distinct: tuple, fan: Fan, rels: tuple[str, ...]
 ) -> dict[int, int]:
-    """The census of ``_census`` for every cone with this encoding (see
-    ``_encoded``).
+    """Faces of the pullback subdivision along the fan, by dimension, of
+    every cone with this encoding (see ``_encoded``), inside the faces of
+    the cone on which each nonnegative coordinate has one of the relations
+    ``rels`` to zero.
 
     The faces are the leaves of the search over one slot per nonnegative
     coordinate of the cone (an option per relation), then one per distinct
@@ -703,7 +697,7 @@ def face_census(
     image: the census runs over every face of K, each nonnegative
     coordinate zero or positive.
     """
-    return _census(K, functionals, fan, ("eq", "gt"))
+    return _encoded_census(*_encoded(K, functionals, fan.dim)[:4], fan, ("eq", "gt"))
 
 
 @dataclass
@@ -729,28 +723,25 @@ class SubdividedComplex:
         and the fan, and shared by the cones of that encoding, within this
         call.
         """
-        interior = functools.cache(_encoded_census)
-
-        @functools.cache
-        def census(key: str) -> dict[int, int]:
-            encoding = _encoded(self.complex.cones[key], self.functionals[key], self.fan.dim)[:4]
-            return interior(*encoding, self.fan, ("gt",))
-
-        @functools.cache
-        def closure(key: str) -> frozenset[str]:
-            return frozenset({key}).union(*(closure(face) for face, _ in self.complex.types[key].facets))
-
-        def f_vector(key: str) -> dict[int, int]:
+        types = self.complex.types
+        closure: dict[str, frozenset[str]] = {}  # each cone and the faces reached from it
+        for key in sorted(types, key=lambda k: len(types[k].splits)):
+            closure[key] = frozenset({key}).union(*(closure[face] for face, _ in types[key].facets))
+        interior: dict[tuple, dict[int, int]] = {}  # census by encoding
+        census: dict[str, dict[int, int]] = {}  # census by cone, shared with its encoding
+        per_cone = {}
+        for key, cs in self.cells.items():
             counts: dict[int, int] = {}
-            for face in closure(key):
-                for d, c in census(face).items():
+            for face in closure[key]:
+                if face not in census:
+                    encoding = _encoded(self.complex.cones[face], self.functionals[face], self.fan.dim)[:4]
+                    if encoding not in interior:
+                        interior[encoding] = _encoded_census(*encoding, self.fan, ("gt",))
+                    census[face] = interior[encoding]
+                for d, c in census[face].items():
                     counts[d] = counts.get(d, 0) + c
-            return dict(sorted(counts.items()))
-
-        per_cone = {
-            key: {"max_cells": len(cs), "dim": self.complex.cones[key].dim, "f_vector": f_vector(key)}
-            for key, cs in self.cells.items()
-        }
+            f_vector = dict(sorted(counts.items()))
+            per_cone[key] = {"max_cells": len(cs), "dim": self.complex.cones[key].dim, "f_vector": f_vector}
         return {
             "total_max_cells": sum(len(cs) for cs in self.cells.values()),
             "per_cone": dict(sorted(per_cone.items())),

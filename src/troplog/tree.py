@@ -391,21 +391,19 @@ def _split_sets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """
     splits = [s for s in range((1 << n) - 2, 0, -2) if 2 <= s.bit_count() <= n - 2]
     sets: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def grow(chosen: tuple[int, ...], parents: tuple[int, ...], candidates: list[tuple[int, int]]) -> None:
-        # Candidates are smaller than every chosen split, so compatible
-        # means disjoint from it or contained in it.
-        sets.append((chosen, parents))
-        vertex = len(chosen) + 1
-        for i, (s, parent) in enumerate(candidates):
-            grow(
-                chosen + (s,),
-                parents + (parent,),
-                [(t, vertex if s & t else p) for t, p in candidates[i + 1 :] if s & t in (0, t)],
-            )
-
-    grow((), (), [(s, 0) for s in splits])
+    _grow(sets, (), (), [(s, 0) for s in splits])
     return sets
+
+
+def _grow(sets: list, chosen: tuple[int, ...], parents: tuple[int, ...], candidates: list[tuple[int, int]]) -> None:
+    """Append ``(chosen, parents)`` and, depth first, each extension by a
+    ``(split, parent)`` candidate.  Candidates are smaller than every chosen
+    split, so compatible means disjoint from it or contained in it."""
+    sets.append((chosen, parents))
+    vertex = len(chosen) + 1
+    for i, (s, parent) in enumerate(candidates):
+        compatible = [(t, vertex if s & t else p) for t, p in candidates[i + 1 :] if s & t in (0, t)]
+        _grow(sets, chosen + (s,), parents + (parent,), compatible)
 
 
 def _split_tree(n: int, splits: tuple[int, ...], parents: tuple[int, ...]) -> Tree:

@@ -16,17 +16,19 @@ import troplog.cli
 import troplog.moduli
 from troplog import (
     ContactOrder,
+    Fan,
     build_map_moduli,
     build_moduli_complex,
     classify_self_map,
     plfunction_from_json,
     product_decomposition,
+    subdivide_map_moduli,
     tree_from_json,
 )
 from troplog.cli import build_parser, main
 from troplog.errors import ParseError
 
-from oracles import cone_complex_json, isomorphism_report_json
+from oracles import cone_complex_json, isomorphism_report_json, subdivided_complex_json
 
 
 @pytest.fixture
@@ -737,14 +739,21 @@ def _argument_error(argv) -> dict:
             "ok",
             lambda: _moduli_payload(6, (1, 2, -3, 4, -5, 1), 2),
         ),
+        (["moduli", "--n", "1", "--sigma", "0"], "ok", lambda: _moduli_payload(1, (0,))),
+        (
+            ["subdivide", "--n", "1", "--sigma", "0", "--fan", "P1"],
+            "ok",
+            lambda: subdivided_complex_json(subdivide_map_moduli(1, ContactOrder.of((0,)), Fan.projective_line())),
+        ),
     ],
-    ids=["moduli", "selfmap", "parse-error", "moduli-curves", "moduli-certificate"],
+    ids=["moduli", "selfmap", "parse-error", "moduli-curves", "moduli-certificate", "moduli-empty", "subdivide-empty"],
 )
-def test_envelope_bytes_equal_json_dump(capsys, argv, status, payload):
+def test_envelope_bytes_equal_json_dump(capsys, p1_fan, argv, status, payload):
     # main writes the envelope in pieces; the bytes must be those that
     # json.dump streams for the envelope of dicts built apart from the
-    # writer (the oracles' for `moduli`) and the printed timing.
-    main(argv)
+    # writer (the oracles' for `moduli` and `subdivide`) and the printed
+    # timing.
+    main([p1_fan if a == "P1" else a for a in argv])
     out = capsys.readouterr().out
     envelope = {"status": status, "payload": payload(), "timing_ms": json.loads(out)["timing_ms"]}
     expected = io.StringIO()

@@ -37,13 +37,12 @@ from troplog.moduli import (
     _json_pieces,
     _lengths,
     _map_cones,
-    _map_cones_over,
     _map_parts,
     _path_coefficients,
     _report_json,
     cone_functionals,
 )
-from troplog.subdivision import SubdividedCell, SubdividedComplex
+from troplog.subdivision import FanCone, SubdividedCell, SubdividedComplex
 from troplog.subdivision import _json_pieces as subdivision_pieces
 from troplog.tree import canonicalize, contract_edge
 
@@ -187,11 +186,11 @@ class TestSharedBuild:
         maps.types.clear()
         maps.face_maps.clear()
 
-        fresh = fresh_complex(n)
-        assert same_complex(build_moduli_complex(n), fresh)
-        assert same_complex(build_map_moduli(n, sigma), _map_cones_over(fresh, [sigma]))
+        assert same_complex(build_moduli_complex(n), fresh_complex(n))
+        rebuilt = build_map_moduli(n, sigma)
         got = product_decomposition(n, sigma, 2).to_json()
         monkeypatch.setattr(troplog.moduli, "build_moduli_complex", fresh_complex)
+        assert same_complex(rebuilt, _map_cones(n, [sigma]))
         assert got == product_decomposition(n, sigma, 2).to_json()
 
     def test_alternating_n(self):
@@ -241,6 +240,30 @@ class TestSharedBuild:
         build_map_moduli(5, sigma)
         product_decomposition(5, sigma, 1)
         assert calls == [(5,)]
+
+
+SIGMA4 = ContactOrder.of([1, 1, 1, -3])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: product_decomposition(4, SIGMA4, True), id="leg-true"),
+        pytest.param(lambda: product_decomposition(4, SIGMA4, 2.0), id="leg-float"),
+        pytest.param(lambda: product_decomposition(4.0, SIGMA4, 2), id="certificate-n-float"),
+        pytest.param(lambda: build_moduli_complex(4) and build_moduli_complex(4.0), id="curves-n-float-after-build"),
+        pytest.param(lambda: build_moduli_complex(True), id="curves-n-true"),
+        pytest.param(lambda: build_map_moduli(True, ContactOrder.of([0])), id="maps-n-true"),
+        pytest.param(lambda: subdivide_map_moduli(4.0, SIGMA4, Fan.projective_line()), id="subdivide-n-float"),
+        pytest.param(lambda: Fan.of([[(1,)], [(-1,)], []], True), id="fan-dim-true"),
+        pytest.param(lambda: FanCone.of([(1,)], 1.0), id="fan-cone-dim-float"),
+    ],
+)
+def test_sizes_and_legs_must_be_integers(call):
+    # A bool or a float equal to an integer is refused where it enters the
+    # library, not printed as given, truncated or looked up in a cache.
+    with pytest.raises(ParseError, match="is not an integer"):
+        call()
 
 
 class TestMapModuli:

@@ -841,12 +841,12 @@ def test_hand_built_tree_potentials(monkeypatch, fan, K, images):
     found = spy_slope_order(monkeypatch)
     functionals = functionals_of(images)
     cells = subdivide_cone(K, functionals, fan)
-    census = sd._census(K, functionals, fan, ("gt",))
+    census = sd._encoded_census(*sd._encoded(K, functionals, fan.dim)[:4], fan, ("gt",))
     assert len(found) == 2 and None not in found
     assert cells == assignment_subdivide_cone(K, functionals, fan)
     search_everywhere(monkeypatch)
     assert cells == subdivide_cone(K, functionals, fan)
-    assert census == sd._census(K, functionals, fan, ("gt",))
+    assert census == sd._encoded_census(*sd._encoded(K, functionals, fan.dim)[:4], fan, ("gt",))
 
 
 @pytest.mark.parametrize(
@@ -930,7 +930,8 @@ def test_shared_cells_match_each_cone_alone(fan, n, sigma):
         return frozenset({key}).union(*(closure(face) for face, _ in sub.complex.types[key].facets))
 
     interior = {
-        key: sd._census(K, sub.functionals[key], fan, ("gt",)) for key, K in sub.complex.cones.items()
+        key: sd._encoded_census(*sd._encoded(K, sub.functionals[key], fan.dim)[:4], fan, ("gt",))
+        for key, K in sub.complex.cones.items()
     }
     for key, entry in sub.stats()["per_cone"].items():
         counts = {}
@@ -961,3 +962,23 @@ def test_shared_cells_cache_is_bounded():
 
     size = sd._encoded_cells.cache_info().maxsize
     assert isinstance(size, int) and 0 < size == sd._CELLS_CACHE_SIZE
+
+
+def test_subdivision_is_freed_by_reference_counting(cyclic_garbage):
+    # With the collector off, dropping the last reference frees the
+    # complex, after its statistics too.
+    import weakref
+
+    sub = subdivide_map_moduli(6, ContactOrder.of((1, 1, 1, 1, 1, -5)), P1)
+    assert sub.stats()["total_max_cells"] == 1122
+    ref = weakref.ref(sub)
+    del sub
+    assert ref() is None
+
+
+def test_plane_subdivision_leaves_no_cyclic_garbage(cyclic_garbage):
+    # The search's cells and the statistics leave no cycle behind.
+    sub = subdivide_map_moduli(4, plane_sigmas(4), PLANE)
+    assert sub.stats()["total_max_cells"] > 0
+    del sub
+    assert cyclic_garbage() == []

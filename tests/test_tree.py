@@ -116,6 +116,11 @@ class TestEnumerate:
             for splits, parents in sets:
                 assert _split_tree(n, splits, parents) == home_scan_split_tree(n, splits)
 
+    def test_split_sets_leave_no_cyclic_garbage(self, cyclic_garbage):
+        # Every split set is freed by reference counting once dropped.
+        assert len(_split_sets(7)) == 2752
+        assert cyclic_garbage() == []
+
     def test_closed_form_counts(self):
         # Cones: A000311(n - 1).  Rays: the splits, 2^(n-1) - n - 1.
         for n, cones in [(3, 1), (4, 4), (5, 26), (6, 236), (7, 2752)]:
