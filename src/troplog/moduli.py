@@ -269,7 +269,6 @@ class TropicalMapPoint:
 
     tree: Tree
     functions: tuple[PLFunction, ...]
-    contacts: tuple[ContactOrder, ...]
 
     def __post_init__(self):
         report = validate_tree(self.tree)
@@ -277,20 +276,19 @@ class TropicalMapPoint:
             raise LengthMismatch(f"invalid tree: {'; '.join(report.problems)}")
         if not self.tree.is_concrete:
             raise LengthMismatch("map points require concrete edge lengths")
-        if len(self.functions) != len(self.contacts):
-            raise LengthMismatch("one contact order per target coordinate")
-        for f, sigma in zip(self.functions, self.contacts):
+        for f in self.functions:
             if f.tree != self.tree:
                 raise LengthMismatch("function lives on a different tree")
-            if f.leg_slopes != sigma.slopes:
-                raise LengthMismatch("leg slopes do not match contact data")
             if not is_balanced(f):
                 raise NonZeroSum("function is not balanced")
 
+    @property
+    def contacts(self) -> tuple[ContactOrder, ...]:
+        return tuple(f.contact_order for f in self.functions)
+
     @staticmethod
     def of(tree: Tree, functions) -> "TropicalMapPoint":
-        fs = tuple(functions)
-        return TropicalMapPoint(tree, fs, tuple(f.contact_order for f in fs))
+        return TropicalMapPoint(tree, tuple(functions))
 
 
 def splitting_at_leg(p: TropicalMapPoint, label: int) -> Fraction:
@@ -504,10 +502,8 @@ def _certified_map_moduli(
     # with the splitting computed on the contracted type.  The restriction
     # drops the zeroed terms and renames the rest to face coordinates.
     # Face maps share their coordinate maps, and so their rename dicts.
-    face_checks = 0
     renames: dict[tuple[tuple[str, str], ...], dict[str, str]] = {}
     for fm in mapc.face_maps:
-        face_checks += 1
         rename = renames.get(fm.coord_map)
         if rename is None:
             rename = renames[fm.coord_map] = {cone_coord: face_coord for face_coord, cone_coord in fm.coord_map}
@@ -544,15 +540,14 @@ def _certified_map_moduli(
                 break
         distinct[other] = witness  # None e.g. for n=3: all legs share one vertex
 
-    certified = not failures
     return mapc, IsomorphismReport(
-        certified=certified,
+        certified=not failures,
         n=n,
         sigma=sigma,
         leg=leg,
         cones_checked=len(mapc.cones),
         cone_maps=cone_maps,
-        face_checks=face_checks,
+        face_checks=len(mapc.face_maps),
         failures=failures,
         distinct_splittings=distinct,
     )
@@ -569,7 +564,7 @@ def _rebuild(point: TropicalMapPoint, tree: Tree, values: list[dict[VertexId, Af
         extend_from_leg_slopes(tree, sigma, bp, vals[bp])
         for sigma, vals in zip(point.contacts, values)
     ]
-    return TropicalMapPoint(tree, tuple(fs), point.contacts)
+    return TropicalMapPoint(tree, tuple(fs))
 
 
 def stabilize(p: TropicalMapPoint) -> TropicalMapPoint:

@@ -22,11 +22,16 @@ class ContactOrder:
 
     slopes: tuple[int, ...]
 
+    def __post_init__(self):
+        # Builds are cached by contact order, and 1.0 == 1 == True: a slope
+        # that is not an int is a ParseError, not truncated.
+        for s in self.slopes:
+            as_integer(s, "leg slope")
+
     @staticmethod
     def of(values) -> "ContactOrder":
-        """The contact order with the given integer slopes; a float, a bool
-        or a string is a ParseError, not truncated."""
-        return ContactOrder(tuple(as_integer(v, "leg slope") for v in values))
+        """The contact order with the given slopes, from any iterable."""
+        return ContactOrder(tuple(values))
 
     @property
     def n(self) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul, ne
@@ -60,12 +60,13 @@ class FanCone:
     """A rational cone given by integer ray generators.
 
     The halfspace description (normal, relation) with relation 'ge' or 'eq'
-    is derived on construction; only ambient dimensions 1 and 2 are handled.
+    and the dimension are derived by ``of``, the one builder; only ambient
+    dimensions 1 and 2 are handled.
     """
 
     gens: tuple[Vector, ...]
-    halfspaces: System = field(default=(), compare=False)
-    dim: int = field(default=0, compare=False)
+    halfspaces: System
+    dim: int
 
     @staticmethod
     def of(gens, ambient: int) -> "FanCone":
@@ -136,9 +137,14 @@ class Fan:
     cones: tuple[FanCone, ...]
     complete: bool = True
 
+    def __post_init__(self):
+        _check_dim(as_integer(self.dim, "dim"))
+        for i, c in enumerate(self.cones):
+            if any(len(v) != self.dim for v in (*c.gens, *(normal for normal, _ in c.halfspaces))):
+                raise ParseError(f"cone {i} does not lie in dimension {self.dim}")
+
     @staticmethod
     def of(gens_list, dim: int, complete: bool = True) -> "Fan":
-        _check_dim(as_integer(dim, "dim"))
         return Fan(dim, tuple(FanCone.of(g, dim) for g in gens_list), complete)
 
     @staticmethod
@@ -227,7 +233,6 @@ def validate_fan(fan: Fan) -> ValidationReport:
     or disjoint from each open face of the other; so every pair of open
     faces with different keys must have no common point.
     """
-    _check_dim(fan.dim)
     faces = [
         [(key, [((0, *normal), rel) for normal, rel in face]) for key, face in _open_faces(c, fan.rays).items()]
         for c in fan.cones
@@ -442,9 +447,9 @@ def _encoded_cells(names: tuple, order: tuple, units: tuple, distinct: tuple, fa
     the fan, in key order, as (fan cone per distinct image, halfspaces,
     witness) tuples; see ``subdivide_cone``.
 
-    The fan is compared by its rays: its cones' halfspaces are derived from
-    them.  Each facet row is decoded once per encoding: reduced, its
-    coefficients are already coprime integers.
+    The fan is compared by all it holds, its cones' halfspaces included.
+    Each facet row is decoded once per encoding: reduced, its coefficients
+    are already coprime integers.
     """
     units = dict(units)
     line = _slope_order(distinct, units, fan)

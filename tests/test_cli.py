@@ -401,22 +401,24 @@ class TestSubdivide:
         assert code == 0 and env["payload"]["valid"]
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, message",
         [
-            {"dim": 1, "cones": [{"gens": [["a"]]}]},
-            {"dim": 1, "cones": [{"gens": [1]}]},
-            {"dim": "x", "cones": [{"gens": [[1]]}]},
-            {"dim": 1, "cones": [{"gens": [[1.5]]}]},
-            {"dim": 1.7, "cones": [{"gens": [[1]]}]},
-            {"dim": 1, "cones": [{"gens": [[1]]}], "complete": "false"},
+            ({"dim": 1, "cones": [{"gens": [["a"]]}]}, "coordinate 'a' is not an integer"),
+            ({"dim": 1, "cones": [{"gens": [1]}]}, "generator 1 is not a list"),
+            ({"dim": "x", "cones": [{"gens": [[1]]}]}, "dim 'x' is not an integer"),
+            ({"dim": 1, "cones": [{"gens": [[1.5]]}]}, "coordinate 1.5 is not an integer"),
+            ({"dim": 1.7, "cones": [{"gens": [[1]]}]}, "dim 1.7 is not an integer"),
+            ({"dim": 1, "cones": [{"gens": [[1]]}], "complete": "false"}, "complete 'false' is not a boolean"),
+            ({"dim": 2, "cones": [{"gens": [[1, 0]]}, {"gens": [[1]]}]}, "generator [1] has wrong dimension"),
         ],
-        ids=["coordinate-a", "generator-not-list", "dim-x", "coordinate-1.5", "dim-1.7", "complete-string"],
+        ids=["coordinate-a", "generator-not-list", "dim-x", "coordinate-1.5", "dim-1.7", "complete-string", "generator-length"],
     )
-    def test_malformed_fan_parse_error(self, capture, tmp_path, doc):
+    def test_malformed_fan_parse_error(self, capture, tmp_path, doc, message):
         p = tmp_path / "bad.fan"
         p.write_text(json.dumps(doc))
         code, env = capture(["validate-fan", str(p)])
         assert code == 2 and env["status"] == "ParseError"
+        assert env["payload"]["message"] == message
 
 
 @pytest.mark.parametrize(
@@ -675,8 +677,9 @@ def test_argument_errors_give_envelope(capsys, argv, fragment):
 )
 def test_integer_arguments_share_one_grammar(capture, flag, argv, accepted):
     # int() alone reads '1_0' as 10. Integer arguments are read as
-    # rationals are, without the fraction: whitespace, a sign, digits.
-    for refused in ("1_0", "0x1", "1.0", ""):
+    # rationals are, without the fraction: whitespace, a sign, digits; and
+    # no more digits than int() reads.
+    for refused in ("1_0", "0x1", "1.0", "", "1" * (sys.get_int_max_str_digits() + 1)):
         code, env = capture([a.format(refused) for a in argv])
         assert (code, env["status"]) == (2, "ParseError"), refused
         assert f"argument {flag}: invalid int value: {refused!r}" in env["payload"]["message"]

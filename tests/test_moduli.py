@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -330,6 +331,43 @@ class TestSplitting:
         p, q, s = (TropicalMapPoint.of(t, [h]) for h in (f, g, f + g))
         for i in (1, 2, 3):
             assert splitting_at_leg(s, i) == splitting_at_leg(p, i) + splitting_at_leg(q, i)
+
+
+PATH3 = Tree.build(["v1", "v2"], [("v1", "v2", 3)], [(1, "v1"), (2, "v1"), (3, "v2")])
+F3 = extend_from_leg_slopes(PATH3, ContactOrder.of([2, -1, -1]), "v1", 0)
+
+
+def test_map_point_derives_its_contact_orders():
+    # A map point holds its tree and functions; the contact orders are read
+    # from the functions, so none can disagree with them.
+    p = TropicalMapPoint(PATH3, (F3, F3))
+    assert p.contacts == TropicalMapPoint.of(PATH3, [F3, F3]).contacts == (F3.contact_order,) * 2
+    assert [f.name for f in dataclasses.fields(p)] == ["tree", "functions"]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TropicalMapPoint.of(Tree.build(["v"], [], [(1, "v"), (3, "v"), (4, "v")]), []),
+         LengthMismatch, "invalid tree: leg labels [1, 3, 4] are not exactly 1..3"),
+        (lambda: TropicalMapPoint.of(Tree.build(["v1", "v2"], [("v1", "v2")], [(1, "v1"), (2, "v1"), (3, "v2")]), []),
+         LengthMismatch, "map points require concrete edge lengths"),
+        (lambda: TropicalMapPoint.of(PATH3, [extend_from_leg_slopes(PATH3.with_lengths([4]), F3.contact_order)]),
+         LengthMismatch, "function lives on a different tree"),
+        (lambda: TropicalMapPoint.of(PATH3, [dataclasses.replace(F3, edge_slopes=(1,))]),
+         NonZeroSum, "function is not balanced"),
+        (lambda: splitting_at_leg(TropicalMapPoint.of(PATH3, [F3, F3]), 1),
+         LengthMismatch, "splitting_at_leg requires a 1-dimensional target"),
+        (lambda: splitting_at_leg(TropicalMapPoint.of(PATH3, [dataclasses.replace(F3, base_value=AffineExpr.symbol("c"))]), 3),
+         LengthMismatch, "map point has symbolic values"),
+        (lambda: splitting_expr(build_map_moduli(4, SIGMA4), "(1,2,3,4;)", 9),
+         NoSuchLeg, "no leg labeled 9"),
+    ],
+    ids=["invalid-tree", "symbolic-lengths", "other-tree", "unbalanced", "two-targets", "symbolic-values", "splitting-expr-no-leg"],
+)
+def test_map_points_and_splittings_refuse(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestProductDecomposition:

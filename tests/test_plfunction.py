@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from troplog import (
     AffineExpr,
     ContactOrder,
     Tree,
+    build_map_moduli,
     canonicalize,
     extend_from_leg_slopes,
     is_balanced,
@@ -16,7 +18,7 @@ from troplog import (
     plfunction_to_json,
     vertex_values,
 )
-from troplog.errors import LengthMismatch, NonZeroSum, ParseError
+from troplog.errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError
 from troplog.plfunction import PLFunction
 
 from oracles import index_multidegree, random_tree, random_zero_sum, solve_balancing_system
@@ -132,6 +134,42 @@ class TestContactOrder:
         # Truncation would read [0.5, -0.5, 1.9] as (0, 0, 1).
         with pytest.raises(ParseError):
             ContactOrder.of([bad, 0, -1])
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1", Fraction(1)])
+    def test_constructor_refuses_non_integers(self, bad):
+        # Map builds are cached by contact order, and 1.0 == 1 == True ==
+        # Fraction(1): a build from an equal slope of another type would be
+        # served to the integer contact order, and printed as it was given.
+        with pytest.raises(ParseError, match=re.escape(f"leg slope {bad!r} is not an integer")):
+            build_map_moduli(4, ContactOrder((bad, 1, 1, -3)))
+        doc = build_map_moduli(4, ContactOrder.of((1, 1, 1, -3))).to_json()
+        slopes = [s for f in doc["functions"].values() for s in [*f["leg_slopes"].values(), *(e["slope"] for e in f["edge_slopes"])]]
+        assert slopes and all(type(s) is int for s in slopes)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ContactOrder.of([1, -1]) + ContactOrder.of([1, 1, -2]),
+         LengthMismatch, "cannot add contact orders of different lengths"),
+        (lambda: extend_from_leg_slopes(path3(), ContactOrder.of([2, -1, -1])) + extend_from_leg_slopes(path3(4), ContactOrder.of([2, -1, -1])),
+         LengthMismatch, "can only add functions on the same tree and basepoint"),
+        (lambda: PLFunction(path3(), "v1", AffineExpr.constant(0), (), (2, -1, -1)),
+         LengthMismatch, "one slope per edge required"),
+        (lambda: PLFunction(path3(), "v1", AffineExpr.constant(0), (-1,), (2, -1)),
+         LengthMismatch, "one slope per leg required"),
+        (lambda: PLFunction(path3(), "zz", AffineExpr.constant(0), (-1,), (2, -1, -1)),
+         ParseError, "basepoint 'zz' is not a vertex"),
+        (lambda: extend_from_leg_slopes(path3(), ContactOrder.of([2, -1, -1])).slope("v1", "zz", 0),
+         ParseError, "edge 0 does not join 'v1' and 'zz'"),
+        (lambda: extend_from_leg_slopes(path3(), ContactOrder.of([2, -1, -1])).leg_slope(9),
+         NoSuchLeg, "no leg labeled 9"),
+    ],
+    ids=["add-contact-orders", "add-functions", "edge-slope-count", "leg-slope-count", "basepoint", "slope-off-the-edge", "leg-slope-no-leg"],
+)
+def test_mismatched_parts_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestExtend:

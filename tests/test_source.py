@@ -18,6 +18,19 @@ def test_no_assert_statements():
     assert SOURCES and not found
 
 
+def test_no_dataclass_field_left_out_of_equality():
+    # Builds are cached by value.  A field declared ``compare=False`` lets a
+    # value equal to another carry different data into a cache key, and be
+    # served the other's build.  No call in the package passes ``compare``.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.keyword) and node.arg == "compare"
+    ]
+    assert SOURCES and not found
+
+
 def test_oracles_import_no_private_names():
     # An oracle that borrows the library's private helpers checks the
     # library against itself.

@@ -15,10 +15,10 @@ from troplog import (
     subdivide_map_moduli,
     validate_fan,
 )
-from troplog.errors import IncompleteFan, LengthMismatch, UnsupportedDimension
+from troplog.errors import IncompleteFan, LengthMismatch, ParseError, UnsupportedDimension
 from troplog.feasibility import prune_redundant
 from troplog.moduli import Cone, Coord
-from troplog.subdivision import cone_functionals
+from troplog.subdivision import FanCone, cone_functionals
 
 from oracles import canonical_system, cell_key
 
@@ -67,6 +67,32 @@ class TestFan:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimension):
             Fan.of([[(1, 0, 0)]], 3)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            # Built from its generators alone, a cone would have dimension 0
+            # and no halfspaces; ``FanCone.of`` derives both.
+            (lambda: FanCone(((1,),)), TypeError, "missing 2 required positional arguments: 'halfspaces' and 'dim'"),
+            (lambda: Fan(3, ()), UnsupportedDimension, "fans are supported in dimension 1 or 2 only, got 3"),
+            (lambda: Fan(True, ()), ParseError, "dim True is not an integer"),
+            (lambda: Fan(2, (FanCone.of([[1]], 1),)), ParseError, "cone 0 does not lie in dimension 2"),
+            (lambda: Fan(1, (FanCone.of([[1]], 1), FanCone.of([[1, 0]], 2))), ParseError, "cone 1 does not lie in dimension 1"),
+        ],
+        ids=["fan-cone-from-generators", "dim-3", "dim-true", "cone-of-dim-1", "cone-of-dim-2"],
+    )
+    def test_fan_checks_itself(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
+
+    def test_equal_fans_hold_equal_cones(self):
+        # Cells are cached by fan.  A fan equal to P^1 whose cones held other
+        # halfspaces would give its cells to P^1, or take P^1's.
+        bad = Fan(1, tuple(FanCone(gens, (), 0) for gens in (((1,),), ((-1,),), ())))
+        sigma = ContactOrder.of((1, 1, 1, -3))
+        subdivide_map_moduli(4, sigma, bad)
+        assert subdivide_map_moduli(4, sigma, P1).stats()["total_max_cells"] == 11
+        assert bad != P1
 
     def test_json_roundtrip(self):
         doc = P1.to_json()

@@ -17,7 +17,7 @@ from troplog import (
     validate_tree,
     vertex_values,
 )
-from troplog.errors import NoSuchEdge, ParseError, UnstableRange
+from troplog.errors import NoSuchEdge, NoSuchLeg, ParseError, UnstableRange
 from troplog.tree import _edge, _leg, _split_sets, _split_tree, _vertex_names
 
 from oracles import (
@@ -141,6 +141,23 @@ class TestEnumerate:
             assert validate_tree(ct.tree).ok
             assert ct.tree.leg_labels == (1, 2, 3, 4, 5)
             assert all(ct.tree.valence(v) >= 3 for v in ct.tree.vertices)
+
+
+def test_root_without_legs_is_the_first_vertex():
+    assert Tree.build(["b", "a"], [("b", "a", 1)], []).root == "b"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: star(3).leg(9), NoSuchLeg, "no leg labeled 9"),
+        (lambda: star(3).with_lengths([1]), ParseError, "wrong number of edge lengths"),
+    ],
+    ids=["leg", "with-lengths"],
+)
+def test_tree_lookups_refuse(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestContract:
