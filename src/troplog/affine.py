@@ -67,7 +67,7 @@ def fraction_str(q: Fraction) -> str:
 _TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*)?([A-Za-z_][A-Za-z_0-9]*)$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineExpr:
     """const + sum(coeff * symbol), with exact rational coefficients.
 

@@ -11,6 +11,7 @@ result integer too long to print (over 4 300 digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -177,46 +178,43 @@ class _Parser(argparse.ArgumentParser):
         raise errors.ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call in a process.  Each subcommand
+    runs the ``cmd_`` function of its name (``-`` read as ``_``), which
+    ``main`` looks up when it runs."""
     p = _Parser(prog="troplog", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("validate", help="validate a tree JSON file")
     q.add_argument("tree", help="tree JSON file, or - for stdin")
-    q.set_defaults(fn=cmd_validate)
 
     q = sub.add_parser("extend", help="unique balanced function from leg slopes")
     q.add_argument("tree")
     q.add_argument("--sigma", required=True, help="comma-separated integer leg slopes")
     q.add_argument("--basepoint", default=None)
     q.add_argument("--base-value", default="0", help="rational or affine, e.g. 0, 3/2, c")
-    q.set_defaults(fn=cmd_extend)
 
     q = sub.add_parser("multidegree", help="per-vertex degrees of a PL function")
     q.add_argument("plf", help="PL function JSON file, or - for stdin")
-    q.set_defaults(fn=cmd_multidegree)
 
     q = sub.add_parser("moduli", help="moduli cone complex (curves, or maps with --sigma)")
     q.add_argument("--n", type=_integer, required=True)
     q.add_argument("--sigma", default=None, help="contact orders; ';' separates target coordinates")
     q.add_argument("--certify-product", type=_integer, default=None, metavar="LEG")
-    q.set_defaults(fn=cmd_moduli)
 
     q = sub.add_parser("subdivide", help="fan-pullback subdivision of map moduli")
     q.add_argument("--n", type=_integer, required=True)
     q.add_argument("--sigma", required=True, help="contact orders; ';' separates target coordinates")
     q.add_argument("--fan", required=True)
-    q.set_defaults(fn=cmd_subdivide)
 
     q = sub.add_parser("validate-fan", help="fan well-formedness and completeness report")
     q.add_argument("fan")
-    q.set_defaults(fn=cmd_validate_fan)
 
     q = sub.add_parser("selfmap", help="normal form of a log-torus self-map")
     q.add_argument("--r", type=_integer, required=True)
     q.add_argument("--a", default="0")
     q.add_argument("--compose", nargs=2, metavar=("R2", "A2"), default=None)
-    q.set_defaults(fn=cmd_selfmap)
     return p
 
 
@@ -242,7 +240,7 @@ def main(argv=None) -> int:
         try:
             # A command's payload is its JSON text in pieces, or a dict
             # written here as one json.dumps.
-            payload = args.fn(args)
+            payload = globals()["cmd_" + args.command.replace("-", "_")](args)
             pieces = payload if isinstance(payload, list) else [json.dumps(payload, sort_keys=True)]
         except ValueError as exc:
             raise _output_limit(exc) from exc

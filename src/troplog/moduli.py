@@ -52,13 +52,13 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coord:
     name: str
     sign: str  # "nonneg" | "free"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cone:
     """A rational cone chart with named coordinates.
 
@@ -86,7 +86,7 @@ class Cone:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceMap:
     """Inclusion of the contracted type's cone as a facet of a larger cone."""
 
@@ -146,6 +146,10 @@ def _curve_parts(n: int, enumerate_types) -> tuple[tuple, tuple, tuple]:
     types = enumerate_types(n)
     names, coords = _lengths(n)
     cone_coords = [coords[:k] for k in range(len(coords) + 1)]
+    # Types come sorted by key, so listing each cone's face maps by their
+    # zeroed coordinate, the name of the contracted edge, sorts them all by
+    # (cone, zeroed).  That order of k edges is the same for every type.
+    edge_orders = [sorted(range(k), key=names.__getitem__) for k in range(len(names) + 1)]
     zeroed = [(name,) for name in names]
     # A face map's coordinate map depends only on the contracted edge and
     # the facet's edge index map, so each pattern's is built once and shared.
@@ -155,9 +159,7 @@ def _curve_parts(n: int, enumerate_types) -> tuple[tuple, tuple, tuple]:
     for ct in types:
         edges = range(len(ct.tree.edges))
         cones.append((ct.key, Cone(ct.key, cone_coords[len(edges)])))
-        # Types come sorted by key, so sorting each cone's face maps by
-        # their zeroed coordinate sorts them all by (cone, zeroed).
-        for i in sorted(edges, key=names.__getitem__):
+        for i in edge_orders[len(edges)]:
             face_key, face_index = ct.facets[i]
             coord_map = coord_maps.get((i, face_index))
             if coord_map is None:

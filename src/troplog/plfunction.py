@@ -16,7 +16,7 @@ from .errors import LengthMismatch, NonZeroSum, NoSuchLeg, ParseError
 from .tree import Edge, Tree, VertexId, _vertex_id, check_incidence, checked_walk, tree_from_json, tree_to_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContactOrder:
     """Vector of outgoing integer slopes on the n labeled legs."""
 
@@ -52,7 +52,7 @@ class ContactOrder:
         return ContactOrder(tuple(a + b for a, b in zip(self.slopes, other.slopes)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multidegree:
     degrees: tuple[tuple[VertexId, int], ...]
 
@@ -68,7 +68,7 @@ class Multidegree:
         return all(d == 0 for _, d in self.degrees)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLFunction:
     """A PL function stored as a basepoint value plus directed slopes.
 

@@ -55,7 +55,7 @@ def _check_dim(dim: int) -> None:
         raise UnsupportedDimension(f"fans are supported in dimension 1 or 2 only, got {dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FanCone:
     """A rational cone given by integer ray generators.
 
@@ -283,7 +283,7 @@ def _coverage_problems(fan: Fan) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubdividedCell:
     parent: str
     assignment: tuple[tuple[str, int], ...]  # vertex -> fan cone index

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .affine import Rat, as_fraction, as_integer, fraction_str
 from .errors import NoSuchEdge, NoSuchLeg, ParseError, UnstableRange
@@ -18,13 +19,13 @@ from .errors import NoSuchEdge, NoSuchLeg, ParseError, UnstableRange
 VertexId = str | int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     ends: tuple[VertexId, VertexId]
     length: Fraction | None = None  # None = symbolic length coordinate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leg:
     label: int
     at: VertexId
@@ -167,7 +168,7 @@ class Tree:
         return Tree(self.vertices, es, self.legs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     problems: tuple[str, ...] = ()
 
@@ -269,7 +270,7 @@ def checked_walk(t: Tree, root: VertexId, what: str) -> list[tuple[VertexId, Ver
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     key: str
     tree: Tree  # all lengths symbolic, vertices renamed v0, v1, ...
@@ -297,35 +298,35 @@ def canonicalize(t: Tree) -> CanonicalForm:
 
     sig: dict[VertexId, str] = {}
     for v in [child for _, child, _ in reversed(walk)] + [root]:
-        children[v].sort(key=lambda wi: sig[wi[0]])
-        own = ",".join(str(x) for x in sorted(legs_at[v]))
-        sig[v] = f"({own};{''.join(sig[w] for w, _ in children[v])})"
+        kids = children[v]
+        if len(kids) > 1:
+            kids.sort(key=lambda wi: sig[wi[0]])
+        own = legs_at[v]
+        own.sort()
+        sig[v] = f"({','.join(map(str, own))};{''.join([sig[w] for w, _ in kids])})"
 
     names = _vertex_names(len(t.vertices))
     vertex_map: dict[VertexId, str] = {}
-    edge_map: dict[int, int] = {}
+    edge_map = [0] * len(t.edges)  # checked_walk: the walk crosses every edge once
     canon_edges: list[Edge] = []
     stack: list[tuple[VertexId, VertexId | None, int | None]] = [(root, None, None)]
     while stack:
         v, parent, via = stack.pop()
-        vertex_map[v] = names[len(vertex_map)]
+        name = vertex_map[v] = names[len(vertex_map)]
         if via is not None:
             edge_map[via] = len(canon_edges)
-            canon_edges.append(_edge(vertex_map[parent], vertex_map[v]))
-        stack.extend((w, v, i) for w, i in reversed(children[v]))
+            canon_edges.append(_edge(vertex_map[parent], name))
+        for w, i in reversed(children[v]):
+            stack.append((w, v, i))
     canon_tree = Tree(
         names,
         tuple(canon_edges),
-        tuple(sorted((_leg(l.label, vertex_map[l.at]) for l in t.legs), key=lambda x: x.label)),
+        tuple(sorted([_leg(l.label, vertex_map[l.at]) for l in t.legs], key=attrgetter("label"))),
     )
-    return CanonicalForm(
-        key=sig[root],
-        tree=canon_tree,
-        edge_map=tuple(edge_map[i] for i in range(len(t.edges))),
-    )
+    return CanonicalForm(key=sig[root], tree=canon_tree, edge_map=tuple(edge_map))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombinatorialType:
     """A tree shape (all lengths symbolic) in canonical form.
 
@@ -423,8 +424,8 @@ def _split_tree(n: int, splits: tuple[int, ...], parents: tuple[int, ...]) -> Tr
             legs ^= low
     return Tree(
         tuple(range(len(splits) + 1)),
-        tuple(_edge(parent, j + 1) for j, parent in enumerate(parents)),
-        tuple(_leg(i + 1, v) for i, v in enumerate(home)),
+        tuple([_edge(parent, j + 1) for j, parent in enumerate(parents)]),
+        tuple([_leg(i + 1, v) for i, v in enumerate(home)]),
     )
 
 
@@ -451,8 +452,8 @@ def enumerate_tree_types(n: int) -> list[CombinatorialType]:
         splits = tuple(sorted(chosen, key=index.__getitem__))
         facets = []
         for s in splits:
-            face, face_index = forms[tuple(t for t in chosen if t != s)]
-            facets.append((face.key, tuple(face_index[t] for t in splits if t != s)))
+            face, face_index = forms[tuple([t for t in chosen if t != s])]
+            facets.append((face.key, tuple([face_index[t] for t in splits if t != s])))
         types.append(CombinatorialType(cf.tree, cf.key, tuple(facets), splits))
     return sorted(types, key=lambda ct: ct.key)
 

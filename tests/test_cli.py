@@ -623,9 +623,20 @@ def test_other_value_errors_are_not_size_limits(monkeypatch):
     def broken(args):
         raise ValueError("not a digit limit")
 
+    build_parser()  # the shared parser exists before the handler is replaced
     monkeypatch.setattr(troplog.cli, "cmd_selfmap", broken)
     with pytest.raises(ValueError, match="not a digit limit"):
         main(["selfmap", "--r", "1"])
+
+
+def test_second_main_call_leaves_no_cyclic_garbage(cyclic_garbage, capsys):
+    # Every call shares one parser, and so leaves nothing for the collector;
+    # a parser built per call is a cycle of argparse objects.
+    main(["selfmap", "--r", "2", "--a", "1"])
+    cyclic_garbage()
+    assert main(["moduli", "--n", "4", "--sigma", "1,1,1,-3"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["status"] == "ok"
+    assert cyclic_garbage() == []
 
 
 class TestDeterminism:

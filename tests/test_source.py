@@ -1,6 +1,12 @@
 import ast
+import copy
+import dataclasses
+import pickle
 import re
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import troplog
 
@@ -91,3 +97,46 @@ def test_cross_module_private_imports_are_listed():
         if alias.name.startswith("_")
     }
     assert SOURCES and found == PRIVATE_IMPORTS
+
+
+def _subdivided_cell():
+    cx = troplog.subdivide_map_moduli(4, troplog.ContactOrder.of([1, 1, 1, -3]), troplog.Fan.projective_line())
+    return next(cell for cells in cx.cells.values() for cell in cells)
+
+
+def _plfunction():
+    t = troplog.Tree.build(["a", "b"], [("a", "b", 2)], [(1, "a"), (2, "a"), (3, "b"), (4, "b")])
+    return troplog.extend_from_leg_slopes(t, troplog.ContactOrder.of([1, 2, -1, -2]), "a", troplog.AffineExpr.parse("c + 1/2"))
+
+
+# One value of each record that the builds make by the thousand.
+SLOTTED = {
+    "Edge": lambda: troplog.Edge(("a", "b"), Fraction(3, 2)),
+    "Leg": lambda: troplog.Leg(2, "a"),
+    "CanonicalForm": lambda: troplog.canonicalize(_plfunction().tree),
+    "CombinatorialType": lambda: troplog.enumerate_tree_types(5)[-1],
+    "ValidationReport": lambda: troplog.validate_tree(troplog.Tree((), (), ())),
+    "Coord": lambda: troplog.moduli.Coord("l_e0", "nonneg"),
+    "Cone": lambda: max(troplog.build_moduli_complex(5).cones.values(), key=lambda c: c.name),
+    "FaceMap": lambda: troplog.build_moduli_complex(5).face_maps[-1],
+    "ContactOrder": lambda: troplog.ContactOrder.of([1, 2, -3]),
+    "PLFunction": _plfunction,
+    "Multidegree": lambda: troplog.multidegree(_plfunction()),
+    "AffineExpr": lambda: troplog.AffineExpr.parse("c - 3/4*l_e0 + 2"),
+    "SubdividedCell": _subdivided_cell,
+    "FanCone": lambda: troplog.Fan.projective_line().cones[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_value_records_are_slotted(name):
+    # Their instances carry no ``__dict__``; copying and pickling still
+    # give a value equal to the original in every field.
+    x = SLOTTED[name]()
+    assert type(x).__name__ == name and not hasattr(x, "__dict__")
+
+    def state(y):
+        return type(y), [getattr(y, f.name) for f in dataclasses.fields(y)]
+
+    for y in (dataclasses.replace(x), copy.copy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and state(y) == state(x)
