@@ -208,7 +208,7 @@ def _map_cones(n: int, sigmas: list[ContactOrder]) -> ConeComplex:
             "n = 2 maps are nonseparated as stable maps; use classify_self_map"
         )
     curve = build_moduli_complex(n)
-    cones, functions = _map_parts(n, tuple(curve.types.values()), tuple(sigmas))
+    cones, functions = _map_parts(n, tuple(sigmas), enumerate_tree_types)
     return ConeComplex(n, dict(cones), curve.types, curve.face_maps, sigma, dict(functions))
 
 
@@ -221,13 +221,12 @@ def _leg_sums(slopes: tuple[int, ...]) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _map_parts(
-    n: int, types: tuple[CombinatorialType, ...], sigmas: tuple[ContactOrder, ...]
-) -> tuple[tuple, tuple]:
-    """The map cones over the given curve types as frozen parts: their
-    ``(key, Cone)`` items and ``(key, function)`` items.
+def _map_parts(n: int, sigmas: tuple[ContactOrder, ...], enumerate_types) -> tuple[tuple, tuple]:
+    """The map cones over the curve types of ``_curve_parts(n,
+    enumerate_types)`` as frozen parts: their ``(key, Cone)`` items and
+    ``(key, function)`` items.
 
-    Built once per curve build and tuple of contact orders, and shared.
+    Built once per n, tuple of contact orders and enumerator, and shared.
     By the cut rule the slope of edge j, read parent -> child, is the sum
     of sigma over the legs of the type's ``splits[j]``, so no tree is
     walked.
@@ -240,7 +239,7 @@ def _map_parts(
     coords = _lengths(n)[1]
     cone_coords = [coords[:k] + free for k in range(len(coords) + 1)]
     cones, functions = [], []
-    for ct in types:
+    for _, ct in _curve_parts(n, enumerate_types)[1]:
         t = ct.tree
         fs = tuple(
             PLFunction(t, t.root, base, tuple(leg_sums[s] for s in ct.splits), s.slopes)

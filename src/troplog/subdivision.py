@@ -142,6 +142,10 @@ class Fan:
         for i, c in enumerate(self.cones):
             if any(len(v) != self.dim for v in (*c.gens, *(normal for normal, _ in c.halfspaces))):
                 raise ParseError(f"cone {i} does not lie in dimension {self.dim}")
+            # Cells are cached by fan and read each cone's halfspaces: a fan
+            # must be fixed by its dimension, its generators and ``complete``.
+            if c != FanCone.of(c.gens, self.dim):
+                raise ParseError(f"cone {i} is not the cone of its generators")
 
     @staticmethod
     def of(gens_list, dim: int, complete: bool = True) -> "Fan":
@@ -447,7 +451,8 @@ def _encoded_cells(names: tuple, order: tuple, units: tuple, distinct: tuple, fa
     the fan, in key order, as (fan cone per distinct image, halfspaces,
     witness) tuples; see ``subdivide_cone``.
 
-    The fan is compared by all it holds, its cones' halfspaces included.
+    A fan's cones are derived from their generators (``Fan`` checks it),
+    so equal fans hold equal halfspaces.
     Each facet row is decoded once per encoding: reduced, its coefficients
     are already coprime integers.
     """

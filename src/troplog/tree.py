@@ -344,12 +344,6 @@ class CombinatorialType:
     facets: tuple[tuple[str, tuple[int, ...]], ...]
     splits: tuple[int, ...]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CombinatorialType) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
 
 # ---------------------------------------------------------------------------
 # Operations

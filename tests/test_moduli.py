@@ -168,11 +168,7 @@ def fresh_complex(n: int) -> ConeComplex:
 
 
 def same_complex(cx: ConeComplex, other: ConeComplex) -> bool:
-    # CombinatorialType compares by key alone, so compare its fields too.
-    def types(c):
-        return {k: (ct.key, ct.tree, ct.facets, ct.splits) for k, ct in c.types.items()}
-
-    return cx.to_json() == other.to_json() and types(cx) == types(other)
+    return cx.to_json() == other.to_json() and cx.types == other.types
 
 
 class TestSharedBuild:
@@ -197,6 +193,21 @@ class TestSharedBuild:
     def test_alternating_n(self):
         for n in (5, 6, 5):
             assert same_complex(build_moduli_complex(n), fresh_complex(n))
+
+    def test_interleaved_map_builds(self):
+        # The map build is keyed by n and the contact orders; each build,
+        # served from the cache or not, equals an uncached one.
+        five = [ContactOrder.of([1, 1, 1, 1, -4]), ContactOrder.of([2, -1, 1, -3, 1])]
+        six = [ContactOrder.of([1, 1, 1, 1, 1, -5]), ContactOrder.of([1, -5, 1, 1, 1, 1])]
+        builds = [[five[0]], [six[0]], [six[0]], [five[1]], five, five, [six[1]], [five[0]]]
+        _map_parts.cache_clear()
+        for sigmas in builds:
+            n = sigmas[0].n
+            cx = _map_cones(n, sigmas)
+            cones, functions = _map_parts.__wrapped__(n, tuple(sigmas), enumerate_tree_types)
+            assert cx.cones == dict(cones) and cx.functions == dict(functions)
+            assert cx.types == fresh_complex(n).types
+        assert _map_parts.cache_info()[:2] == (2, 6)  # hits, misses
 
     def test_map_functions_built_once(self, monkeypatch):
         # A product decomposition after a map build reuses its functions,

@@ -24,16 +24,31 @@ def test_no_assert_statements():
     assert SOURCES and not found
 
 
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass"
+    )
+
+
 def test_no_dataclass_field_left_out_of_equality():
-    # Builds are cached by value.  A field declared ``compare=False`` lets a
-    # value equal to another carry different data into a cache key, and be
-    # served the other's build.  No call in the package passes ``compare``.
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.keyword) and node.arg == "compare"
-    ]
+    # Builds are cached by value.  A field declared ``compare=False``, or an
+    # ``__eq__`` or ``__hash__`` written by hand, lets a value equal to
+    # another carry different data into a cache key, and be served the
+    # other's build.  No call in the package passes ``compare``, and every
+    # dataclass compares and hashes by all its fields.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.keyword) and node.arg == "compare":
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list)):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names = [item.name]
+                    else:  # ``__hash__ = ...``
+                        names = [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)]
+                    found += [f"{path.name}:{item.lineno} {node.name}.{name}" for name in names if name in ("__eq__", "__hash__")]
     assert SOURCES and not found
 
 

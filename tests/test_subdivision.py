@@ -78,21 +78,37 @@ class TestFan:
             (lambda: Fan(True, ()), ParseError, "dim True is not an integer"),
             (lambda: Fan(2, (FanCone.of([[1]], 1),)), ParseError, "cone 0 does not lie in dimension 2"),
             (lambda: Fan(1, (FanCone.of([[1]], 1), FanCone.of([[1, 0]], 2))), ParseError, "cone 1 does not lie in dimension 1"),
+            # A cone built by hand must be the one ``FanCone.of`` derives
+            # from its generators.
+            (lambda: Fan(1, tuple(FanCone(g, (), 0) for g in (((1,),), ((-1,),), ()))), ParseError, "cone 0 is not the cone of its generators"),
+            (lambda: Fan(1, (FanCone(((2,),), (((1,), "ge"),), 1),)), ParseError, "cone 0 is not the cone of its generators"),
+            (lambda: Fan(1, (P1.cones[0], FanCone(((1,), (1,)), (((1,), "ge"),), 1))), ParseError, "cone 1 is not the cone of its generators"),
+            (lambda: Fan(1, (FanCone(((1,),), (((-1,), "ge"),), 1),)), ParseError, "cone 0 is not the cone of its generators"),
         ],
-        ids=["fan-cone-from-generators", "dim-3", "dim-true", "cone-of-dim-1", "cone-of-dim-2"],
+        ids=[
+            "fan-cone-from-generators",
+            "dim-3",
+            "dim-true",
+            "cone-of-dim-1",
+            "cone-of-dim-2",
+            "p1-rays-without-halfspaces",
+            "unreduced-ray",
+            "repeated-generator",
+            "ray-with-opposite-halfspace",
+        ],
     )
     def test_fan_checks_itself(self, build, error, message):
         with pytest.raises(error, match=re.escape(message)):
             build()
 
     def test_equal_fans_hold_equal_cones(self):
-        # Cells are cached by fan.  A fan equal to P^1 whose cones held other
-        # halfspaces would give its cells to P^1, or take P^1's.
-        bad = Fan(1, tuple(FanCone(gens, (), 0) for gens in (((1,),), ((-1,),), ())))
-        sigma = ContactOrder.of((1, 1, 1, -3))
-        subdivide_map_moduli(4, sigma, bad)
-        assert subdivide_map_moduli(4, sigma, P1).stats()["total_max_cells"] == 11
-        assert bad != P1
+        # Cells are cached by fan.  A fan with P^1's rays whose cones held
+        # other halfspaces would be valid and complete yet give no cells, so
+        # it is refused where it is built.
+        with pytest.raises(ParseError, match="cone 0 is not the cone of its generators"):
+            Fan(1, tuple(FanCone(gens, (), 0) for gens in (((1,),), ((-1,),), ())))
+        assert Fan(1, P1.cones) == P1
+        assert subdivide_map_moduli(4, ContactOrder.of((1, 1, 1, -3)), P1).stats()["total_max_cells"] == 11
 
     def test_json_roundtrip(self):
         doc = P1.to_json()
