@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -233,35 +234,44 @@ def _output_limit(exc: ValueError) -> errors.SizeLimit:
 
 
 def main(argv=None) -> int:
-    start = time.monotonic()
+    # A command's builds hold no reference cycles, so reference counting
+    # frees them: the cyclic collector is paused for the one command that
+    # main runs, and the caller's setting is restored however it ends.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        start = time.monotonic()  # timing_ms covers the command and its payload's text, not the parsing
+        start = time.monotonic()
         try:
-            # A command's payload is its JSON text in pieces, or a dict
-            # written here as one json.dumps.
-            payload = globals()["cmd_" + args.command.replace("-", "_")](args)
-            pieces = payload if isinstance(payload, list) else [json.dumps(payload, sort_keys=True)]
-        except ValueError as exc:
-            raise _output_limit(exc) from exc
-        status = "ok"
-    except errors.TroplogError as exc:
-        status = exc.code
-        pieces = [json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True)]
-    elapsed = int((time.monotonic() - start) * 1000)
-    code = EXIT_CODES.get(status, 1)
-    # The bytes of json.dumps({"status", "payload", "timing_ms"},
-    # sort_keys=True) + "\n", written piece by piece.
-    try:
-        sys.stdout.write('{"payload": ')
-        sys.stdout.writelines(pieces)
-        sys.stdout.write(f', "status": {json.dumps(status)}, "timing_ms": {elapsed}}}\n')
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (e.g. `| head`).  Point stdout at
-        # devnull so that the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
+            args = build_parser().parse_args(argv)
+            start = time.monotonic()  # timing_ms covers the command and its payload's text, not the parsing
+            try:
+                # A command's payload is its JSON text in pieces, or a dict
+                # written here as one json.dumps.
+                payload = globals()["cmd_" + args.command.replace("-", "_")](args)
+                pieces = payload if isinstance(payload, list) else [json.dumps(payload, sort_keys=True)]
+            except ValueError as exc:
+                raise _output_limit(exc) from exc
+            status = "ok"
+        except errors.TroplogError as exc:
+            status = exc.code
+            pieces = [json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True)]
+        elapsed = int((time.monotonic() - start) * 1000)
+        code = EXIT_CODES.get(status, 1)
+        # The bytes of json.dumps({"status", "payload", "timing_ms"},
+        # sort_keys=True) + "\n", written piece by piece.
+        try:
+            sys.stdout.write('{"payload": ')
+            sys.stdout.writelines(pieces)
+            sys.stdout.write(f', "status": {json.dumps(status)}, "timing_ms": {elapsed}}}\n')
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early (e.g. `| head`).  Point stdout at
+            # devnull so that the flush at interpreter exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -353,9 +353,10 @@ def _json_pieces(x: ConeComplex) -> list[str]:
     There is one piece per cone, face map and function, and no payload
     dict.  Each part that entries share is encoded once: a cone's
     ``coords``, ``dim`` and ``facets`` per coordinate tuple, a face map's
-    ``coord_map`` per tuple, and a function's edges, legs, vertex list,
-    edge-slope records, leg slopes and base value per value.  Each entry
-    writes only its own keys, in sorted order, around these fragments.
+    ``coord_map`` per tuple, a function's vertex list and leg slopes per
+    value, and its edges, legs, edge-slope records and base value per
+    shared object.  Each entry writes only its own keys, in sorted order,
+    around these fragments.
     """
     dumps = functools.partial(json.dumps, sort_keys=True)
     quoted = functools.cache(json.dumps)
@@ -368,20 +369,30 @@ def _json_pieces(x: ConeComplex) -> list[str]:
     heads = functools.cache(cone_head)
     coord_maps = functools.cache(lambda coord_map: dumps(dict(coord_map)))
     name_list = functools.cache(lambda names: dumps(list(names)))  # a face map's zeroed, a tree's vertices
-    values = functools.cache(lambda value: dumps(value.to_json()))
-    edges = functools.cache(lambda e: dumps(_edge_json(e)))
-    legs = functools.cache(lambda leg: dumps(_leg_json(leg)))
-    edge_slopes = functools.cache(lambda e, s: dumps(_edge_slope_json(e, s)))
     leg_slopes = functools.cache(lambda labels, slopes: dumps(_leg_slopes_json(labels, slopes)))
+    # A base value, edge, leg or edge-slope record is memoized by the
+    # identity of the shared object, so none is hashed: ``x`` holds each
+    # one, so no id is reused while these memos live.
+    values: dict[int, str] = {}
+    edges: dict[int, str] = {}
+    legs: dict[int, str] = {}
+    edge_slopes: dict[tuple[int, int], str] = {}
 
     def function(f: PLFunction) -> str:
-        t = f.tree
+        t, base = f.tree, f.base_value
+        value = values.get(id(base)) or values.setdefault(id(base), dumps(base.to_json()))
+        slope_texts = [
+            edge_slopes.get((id(e), s)) or edge_slopes.setdefault((id(e), s), dumps(_edge_slope_json(e, s)))
+            for e, s in zip(t.edges, f.edge_slopes)
+        ]
+        edge_texts = [edges.get(id(e)) or edges.setdefault(id(e), dumps(_edge_json(e))) for e in t.edges]
+        leg_texts = [legs.get(id(leg)) or legs.setdefault(id(leg), dumps(_leg_json(leg))) for leg in t.legs]
         return (
-            f'{{"base_value": {values(f.base_value)}, "basepoint": {quoted(f.basepoint)}, '
-            f'"edge_slopes": [{", ".join([edge_slopes(e, s) for e, s in zip(t.edges, f.edge_slopes)])}], '
-            f'"edges": [{", ".join([edges(e) for e in t.edges])}], '
+            f'{{"base_value": {value}, "basepoint": {quoted(f.basepoint)}, '
+            f'"edge_slopes": [{", ".join(slope_texts)}], '
+            f'"edges": [{", ".join(edge_texts)}], '
             f'"leg_slopes": {leg_slopes(t.leg_labels, f.leg_slopes)}, '
-            f'"legs": [{", ".join([legs(leg) for leg in t.legs])}], "vertices": {name_list(t.vertices)}}}'
+            f'"legs": [{", ".join(leg_texts)}], "vertices": {name_list(t.vertices)}}}'
         )
 
     out = ['{"cones": [']
@@ -483,20 +494,29 @@ def _certified_map_moduli(
     failures: list[str] = []
     cone_maps: dict[str, str] = {}
     at_leg: dict[str, dict[str, int]] = {}  # cone -> path coefficients of ``leg``
+    # Many cones share a cone map, and every cone with k edges shares one
+    # coordinate tuple, so each distinct one is rendered and checked once.
+    # The memos key the shared objects by identity: ``mapc`` holds them all.
+    rendered: dict[tuple, tuple[str, bool, list[str]]] = {}
+    coords_match: dict[tuple[int, int], bool] = {}
     for key, f in mapc.functions.items():
-        at_leg[key] = path(key, leg)
-        # The base value names no length, so one ``make`` adds the path to it.
-        s = AffineExpr.make(f.base_value.const, {**dict(f.base_value.terms), **at_leg[key]})
-        cone_maps[key] = str(s)
-        if s.coeff(TRANSLATION_COORD) != 1:
+        at_leg[key] = coeffs = path(key, leg)
+        memo = (id(f.base_value), tuple(coeffs.items()))
+        if memo not in rendered:
+            # The base value names no length, so one ``make`` adds the path to it.
+            s = AffineExpr.make(f.base_value.const, {**dict(f.base_value.terms), **coeffs})
+            fractional = [name for name, coeff in s.terms if name != TRANSLATION_COORD and coeff.denominator != 1]
+            rendered[memo] = (str(s), s.coeff(TRANSLATION_COORD) == 1, fractional)
+        cone_maps[key], unit, fractional = rendered[memo]
+        if not unit:
             failures.append(f"cone {key}: translation coefficient is not 1")
-        for name, coeff in s.terms:
-            if name != TRANSLATION_COORD and coeff.denominator != 1:
-                failures.append(f"cone {key}: non-integer coefficient on {name}")
+        for name in fractional:
+            failures.append(f"cone {key}: non-integer coefficient on {name}")
         # The curve cone of a type has one length coordinate per edge.
-        curve_coords = set(names[: len(mapc.types[key].tree.edges)])
-        map_coords = {c.name for c in mapc.cones[key].coords}
-        if map_coords != curve_coords | {TRANSLATION_COORD}:
+        k, coords = len(mapc.types[key].tree.edges), mapc.cones[key].coords
+        if (k, id(coords)) not in coords_match:
+            coords_match[k, id(coords)] = {c.name for c in coords} == set(names[:k]) | {TRANSLATION_COORD}
+        if not coords_match[k, id(coords)]:
             failures.append(f"cone {key}: coordinates do not match curve cone plus free line")
 
     # Face-map compatibility: restricting the splitting to a facet agrees
@@ -521,11 +541,12 @@ def _certified_map_moduli(
     # A witness sets every length to 1 and the translation to 0, so a
     # splitting's value there is the sum of its path coefficients.
     distinct: dict[int, dict | None] = {}
+    keys = sorted(mapc.cones)
     for other in range(1, n + 1):
         if other == leg:
             continue
         witness = None
-        for key in sorted(mapc.cones):
+        for key in keys:
             mine, theirs = at_leg[key], path(key, other)
             if mine == theirs:
                 continue

@@ -129,14 +129,15 @@ def vertex_values(f: PLFunction) -> dict[VertexId, AffineExpr]:
     slope * length.  A graph that ``checked_walk`` refuses is a ParseError."""
     t = f.tree
     values: dict[VertexId, AffineExpr] = {f.basepoint: f.base_value}
-    for v, w, i in checked_walk(t, f.basepoint, "vertex values are"):
-        length = t.edges[i].length
-        step = (
-            AffineExpr.symbol(t.length_symbol(i))
-            if length is None
-            else AffineExpr.constant(length)
-        )
-        values[w] = values[v] + step * f.slope(v, w, i)
+    for v, kids in checked_walk(t, f.basepoint, "vertex values are").items():
+        for w, i in kids:
+            length = t.edges[i].length
+            step = (
+                AffineExpr.symbol(t.length_symbol(i))
+                if length is None
+                else AffineExpr.constant(length)
+            )
+            values[w] = values[v] + step * f.slope(v, w, i)
     return values
 
 
@@ -198,10 +199,11 @@ def extend_from_leg_slopes(
     for l in t.legs:
         subtree[l.at] += sigma.slopes[position[l.label]]
     edge_slope = [0] * len(t.edges)
-    for parent, v, via in reversed(walk):
-        subtree[parent] += subtree[v]
-        # Slope directed parent -> v is the leg sum beyond v.
-        edge_slope[via] = subtree[v] if t.edges[via].ends[0] == parent else -subtree[v]
+    for parent, kids in reversed(walk.items()):
+        for v, via in kids:
+            subtree[parent] += subtree[v]
+            # Slope directed parent -> v is the leg sum beyond v.
+            edge_slope[via] = subtree[v] if t.edges[via].ends[0] == parent else -subtree[v]
 
     if not isinstance(base_value, AffineExpr):
         base_value = AffineExpr.constant(base_value)

@@ -127,35 +127,46 @@ class Tree:
         return [l for l in self.legs if l.at == v]
 
     def adjacency(self) -> dict[VertexId, list[tuple[VertexId, int]]]:
-        """vertex -> list of (neighbor, edge index)."""
+        """vertex -> list of (neighbor, edge index).
+
+        The loop that builds it checks each edge's ends, and then each leg's
+        vertex: the first edge, or else the first leg, at a vertex outside
+        the vertex set is a ParseError.
+        """
         adj: dict[VertexId, list[tuple[VertexId, int]]] = {v: [] for v in self.vertices}
         for i, e in enumerate(self.edges):
             a, b = e.ends
+            if a not in adj or b not in adj:
+                raise ParseError(f"edge {i} has an endpoint not in the vertex set")
             adj[a].append((b, i))
             adj[b].append((a, i))
+        for l in self.legs:
+            if l.at not in adj:
+                raise ParseError(f"leg {l.label} attached to unknown vertex {l.at!r}")
         return adj
 
-    def walk(self, root: VertexId) -> list[tuple[VertexId, VertexId, int]]:
-        """The edges of the depth-first search tree from ``root``, as
-        (parent, child, edge index) in the order each child is first reached.
+    def walk(self, root: VertexId) -> dict[VertexId, list[tuple[VertexId, int]]]:
+        """The depth-first search tree from ``root``: each vertex it reaches,
+        in the order reached, mapped to its children as (child, edge index).
 
         A parent comes before its children, so ``reversed`` lists every child
         before its parent.  The walk reaches only the vertices connected to
         ``root``, and on a graph with a cycle it leaves out the edges that
-        would close one.
+        would close one.  An edge or leg at an unknown vertex is a
+        ParseError (``adjacency``).
         """
         adj = self.adjacency()
-        seen = {root}
+        children: dict[VertexId, list[tuple[VertexId, int]]] = {root: []}
         stack = [root]
-        out = []
         while stack:
             v = stack.pop()
+            kids = children[v]
             for w, i in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    out.append((v, w, i))
+                if w not in children:
+                    children[w] = []
+                    kids.append((w, i))
                     stack.append(w)
-        return out
+        return children
 
     def valence(self, v: VertexId) -> int:
         deg = sum(1 for e in self.edges if v in e.ends)
@@ -237,32 +248,26 @@ def validate_tree(t: Tree) -> ValidationReport:
 
 
 def check_incidence(t: Tree) -> None:
-    """Raise ParseError if an edge or a leg names a vertex outside the vertex set.
+    """Raise ParseError if an edge or a leg names a vertex outside the vertex
+    set: the checks of ``t.adjacency()``.
 
     ``validate_tree`` reports such a tree; code that walks the tree cannot
     use it at all.
     """
-    vs = set(t.vertices)
-    for i, e in enumerate(t.edges):
-        if not vs.issuperset(e.ends):
-            raise ParseError(f"edge {i} has an endpoint not in the vertex set")
-    for l in t.legs:
-        if l.at not in vs:
-            raise ParseError(f"leg {l.label} attached to unknown vertex {l.at!r}")
+    t.adjacency()
 
 
-def checked_walk(t: Tree, root: VertexId, what: str) -> list[tuple[VertexId, VertexId, int]]:
+def checked_walk(t: Tree, root: VertexId, what: str) -> dict[VertexId, list[tuple[VertexId, int]]]:
     """``t.walk(root)`` on a graph that is a tree: every edge and leg is at
     a vertex of ``t`` (``check_incidence``), the walk reaches every vertex
     and there is one edge fewer than vertices.  Any other graph is a
     ParseError, which names ``what`` when the graph is not a tree."""
-    check_incidence(t)
-    walk = t.walk(root)
-    if len(walk) + 1 < len(t.vertices):
+    children = t.walk(root)
+    if len(children) < len(t.vertices):
         raise ParseError(f"tree is disconnected; {what} not determined")
     if len(t.edges) != len(t.vertices) - 1:
         raise ParseError(f"graph contains a cycle (genus > 0); {what} not determined")
-    return walk
+    return children
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +293,13 @@ def canonicalize(t: Tree) -> CanonicalForm:
     names, edges and legs are shared with other canonical trees.
     """
     root = t.root
-    walk = checked_walk(t, root, "the canonical form is")
+    children = checked_walk(t, root, "the canonical form is")
     legs_at: dict[VertexId, list[int]] = {v: [] for v in t.vertices}
     for l in t.legs:
         legs_at[l.at].append(l.label)
-    children: dict[VertexId, list[tuple[VertexId, int]]] = {v: [] for v in t.vertices}
-    for parent, child, i in walk:
-        children[parent].append((child, i))
 
     sig: dict[VertexId, str] = {}
-    for v in [child for _, child, _ in reversed(walk)] + [root]:
-        kids = children[v]
+    for v, kids in reversed(children.items()):
         if len(kids) > 1:
             kids.sort(key=lambda wi: sig[wi[0]])
         own = legs_at[v]

@@ -287,9 +287,10 @@ def walk_path_coefficients(f: PLFunction) -> dict[VertexId, dict[str, int]]:
     out."""
     t = f.tree
     paths: dict[VertexId, dict[str, int]] = {f.basepoint: {}}
-    for v, w, i in t.walk(f.basepoint):
-        slope = f.slope(v, w, i)
-        paths[w] = {**paths[v], t.length_symbol(i): slope} if slope else paths[v]
+    for v, kids in t.walk(f.basepoint).items():
+        for w, i in kids:
+            slope = f.slope(v, w, i)
+            paths[w] = {**paths[v], t.length_symbol(i): slope} if slope else paths[v]
     return paths
 
 

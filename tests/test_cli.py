@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -637,6 +638,64 @@ def test_second_main_call_leaves_no_cyclic_garbage(cyclic_garbage, capsys):
     assert main(["moduli", "--n", "4", "--sigma", "1,1,1,-3"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["status"] == "ok"
     assert cyclic_garbage() == []
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector on or off before the test's ``main`` call; the
+    caller's setting is restored after the test."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_main_restores_the_collector_after_success(collector, capture):
+    assert capture(["selfmap", "--r", "2", "--a", "1"])[0] == 0
+    assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_after_an_error_envelope(collector, capture):
+    code, env = capture(["moduli", "--n", "4", "--sigma", "1,1,1,-2"])
+    assert (code, env["status"]) == (3, "NonZeroSum")
+    assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_after_an_unexpected_exception(collector, monkeypatch):
+    def broken(args):
+        assert not gc.isenabled()  # the handler runs with the collector paused
+        raise RuntimeError("a bug")
+
+    build_parser()
+    monkeypatch.setattr(troplog.cli, "cmd_selfmap", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["selfmap", "--r", "1"])
+    assert gc.isenabled() is collector
+
+
+def test_main_runs_no_collection(capsys):
+    # The collector is on before the call; main pauses it for the command,
+    # so no generation is collected during the certificate's build.  The
+    # objects that main allocates still count toward the youngest
+    # generation, so the first allocation after it returns (here, reading
+    # the statistics) may run one young collection.  Collecting first
+    # empties every count, so that one cannot reach the older generations.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.enable()
+    try:
+        before = [s["collections"] for s in gc.get_stats()]
+        code = main(["moduli", "--n", "6", "--sigma", "1,1,1,1,1,-5", "--certify-product", "1"])
+        after = [s["collections"] for s in gc.get_stats()]
+        assert gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    env = json.loads(capsys.readouterr().out)
+    assert code == 0 and env["payload"]["product_decomposition"]["certified"] is True
+    assert after[2] == before[2]
+    assert after[1] == before[1] and after[0] - before[0] <= 1
 
 
 class TestDeterminism:

@@ -45,7 +45,7 @@ from troplog.moduli import (
 )
 from troplog.subdivision import FanCone, SubdividedCell, SubdividedComplex
 from troplog.subdivision import _json_pieces as subdivision_pieces
-from troplog.tree import canonicalize, contract_edge
+from troplog.tree import Edge, Leg, canonicalize, contract_edge
 
 from oracles import (
     affine_product_decomposition,
@@ -619,6 +619,20 @@ class TestJsonPieces:
         assert 0 in GENERIC_SIGMAS[n] or any(0 in f.edge_slopes for f in generic.functions.values())
         self.assert_pieces_are_the_oracle(build_map_moduli(n, ContactOrder.of((1,) * (n - 1) + (1 - n,))))
         self.assert_pieces_are_the_oracle(generic)
+
+    def test_shared_parts_are_not_hashed(self, monkeypatch):
+        # The writer keys base values, edges and legs by identity, so it
+        # hashes none of them; its text is still the oracle's.
+        cx = build_map_moduli(6, ContactOrder.of(GENERIC_SIGMAS[6]))
+
+        def unhashable(self):
+            raise AssertionError(f"{type(self).__name__} hashed")
+
+        for cls in (AffineExpr, Edge, Leg):
+            monkeypatch.setattr(cls, "__hash__", unhashable)
+        text = "".join(_json_pieces(cx))
+        monkeypatch.undo()
+        assert text == json.dumps(cone_complex_json(cx), sort_keys=True)
 
     def test_two_targets(self):
         sigmas = [ContactOrder.of((1, 1, 1, 1, -4)), ContactOrder.of(GENERIC_SIGMAS[5])]

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troplog import (
+    AffineExpr,
     ContactOrder,
+    PLFunction,
     Tree,
     canonicalize,
     contract_edge,
@@ -251,6 +253,42 @@ class TestCanonical:
             canonicalize(empty)
         with pytest.raises(ParseError, match="tree has no vertices"):
             extend_from_leg_slopes(empty, ContactOrder(()))
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            # An edge and then a leg at an unknown vertex; leg 1's vertex,
+            # the root, is unknown too.
+            (
+                Tree.build(["a", "b"], [("a", "b"), ("b", "zz")], [(1, "yy"), (2, "a"), (3, "a")]),
+                "edge 1 has an endpoint not in the vertex set",
+            ),
+            (
+                Tree.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], [(1, "zz"), (2, "b"), (3, "c")]),
+                "leg 1 attached to unknown vertex 'zz'",
+            ),
+            (
+                Tree.build(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a"), ("a", "b")], [(1, "a"), (2, "b"), (3, "d")]),
+                "tree is disconnected",
+            ),
+        ],
+        ids=["edge-before-leg", "leg-before-cycle", "disconnected-before-cycle"],
+    )
+    def test_first_fault_is_named(self, t, message):
+        # A graph with two faults names the one found first: an edge's end,
+        # then a leg's vertex, then the disconnection, then the cycle.  Every
+        # walk of a caller's graph refuses it the same way.
+        f = PLFunction(t, "a", AffineExpr.constant(0), (0,) * len(t.edges), (1, 1, -2))
+        for call in (lambda: canonicalize(t), lambda: extend_from_leg_slopes(t, f.contact_order), lambda: vertex_values(f)):
+            with pytest.raises(ParseError) as info:
+                call()
+            assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_matches_recursive_oracle_on_split_trees(self, n):
+        for chosen, parents in _split_sets(n):
+            t = _split_tree(n, chosen, parents)
+            assert canonicalize(t) == recursive_canonicalize(t), t
 
     def test_intern_tables_stay_bounded(self):
         # Trees of 150 legs name thousands of distinct legs, far more than
