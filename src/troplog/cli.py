@@ -274,5 +274,22 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def entry() -> None:
+    """The process entry of ``python -m troplog.cli`` and of the ``troplog``
+    script: ``main`` with the collector off for the rest of the process.
+    It does not return.
+
+    Once both streams are flushed, the process ends with ``os._exit``, with
+    no young collection over what the command built and no interpreter
+    teardown, so no ``atexit`` handler runs. ``SystemExit`` (``--help``) and
+    an unexpected exception leave through the normal interpreter exit.
+    """
+    gc.disable()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

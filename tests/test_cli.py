@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -764,16 +765,30 @@ def test_help_still_exits_zero(capsys):
     assert "--certify-product" in capsys.readouterr().out
 
 
+def _cli_env() -> dict:
+    """The environment of a CLI process that imports this checkout's troplog."""
+    src = str(Path(troplog.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _cli_process(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, env=_cli_env(), timeout=120
+    )
+
+
+def _without_timing(envelope: bytes) -> bytes:
+    return re.sub(rb'"timing_ms": [0-9]+', b"", envelope)
+
+
 def test_closed_stdout_gives_no_traceback():
     # The payload of `moduli --n 6` (about 100 kB) is larger than a pipe
     # buffer, so the CLI is still writing when the reader closes the pipe.
-    src = str(Path(troplog.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "troplog.cli", "moduli", "--n", "6"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(),
     )
     head = proc.stdout.read(50)
     proc.stdout.close()
@@ -781,6 +796,53 @@ def test_closed_stdout_gives_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert head.startswith(b'{"payload": ') and err == b""
+
+
+def test_process_prints_the_envelope_of_main(tmp_path, capsys):
+    # The process ends with os._exit, which flushes nothing: the payload of
+    # `moduli --n 7` (1.8 MB) is far larger than a pipe or file buffer,
+    # so every byte of it must be written before the exit.
+    path = tmp_path / "moduli7.json"
+    with open(path, "wb") as out:
+        proc = _cli_process("-m", "troplog.cli", "moduli", "--n", "7", stdout=out)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main(["moduli", "--n", "7"]) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 1_000_000
+    assert _without_timing(path.read_bytes()) == _without_timing(expected)
+
+
+def test_process_error_envelope_keeps_its_exit_code():
+    proc = _cli_process("-m", "troplog.cli", "moduli", "--n", "2")
+    assert (proc.returncode, proc.stderr) == (4, b"")
+    env = json.loads(proc.stdout)
+    assert env["status"] == env["payload"]["error"] == "UnstableRange"
+
+
+def test_process_help_exits_zero():
+    proc = _cli_process("-m", "troplog.cli", "moduli", "--help")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"usage: troplog moduli") and b"--certify-product" in proc.stdout
+
+
+def test_process_entry_exits_with_the_collector_off_and_no_teardown():
+    # The entry of the `troplog` script, with an atexit handler that a
+    # normal interpreter exit would run, and os._exit wrapped to report the
+    # collector's state.
+    script = """
+import atexit, gc, os, sys
+from troplog.cli import entry
+atexit.register(print, "atexit ran", file=sys.stderr)
+def report_and_exit(code, exit=os._exit):
+    print("collector on:", gc.isenabled(), file=sys.stderr, flush=True)
+    exit(code)
+os._exit = report_and_exit
+sys.argv[1:] = ["selfmap", "--r", "2", "--a", "1"]
+sys.exit(entry())
+"""
+    proc = _cli_process("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, b"collector on: False\n")
+    assert json.loads(proc.stdout)["status"] == "ok"
 
 
 def _moduli_payload(n, sigma=None, leg=None) -> dict:

@@ -31,9 +31,11 @@ PUBLIC = [
 
 # Runs its argv through `python -m troplog.cli` and writes to stderr, as a
 # JSON list, the troplog modules whose bodies ran: an "exec" audit event
-# carries each module's code object.
+# carries each module's code object. The CLI ends its process with
+# os._exit, which skips the `finally`, so the list is also written just
+# before that exit.
 RUN_CLI = """
-import json, runpy, sys
+import json, os, runpy, sys
 from pathlib import Path
 ran = set()
 def hook(event, args):
@@ -41,11 +43,17 @@ def hook(event, args):
         path = Path(getattr(args[0], "co_filename", ""))
         if path.parent.name == "troplog":
             ran.add(path.stem)
+def report():
+    print(json.dumps(sorted(ran)), file=sys.stderr, flush=True)
+def report_and_exit(code, exit=os._exit):
+    report()
+    exit(code)
+os._exit = report_and_exit
 sys.addaudithook(hook)
 try:
     runpy.run_module("troplog.cli", run_name="__main__", alter_sys=True)
 finally:
-    print(json.dumps(sorted(ran)), file=sys.stderr)
+    report()
 """
 
 
